@@ -41,10 +41,8 @@ from .matching import (
     MatchingCertificate,
     MatchingTargets,
     ReducedInstance,
-    extend_with_color_zero,
     find_mono_matching,
     find_mono_matching_kiraly,
-    find_properly_colored_cycle,
     kiraly_reduce,
     lift_matching,
     maximum_matching,

@@ -46,44 +46,11 @@ def verify_proper(g: Graph, vc: VertexColoring) -> bool:
     return all((g.adj[v] & masks[c]) == 0 for v, c in enumerate(vc.class_of))
 
 
-def _trivial_lower(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return 2 if any(g.adj) else 1
-
-
-def greedy_upper(g: Graph, order="dsatur") -> ChiResult:
-    """Greedy coloring; order is "dsatur", "degeneracy", or a vertex sequence."""
+def greedy_upper(g: Graph) -> ChiResult:
+    """DSATUR greedy coloring: an upper bound with its proper witness."""
     n = g.n
     if n == 0:
         return ChiResult(0, 0, VertexColoring(0, ()), True)
-    if order == "dsatur":
-        assign = _dsatur_greedy(g)
-    else:
-        if order == "degeneracy":
-            seq = _degeneracy_order(g)
-            seq.reverse()
-        else:
-            seq = list(order)
-            if sorted(seq) != list(range(n)):
-                raise ValueError("order must be a permutation of range(n)")
-        assign = [-1] * n
-        for v in seq:
-            forbid = 0
-            for u in iter_bits(g.adj[v]):
-                if assign[u] >= 0:
-                    forbid |= 1 << assign[u]
-            c = 0
-            while (forbid >> c) & 1:
-                c += 1
-            assign[v] = c
-    witness = VertexColoring.normalized(assign)
-    lower = _trivial_lower(g)
-    return ChiResult(lower, witness.k, witness, witness.k == lower)
-
-
-def _dsatur_greedy(g: Graph) -> list[int]:
-    n = g.n
     deg = [g.adj[v].bit_count() for v in range(n)]
     assign = [-1] * n
     neigh = [0] * n  # bitmask of colors seen on colored neighbors
@@ -100,22 +67,9 @@ def _dsatur_greedy(g: Graph) -> list[int]:
         assign[pick] = c
         for u in iter_bits(g.adj[pick]):
             neigh[u] |= 1 << c
-    return assign
-
-
-def _degeneracy_order(g: Graph) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex (ties by index)."""
-    remaining = (1 << g.n) - 1
-    out = []
-    for _ in range(g.n):
-        best, bdeg = -1, g.n + 1
-        for v in iter_bits(remaining):
-            d = (g.adj[v] & remaining).bit_count()
-            if d < bdeg:
-                best, bdeg = v, d
-        out.append(best)
-        remaining &= ~(1 << best)
-    return out
+    witness = VertexColoring.normalized(assign)
+    lower = 2 if any(g.adj) else 1
+    return ChiResult(lower, witness.k, witness, witness.k == lower)
 
 
 def _greedy_clique(g: Graph) -> list[int]:
@@ -168,7 +122,7 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
     deg = [adj[v].bit_count() for v in range(n)]
     clique = _greedy_clique(g)
     lb = max(1, len(clique))
-    seed = greedy_upper(g, "dsatur")
+    seed = greedy_upper(g)
     best_k = seed.upper
     best_assign = list(seed.witness.class_of)
     if lb >= best_k:

@@ -82,41 +82,8 @@ def _parse_pattern(spec: str) -> hunter.AcyclicPattern:
 
 
 def _candidate_stream(specs, seed: int, chi_budget: int):
-    if not specs:
-        yield from hunter.generate_candidates("graph6-stream", lines=sys.stdin)
-        return
-    for spec in specs:
-        kind, _, arg = spec.partition(":")
-        if kind == "mycielski":
-            yield from hunter.generate_candidates("mycielski", steps=int(arg))
-        elif kind == "kneser":
-            n, k = (int(x) for x in arg.split(","))
-            yield from hunter.generate_candidates("kneser", n=n, k=k)
-        elif kind == "multipartite":
-            sizes = [int(x) for x in arg.split(",")]
-            yield from hunter.generate_candidates("complete-multipartite", sizes=sizes)
-        elif kind == "random":
-            params: dict = {"seed": seed, "chi_budget": chi_budget}
-            for item in arg.split(","):
-                key, _, val = item.partition("=")
-                params[key] = val
-            yield from hunter.generate_candidates(
-                "random",
-                n=int(params["n"]),
-                p=float(params["p"]),
-                count=int(params["count"]),
-                seed=int(params["seed"]),
-                chi_min=int(params["chi_min"]) if "chi_min" in params else None,
-                chi_budget=int(params["chi_budget"]),
-            )
-        elif kind == "g6":
-            if arg == "-" or arg == "":
-                yield from hunter.generate_candidates("graph6-stream", lines=sys.stdin)
-            else:
-                with open(arg) as fh:
-                    yield from hunter.generate_candidates("graph6-stream", lines=fh)
-        else:
-            raise ValueError(f"bad candidate spec {spec!r}")
+    for spec in specs or ["g6:-"]:
+        yield from hunter.generate_candidates(spec, seed=seed, chi_budget=chi_budget)
 
 
 def _cmd_chi(args) -> int:
@@ -279,6 +246,8 @@ def _infer_kind(data: dict) -> str:
 def _cmd_verify(args) -> int:
     with open(args.certificate) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a certificate is a JSON object")
     # unwrap CLI output envelopes
     for key in ("certificate", "instance"):
         if key in data and isinstance(data[key], dict):
@@ -286,21 +255,10 @@ def _cmd_verify(args) -> int:
             break
     kind = _infer_kind(data)
     if kind == "hunt":
-        problems = []
-        cex = data.get("counterexample")
-        if cex is None:
-            problems = []
-        else:
-            g = parse_graph(cex["graph6"], "g6")
-            colors = {(min(u, v), max(u, v)): c for u, v, c in cex["coloring"]}
-            ec = EdgeColoring(data["t"], colors)
-            pat = hunter.AcyclicPattern(
-                Graph.from_edges(data["pattern"]["n"],
-                                 [tuple(e) for e in data["pattern"]["edges"]])
-            )
-            problems = hunter.check_hunt_counterexample(
-                pat, data["t"], data["ramsey_value"], g, ec, chi_budget=args.budget
-            )
+        claim = hunter.HuntReport.counterexample_from_json(data)
+        problems = [] if claim is None else hunter.check_hunt_counterexample(
+            *claim, chi_budget=args.budget
+        )
     else:
         if args.graph is None:
             raise ValueError(f"a {kind} certificate needs the graph it talks about")
@@ -318,16 +276,7 @@ def _cmd_verify(args) -> int:
                 cert = matching.MatchingCertificate.from_json(data)
                 problems = verify.check_matching_certificate(g, ec, cert)
             else:
-                ri = matching.ReducedInstance(
-                    t=data["t"],
-                    classes=tuple(tuple(c) for c in data["classes"]),
-                    edge_color={
-                        (p["i"], p["j"]): p["color"] for p in data["pairs"]
-                    },
-                    provenance={
-                        (p["i"], p["j"]): tuple(p["provenance"]) for p in data["pairs"]
-                    },
-                )
+                ri = matching.ReducedInstance.from_json(data)
                 problems = verify.check_reduced_instance(g, ec, ri)
     _emit(args, {"kind": kind, "ok": not problems, "problems": problems})
     _note("certificate holds" if not problems else "; ".join(problems))

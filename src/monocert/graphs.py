@@ -95,7 +95,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and bool((self.adj[u] >> v) & 1)
+        return 0 <= u < self.n and 0 <= v < self.n and bool((self.adj[u] >> v) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as canonical pairs, lexicographically sorted."""
@@ -188,29 +188,23 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=True)
 class EdgeColoring:
-    """Colors keyed by canonical edge; genuine colors are 1..t.
+    """Colors 1..t keyed by canonical edge.
 
-    Color 0 is reserved for the complement edges of an extended complete
-    graph and is legal only when ``extended`` is set. Instances are treated
-    as immutable: nothing in the package mutates ``colors`` after
-    construction, so sharing across operations is safe.
+    Instances are treated as immutable: nothing in the package mutates
+    ``colors`` after construction, so sharing across operations is safe.
     """
 
     t: int
     colors: dict[tuple[int, int], int] = field(default_factory=dict)
-    extended: bool = False
 
     def __post_init__(self):
         if self.t < 1:
-            raise ValueError("need at least one genuine color")
-        low = 0 if self.extended else 1
+            raise ValueError("need at least one color")
         for (u, v), c in self.colors.items():
             if not (0 <= u < v):
                 raise ValueError(f"edge ({u},{v}) is not a canonical pair")
-            if not low <= c <= self.t:
-                raise ValueError(
-                    f"color {c} on edge ({u},{v}) outside {low}..{self.t}"
-                )
+            if not 1 <= c <= self.t:
+                raise ValueError(f"color {c} on edge ({u},{v}) outside 1..{self.t}")
         object.__setattr__(self, "colors", dict(self.colors))
 
     def color_of(self, u: int, v: int) -> int:
@@ -219,9 +213,6 @@ class EdgeColoring:
             return self.colors[e]
         except KeyError:
             raise ValueError(f"edge {e} has no color") from None
-
-    def covers(self, g: Graph) -> bool:
-        return all(e in self.colors for e in g.edges())
 
     def validate_cover(self, g: Graph) -> None:
         """Require a bijection between colored edges and E(g)."""
@@ -233,15 +224,11 @@ class EdgeColoring:
             if e not in self.colors:
                 raise ValueError(f"edge {e} of the graph has no color")
 
-    def edges_of_color(self, c: int) -> list[tuple[int, int]]:
-        return sorted(e for e, col in self.colors.items() if col == c)
-
 
 def color_subgraph(g: Graph, ec: EdgeColoring, c: int) -> Graph:
-    """Spanning subgraph keeping only edges of color c (0 allowed if extended)."""
-    low = 0 if ec.extended else 1
-    if not low <= c <= ec.t:
-        raise ValueError(f"color {c} outside {low}..{ec.t}")
+    """Spanning subgraph keeping only edges of color c."""
+    if not 1 <= c <= ec.t:
+        raise ValueError(f"color {c} outside 1..{ec.t}")
     edges = [e for e in g.edges() if ec.color_of(*e) == c]
     return Graph.from_edges(g.n, edges)
 
@@ -283,40 +270,28 @@ class VertexColoring:
 # ---------------------------------------------------------------------------
 # text formats
 
-_FORMATS = {
-    "edges": "edges", "edge-list": "edges", "edgelist": "edges",
-    "dimacs": "dimacs", "dimacs-col": "dimacs", "col": "dimacs",
-    "g6": "g6", "graph6": "g6",
-}
-
-
-def _norm_format(fmt: str) -> str:
-    try:
-        return _FORMATS[fmt.lower()]
-    except KeyError:
-        raise ValueError(f"unknown graph format {fmt!r}") from None
-
-
 def parse_graph(text: str | bytes, fmt: str = "edges") -> Graph:
     if isinstance(text, bytes):
         text = text.decode("ascii")
-    fmt = _norm_format(fmt)
     if fmt == "edges":
         return _parse_edge_list(text)
     if fmt == "dimacs":
         return _parse_dimacs(text)
-    return _parse_graph6(text)
+    if fmt == "g6":
+        return _parse_graph6(text)
+    raise ValueError(f"unknown graph format {fmt!r}")
 
 
 def write_graph(g: Graph, fmt: str = "edges") -> str:
-    fmt = _norm_format(fmt)
     if fmt == "edges":
         lines = [f"# n {g.n}"] + [f"{u} {v}" for u, v in g.edges()]
         return "\n".join(lines) + "\n"
     if fmt == "dimacs":
         lines = [f"p edge {g.n} {g.m}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
         return "\n".join(lines) + "\n"
-    return _to_graph6(g) + "\n"
+    if fmt == "g6":
+        return _to_graph6(g) + "\n"
+    raise ValueError(f"unknown graph format {fmt!r}")
 
 
 def _parse_edge_list(text: str) -> Graph:
@@ -479,7 +454,7 @@ def _parse_graph6(text: str) -> Graph:
 def parse_edge_coloring(text: str | bytes, t: int | None = None) -> EdgeColoring:
     """Parse "u v c" lines (0-indexed vertices, colors 1..t).
 
-    Color 0 never appears in files; t defaults to the largest color seen.
+    t defaults to the largest color seen.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -501,7 +476,7 @@ def parse_edge_coloring(text: str | bytes, t: int | None = None) -> EdgeColoring
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", ln)
         if c < 1:
-            raise GraphParseError(f"color {c} below 1 (0 is reserved)", ln)
+            raise GraphParseError(f"color {c} below 1", ln)
         e = canonical_edge(u, v)
         if e in colors:
             raise GraphParseError(f"edge {e} colored twice", ln)
@@ -515,8 +490,41 @@ def parse_edge_coloring(text: str | bytes, t: int | None = None) -> EdgeColoring
 
 
 def write_edge_coloring(ec: EdgeColoring) -> str:
-    """Serialize genuine colorings; extended ones have no file form."""
-    if any(c == 0 for c in ec.colors.values()):
-        raise ValueError("color 0 never appears in coloring files")
+    """Serialize as "u v c" lines in edge order."""
     lines = [f"{u} {v} {c}" for (u, v), c in sorted(ec.colors.items())]
     return "\n".join(lines) + "\n" if lines else ""
+
+
+# ---------------------------------------------------------------------------
+# JSON shapes read back by the certificate readers
+
+def json_fields(data, *keys) -> list:
+    """Values of the given keys of a JSON object; ValueError on any other shape."""
+    if not isinstance(data, dict) or not all(key in data for key in keys):
+        raise ValueError(f"expected a JSON object with {', '.join(keys)}, got {data!r:.60}")
+    return [data[key] for key in keys]
+
+
+def json_list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a JSON list, got {value!r:.60}")
+    return value
+
+
+def json_int(value) -> int:
+    """A non-negative JSON integer; booleans and floats are refused."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r:.60}")
+    return value
+
+
+def json_ints(value, size: int | None = None) -> tuple[int, ...]:
+    """A JSON list of non-negative integers, of length size when given."""
+    if size is not None and len(json_list(value)) != size:
+        raise ValueError(f"expected {size} integers, got {value!r:.60}")
+    return tuple(json_int(x) for x in json_list(value))
+
+
+def json_edges(value) -> tuple[tuple[int, int], ...]:
+    """A JSON list of [u, v] pairs as canonical edges."""
+    return tuple(canonical_edge(*json_ints(e, 2)) for e in json_list(value))

@@ -19,6 +19,8 @@ that count and exhaustion flags are set honestly.
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, log2
@@ -34,6 +36,11 @@ from .graphs import (
     component_masks,
     induced_subgraph,
     iter_bits,
+    json_edges,
+    json_fields,
+    json_int,
+    json_ints,
+    json_list,
     parse_graph,
     write_graph,
 )
@@ -459,17 +466,21 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def generate_candidates(kind: str, **params):
-    """Stream candidate host graphs.
+def generate_candidates(spec: str, seed: int = 0, chi_budget: int = chromatic.DEFAULT_BUDGET):
+    """Stream the candidate hosts a spec names; the spec is read on the first draw.
 
-    Kinds: "mycielski" (steps graphs, starting from K2 itself), "kneser"
-    (single graph), "complete-multipartite" (single graph), "random"
-    (count seeded G(n,p) draws, optionally filtered to exact chi >= chi_min;
-    draws whose exact chi cannot be settled in budget are dropped), and
-    "graph6-stream" (one graph per non-blank line).
+    ``mycielski:STEPS`` gives K2 and its next STEPS-1 Mycielskians,
+    ``kneser:N,K`` and ``multipartite:A,B,...`` one graph each, and
+    ``g6:PATH`` or ``g6:-`` one graph per non-blank graph6 line of a file or
+    of stdin. ``random:n=..,p=..,count=..[,chi_min=..]`` gives count seeded
+    G(n,p) draws; with chi_min, only draws whose chi settles within
+    chi_budget at chi_min or more count, and at most 200 draws are made per
+    graph asked for. The keys ``seed`` and ``chi_budget`` override the
+    arguments.
     """
+    kind, _, arg = spec.partition(":")
     if kind == "mycielski":
-        steps = int(params["steps"])
+        steps = int(arg)
         if steps < 1:
             raise ValueError("steps must be at least 1")
         g = complete_graph(2)
@@ -478,35 +489,38 @@ def generate_candidates(kind: str, **params):
             g = mycielskian(g)
             yield g
     elif kind == "kneser":
-        yield kneser_graph(int(params["n"]), int(params["k"]))
-    elif kind == "complete-multipartite":
-        yield complete_multipartite([int(s) for s in params["sizes"]])
+        n, k = (int(x) for x in arg.split(","))
+        yield kneser_graph(n, k)
+    elif kind == "multipartite":
+        yield complete_multipartite([int(x) for x in arg.split(",")])
     elif kind == "random":
-        n = int(params["n"])
-        p = float(params["p"])
-        count = int(params["count"])
-        rng = random.Random(int(params.get("seed", 0)))
-        chi_min = params.get("chi_min")
-        budget = int(params.get("chi_budget", chromatic.DEFAULT_BUDGET))
-        attempts = 0
-        produced = 0
-        limit = int(params.get("max_attempts", 200 * max(count, 1)))
-        while produced < count and attempts < limit:
+        params = {"seed": seed, "chi_budget": chi_budget}
+        for key, _, val in (item.partition("=") for item in arg.split(",")):
+            if key not in ("n", "p", "count", "chi_min", "seed", "chi_budget"):
+                raise ValueError(f"unknown key {key!r} in {spec!r}")
+            params[key] = val
+        for key in ("n", "p", "count"):
+            if key not in params:
+                raise ValueError(f"{spec!r} lacks {key}")
+        n, p, count = int(params["n"]), float(params["p"]), int(params["count"])
+        chi_min = int(params["chi_min"]) if "chi_min" in params else None
+        budget = int(params["chi_budget"])
+        rng = random.Random(int(params["seed"]))
+        produced = attempts = 0
+        while produced < count and attempts < 200 * max(count, 1):
             attempts += 1
             g = random_graph(n, p, rng)
             if chi_min is not None:
                 r = chi_exact(g, budget=budget)
-                if not r.exact or r.lower < int(chi_min):
+                if not r.exact or r.lower < chi_min:
                     continue
             produced += 1
             yield g
-    elif kind == "graph6-stream":
-        for line in params["lines"]:
-            line = line.strip()
-            if line:
-                yield parse_graph(line, "g6")
+    elif kind == "g6":
+        with nullcontext(sys.stdin) if arg in ("", "-") else open(arg) as lines:
+            yield from (parse_graph(line, "g6") for line in lines if line.strip())
     else:
-        raise ValueError(f"unknown candidate kind {kind!r}")
+        raise ValueError(f"bad candidate spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +581,25 @@ class HuntReport:
             "counterexample": cex,
         }
 
+    @staticmethod
+    def counterexample_from_json(data):
+        """(pattern, t, ramsey_value, host, coloring) for check_hunt_counterexample.
+
+        None when the report claims no counterexample; ValueError on any other shape.
+        """
+        (cex,) = json_fields(data, "counterexample")
+        if cex is None:
+            return None
+        pattern, t, ramsey_value = json_fields(data, "pattern", "t", "ramsey_value")
+        n, edges = json_fields(pattern, "n", "edges")
+        graph6, coloring = json_fields(cex, "graph6", "coloring")
+        if not isinstance(graph6, str):
+            raise ValueError(f"expected a graph6 string, got {graph6!r:.60}")
+        rows = (json_ints(row, 3) for row in json_list(coloring))
+        ec = EdgeColoring(json_int(t), {canonical_edge(u, v): c for u, v, c in rows})
+        pat = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
+        return pat, ec.t, json_int(ramsey_value), parse_graph(graph6, "g6"), ec
+
 
 def check_hunt_counterexample(
     pattern: AcyclicPattern,
@@ -580,8 +613,6 @@ def check_hunt_counterexample(
     problems = []
     if ec.t != t:
         problems.append(f"coloring has t={ec.t}, expected {t}")
-    if ec.extended:
-        problems.append("coloring is extended; counterexamples use genuine colors")
     try:
         ec.validate_cover(g)
     except ValueError as e:
@@ -617,6 +648,8 @@ def hunt(
         raise ValueError("need at least one color")
     if ramsey_value < 1:
         raise ValueError("ramsey_value must be positive")
+    if pattern.graph.m == 0:
+        raise ValueError("pattern needs at least one edge")
     outcomes = []
     total = 0
     counterexample = None

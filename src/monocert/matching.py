@@ -24,6 +24,11 @@ from .graphs import (
     color_subgraph,
     complete_graph,
     iter_bits,
+    json_edges,
+    json_fields,
+    json_int,
+    json_ints,
+    json_list,
 )
 from .chromatic import verify_proper
 
@@ -70,12 +75,10 @@ class MatchingCertificate:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "MatchingCertificate":
-        return MatchingCertificate(
-            color=int(data["color"]),
-            target=int(data["target"]),
-            edges=tuple(canonical_edge(int(u), int(v)) for u, v in data["edges"]),
-        )
+    def from_json(data) -> "MatchingCertificate":
+        """Inverse of to_json; ValueError when data has another shape."""
+        color, target, edges = json_fields(data, "color", "target", "edges")
+        return MatchingCertificate(json_int(color), json_int(target), json_edges(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +183,6 @@ def find_mono_matching(
     a miss is impossible and raises InternalInconsistencyError instead of
     returning None.
     """
-    if ec.extended:
-        raise ValueError("need a genuine coloring, not an extended one")
     if ec.t != targets.t:
         raise ValueError(f"coloring has t={ec.t} but targets have t={targets.t}")
     ec.validate_cover(g)
@@ -236,6 +237,21 @@ class ReducedInstance:
             ],
         }
 
+    @staticmethod
+    def from_json(data) -> "ReducedInstance":
+        """Inverse of to_json; ValueError when data has another shape."""
+        t, classes, pairs = json_fields(data, "t", "classes", "pairs")
+        classes = tuple(json_ints(c) for c in json_list(classes))
+        edge_color, provenance = {}, {}
+        for pair in json_list(pairs):
+            i, j, color, prov = json_fields(pair, "i", "j", "color", "provenance")
+            i, j = json_int(i), json_int(j)
+            if not i < j < len(classes):
+                raise ValueError(f"pair ({i},{j}) is not two of the {len(classes)} classes")
+            edge_color[(i, j)] = json_int(color)
+            provenance[(i, j)] = json_ints(prov, 2)
+        return ReducedInstance(json_int(t), classes, edge_color, provenance)
+
 
 def kiraly_reduce(g: Graph, ec: EdgeColoring, vc: VertexColoring) -> ReducedInstance:
     """Contract a properly colored host onto its color classes.
@@ -245,8 +261,6 @@ def kiraly_reduce(g: Graph, ec: EdgeColoring, vc: VertexColoring) -> ReducedInst
     then colored by its smallest crossing genuine color, with the smallest
     such edge recorded as provenance.
     """
-    if ec.extended:
-        raise ValueError("need a genuine coloring, not an extended one")
     ec.validate_cover(g)
     if not verify_proper(g, vc):
         raise ValueError("vertex coloring is not proper")
@@ -351,64 +365,3 @@ def find_mono_matching_kiraly(
         )
     return None
 
-
-# ---------------------------------------------------------------------------
-# extended complete graph and properly colored cycles
-
-def extend_with_color_zero(g: Graph, ec: EdgeColoring) -> tuple[Graph, EdgeColoring]:
-    """Complete graph on V(g) whose non-edges of g take the reserved color 0."""
-    if ec.extended:
-        raise ValueError("coloring is already extended")
-    ec.validate_cover(g)
-    kg = complete_graph(g.n)
-    colors = dict(ec.colors)
-    for e in kg.edges():
-        if e not in colors:
-            colors[e] = 0
-    return kg, EdgeColoring(ec.t, colors, extended=True)
-
-
-def find_properly_colored_cycle(
-    k: Graph, ec: EdgeColoring, max_n: int = 12
-) -> list[int] | None:
-    """First cycle whose consecutive edges (wrap included) differ in color.
-
-    Color 0 participates like any other color. Exhaustive DFS over simple
-    cycles anchored at their minimum vertex; refuses hosts larger than
-    max_n vertices.
-    """
-    if k.n > max_n:
-        raise ValueError(f"host has {k.n} vertices, above the max_n={max_n} guard")
-    ec.validate_cover(k)
-    col = {e: c for e, c in ec.colors.items()}
-
-    def edge_col(u: int, v: int) -> int:
-        return col[canonical_edge(u, v)]
-
-    n = k.n
-    for s in range(n):
-        # cycles whose minimum vertex is s; all other vertices > s
-        path = [s]
-
-        def dfs(v: int, depth: int, used: int, prev_color: int) -> list[int] | None:
-            for w in iter_bits(k.adj[v]):
-                if w == s and depth >= 2:
-                    c = edge_col(v, s)
-                    if c != prev_color and c != edge_col(s, path[1]):
-                        return path[:]
-                if w <= s or (used >> w) & 1:
-                    continue
-                c = edge_col(v, w)
-                if c == prev_color:
-                    continue
-                path.append(w)
-                hit = dfs(w, depth + 1, used | (1 << w), c)
-                if hit is not None:
-                    return hit
-                path.pop()
-            return None
-
-        hit = dfs(s, 0, 1 << s, -1)
-        if hit is not None:
-            return hit
-    return None

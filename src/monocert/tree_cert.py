@@ -23,6 +23,10 @@ from .graphs import (
     color_subgraph,
     connected_components,
     iter_bits,
+    json_edges,
+    json_fields,
+    json_int,
+    json_ints,
 )
 from .chromatic import verify_proper
 
@@ -94,26 +98,28 @@ class TreeCertificate:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "TreeCertificate":
+    def from_json(data) -> "TreeCertificate":
+        """Inverse of to_json; ValueError when data has another shape."""
+        color, edges, vertices, bound = json_fields(
+            data, "color", "edges", "vertices", "chi_lower_used"
+        )
         return TreeCertificate(
-            color=int(data["color"]),
-            edges=tuple(canonical_edge(int(u), int(v)) for u, v in data["edges"]),
-            vertices=tuple(int(v) for v in data["vertices"]),
-            chi_lower_used=int(data["chi_lower_used"]),
+            color=json_int(color),
+            edges=json_edges(edges),
+            vertices=json_ints(vertices),
+            chi_lower_used=json_int(bound),
         )
 
 
-def _require_two_coloring(ec: EdgeColoring) -> None:
-    if ec.extended:
-        raise ValueError("need a genuine coloring, not an extended one")
+def _require_two_coloring(g: Graph, ec: EdgeColoring) -> None:
     if ec.t != 2:
         raise ValueError(f"need exactly 2 colors, got t={ec.t}")
+    ec.validate_cover(g)
 
 
 def build_dual(g: Graph, ec: EdgeColoring) -> DualMultigraph:
     """Dual multigraph of the red/blue component families."""
-    _require_two_coloring(ec)
-    ec.validate_cover(g)
+    _require_two_coloring(g, ec)
     red = connected_components(color_subgraph(g, ec, RED))
     blue = connected_components(color_subgraph(g, ec, BLUE))
     red_of = {v: i for i, comp in enumerate(red) for v in comp}
@@ -203,8 +209,7 @@ def vertex_coloring_from_dual(
 
 def max_mono_component(g: Graph, ec: EdgeColoring) -> tuple[int, tuple[int, ...]]:
     """Largest monochromatic component; ties by minimum vertex, then red first."""
-    _require_two_coloring(ec)
-    ec.validate_cover(g)
+    _require_two_coloring(g, ec)
     if g.n == 0:
         raise ValueError("the empty graph has no components")
     best_key = None

@@ -8,7 +8,7 @@ bookkeeping, and chromatic witnesses by a per-edge scan.
 
 from __future__ import annotations
 
-from .graphs import EdgeColoring, Graph
+from .graphs import EdgeColoring, Graph, json_int, json_ints, json_list
 from .matching import MatchingCertificate, ReducedInstance
 from .tree_cert import TreeCertificate
 
@@ -85,10 +85,12 @@ def check_matching_certificate(
 
 def check_chi_witness(g: Graph, data: dict) -> list[str]:
     """Check a chi-result JSON: classes partition V, are proper, count == upper."""
+    try:
+        classes = [json_ints(cls) for cls in json_list(data.get("classes"))]
+        lower, upper = json_int(data.get("lower", 0)), json_int(data.get("upper"))
+    except ValueError as e:
+        return [f"malformed chi result: {e}"]
     problems = []
-    classes = data.get("classes")
-    if classes is None:
-        return ["no classes in result"]
     assign: dict[int, int] = {}
     for i, cls in enumerate(classes):
         if not cls:
@@ -103,13 +105,11 @@ def check_chi_witness(g: Graph, data: dict) -> list[str]:
     for u, v in g.edges():
         if assign[u] == assign[v]:
             problems.append(f"edge ({u},{v}) is monochromatic in the witness")
-    if len(classes) != data.get("upper"):
-        problems.append(
-            f"witness uses {len(classes)} classes but upper is {data.get('upper')}"
-        )
-    if data.get("lower", 0) > data.get("upper", 0):
+    if len(classes) != upper:
+        problems.append(f"witness uses {len(classes)} classes but upper is {upper}")
+    if lower > upper:
         problems.append("lower bound exceeds upper bound")
-    if data.get("exact") and data.get("lower") != data.get("upper"):
+    if data.get("exact") and data.get("lower") != upper:
         problems.append("exact result with lower != upper")
     return problems
 

@@ -56,7 +56,7 @@ def _all_two_colorings(g):
 
 
 def _mycielski_23v():
-    return list(generate_candidates("mycielski", steps=4))[-1]
+    return list(generate_candidates("mycielski:4"))[-1]
 
 
 def test_criterion_1_formula_vs_search():
@@ -246,7 +246,7 @@ def test_criterion_8_goodness_regressions():
             mc.complete_multipartite([2] * 5),
             mc.complete_multipartite([2] * 6),
         ]
-        + list(generate_candidates("mycielski", steps=4))
+        + list(generate_candidates("mycielski:4"))
     )
     configs = [
         ("star-2", star_pattern(2), 2, 3),

@@ -16,17 +16,10 @@ def test_verify_proper(c5):
 
 
 def test_greedy_upper_orders(petersen):
-    for order in ("dsatur", "degeneracy"):
-        r = greedy_upper(petersen, order=order)
-        assert verify_proper(petersen, r.witness)
-        assert r.lower <= 3 <= r.upper
-        assert not r.exact or r.lower == r.upper
-    explicit = greedy_upper(petersen, order=list(range(10)))
-    assert verify_proper(petersen, explicit.witness)
-    with pytest.raises(ValueError):
-        greedy_upper(petersen, order="nope")
-    with pytest.raises(ValueError):
-        greedy_upper(petersen, order=[0, 0, 1])
+    r = greedy_upper(petersen)
+    assert verify_proper(petersen, r.witness)
+    assert r.lower <= 3 <= r.upper
+    assert not r.exact or r.lower == r.upper
 
 
 def test_clique_lower_examples(c5, k4, petersen, grotzsch):

@@ -322,6 +322,15 @@ def test_hunt_bad_specs_exit_two(capsys):
     assert main(["hunt", "--pattern", "path:4", "--t", "2",
                  "--ramsey-value", "3", "--candidates", "weird:2"]) == 2
     capsys.readouterr()
+    for spec, named in (("random:n=6,p=0.5,count=1,bogus=3", "bogus"),
+                        ("random:n=6,p=0.5", "count")):
+        assert main(["hunt", "--pattern", "path:4", "--t", "2",
+                     "--ramsey-value", "3", "--candidates", spec]) == 2
+        assert named in capsys.readouterr().err
+    # an edgeless pattern is refused even when no candidate gets searched
+    assert main(["hunt", "--pattern", "star:0", "--t", "2",
+                 "--ramsey-value", "3", "--candidates", "multipartite:1,1"]) == 2
+    capsys.readouterr()
 
 
 def test_hunt_deterministic(capsys):
@@ -377,3 +386,29 @@ def test_verify_unknown_shape_exit_two(tmp_path, capsys):
     notjson.write_text("{")
     assert main(["verify", str(notjson)]) == 2
     capsys.readouterr()
+
+
+MALFORMED = {
+    "matching-edge-not-a-pair": ({"color": 1, "target": 1, "edges": [1]}, True),
+    "matching-vertex-out-of-range": ({"color": 1, "target": 1, "edges": [[7, 9]]}, True),
+    "bare-number": (5, False),
+    "hunt-coloring-not-a-list": ({
+        "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
+        "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": 5},
+    }, False),
+    "chi-classes-not-a-list": ({"classes": 5, "upper": 1, "lower": 1}, True),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_verify_malformed_json_exit_two(name, tmp_path, capsys, c5):
+    data, needs_graph = MALFORMED[name]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(data))
+    argv = ["verify", str(cert)]
+    if needs_graph:
+        cf = write_coloring_file(tmp_path, mc.EdgeColoring(2, {e: 1 for e in c5.edges()}))
+        argv += [write_graph_file(tmp_path, c5), "--coloring", cf]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out == "" or json.loads(out)["ok"] is False

@@ -99,18 +99,15 @@ def test_edge_coloring_validation():
     with pytest.raises(ValueError):
         mc.EdgeColoring(2, {(0, 1): 3})  # out of range
     with pytest.raises(ValueError):
-        mc.EdgeColoring(2, {(0, 1): 0})  # 0 needs extended
-    mc.EdgeColoring(2, {(0, 1): 0}, extended=True)
+        mc.EdgeColoring(2, {(0, 1): 0})  # colors start at 1
     with pytest.raises(ValueError):
         mc.EdgeColoring(0, {})
 
 
 def test_edge_coloring_cover(c5):
     ec = mc.EdgeColoring(2, {e: 1 for e in c5.edges()})
-    assert ec.covers(c5)
     ec.validate_cover(c5)
     partial = mc.EdgeColoring(2, {(0, 1): 1})
-    assert not partial.covers(c5)
     with pytest.raises(ValueError):
         partial.validate_cover(c5)
     stray = mc.EdgeColoring(2, {**{e: 1 for e in c5.edges()}, (0, 2): 2})
@@ -125,7 +122,7 @@ def test_color_subgraph_partition(c5, rng):
     with pytest.raises(ValueError):
         mc.color_subgraph(c5, ec, 4)
     with pytest.raises(ValueError):
-        mc.color_subgraph(c5, ec, 0)  # 0 only for extended colorings
+        mc.color_subgraph(c5, ec, 0)  # colors start at 1
 
 
 def test_vertex_coloring():
@@ -215,15 +212,13 @@ def test_edge_coloring_files():
     text = mc.write_edge_coloring(ec)
     assert mc.parse_edge_coloring(text) == ec
     with pytest.raises(GraphParseError):
-        mc.parse_edge_coloring("0 1 0\n")  # color 0 is reserved
+        mc.parse_edge_coloring("0 1 0\n")  # colors start at 1
     with pytest.raises(GraphParseError):
         mc.parse_edge_coloring("0 1 1\n1 0 2\n")  # same edge twice
     with pytest.raises(GraphParseError):
         mc.parse_edge_coloring("0 1 5\n", t=2)
     ec3 = mc.parse_edge_coloring("0 1 1\n", t=3)
     assert ec3.t == 3
-    with pytest.raises(ValueError):
-        mc.write_edge_coloring(mc.EdgeColoring(1, {(0, 1): 0}, extended=True))
 
 
 def test_canonical_edge():

@@ -1,9 +1,12 @@
+import io
+
 import pytest
 
 import monocert as mc
 from monocert.graphs import Graph, InternalInconsistencyError
 from monocert.hunter import (
     AcyclicPattern,
+    HuntReport,
     check_hunt_counterexample,
     contains_forest,
     embed_tree_folklore,
@@ -163,14 +166,14 @@ def test_mycielskian_step():
 
 
 def test_generate_mycielski_stream():
-    got = list(generate_candidates("mycielski", steps=3))
+    got = list(generate_candidates("mycielski:3"))
     assert [g.n for g in got] == [2, 5, 11]
     with pytest.raises(ValueError):
-        list(generate_candidates("mycielski", steps=0))
+        list(generate_candidates("mycielski:0"))
 
 
 def test_generate_kneser(petersen):
-    got = list(generate_candidates("kneser", n=5, k=2))
+    got = list(generate_candidates("kneser:5,2"))
     assert got == [petersen]
     assert kneser_graph(4, 2).m == 3  # perfect matching on the 6 pairs
     with pytest.raises(ValueError):
@@ -178,24 +181,29 @@ def test_generate_kneser(petersen):
 
 
 def test_generate_complete_multipartite():
-    got = list(generate_candidates("complete-multipartite", sizes=[2, 2, 2]))
+    got = list(generate_candidates("multipartite:2,2,2"))
     assert len(got) == 1 and got[0].n == 6 and got[0].m == 12
 
 
 def test_generate_random_with_chi_filter():
-    got = list(generate_candidates("random", n=8, p=0.5, count=5, seed=7, chi_min=3))
+    got = list(generate_candidates("random:n=8,p=0.5,count=5,seed=7,chi_min=3"))
     assert len(got) == 5
     for g in got:
         r = mc.chi_exact(g)
         assert r.exact and r.lower >= 3
-    again = list(generate_candidates("random", n=8, p=0.5, count=5, seed=7, chi_min=3))
-    assert got == again
+    assert list(generate_candidates("random:n=8,p=0.5,count=5,chi_min=3", seed=7)) == got
+    # a seed in the spec overrides the argument
+    assert list(generate_candidates("random:n=8,p=0.5,count=5,seed=7,chi_min=3", seed=1)) == got
 
 
-def test_generate_graph6_stream(c5):
-    lines = [mc.write_graph(c5, "g6"), "", mc.write_graph(mc.complete_graph(4), "g6")]
-    got = list(generate_candidates("graph6-stream", lines=lines))
+def test_generate_graph6_stream(tmp_path, monkeypatch, c5):
+    text = mc.write_graph(c5, "g6") + "\n" + mc.write_graph(mc.complete_graph(4), "g6")
+    path = tmp_path / "hosts.g6"
+    path.write_text(text)
+    got = list(generate_candidates(f"g6:{path}"))
     assert got[0] == c5 and got[1].n == 4
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert list(generate_candidates("g6:-")) == got
     with pytest.raises(ValueError):
         list(generate_candidates("nonsense"))
 
@@ -257,6 +265,10 @@ def test_hunt_report_json(c5):
     assert d["counterexample"]["graph6"] == mc.write_graph(c5, "g6").strip()
     triples = d["counterexample"]["coloring"]
     assert len(triples) == 5 and all(c in (1, 2) for _, _, c in triples)
+    pattern, t, rv, g, ec = HuntReport.counterexample_from_json(d)
+    assert (pattern, t, rv, g, ec) == (path_pattern(4), 2, 3, *report.counterexample)
+    d["counterexample"] = None
+    assert HuntReport.counterexample_from_json(d) is None
 
 
 def test_check_hunt_counterexample_rejects_bad_claims(c5):

@@ -6,10 +6,9 @@ import monocert as mc
 from monocert.graphs import Graph, InternalInconsistencyError
 from monocert.matching import (
     MatchingTargets,
-    extend_with_color_zero,
+    ReducedInstance,
     find_mono_matching,
     find_mono_matching_kiraly,
-    find_properly_colored_cycle,
     kiraly_reduce,
     lift_matching,
     maximum_matching,
@@ -131,6 +130,11 @@ def test_kiraly_reduce_c5(c5):
         assert c5.has_edge(u, v)
         assert ri.edge_color[pair] == ec.color_of(u, v)
     assert check_reduced_instance(c5, ec, ri) == []
+    assert ReducedInstance.from_json(ri.to_json()) == ri
+    bad = ri.to_json()
+    bad["pairs"][0]["j"] = 3  # names a class that does not exist
+    with pytest.raises(ValueError):
+        ReducedInstance.from_json(bad)
 
 
 def test_kiraly_reduce_merges_disconnected_classes():
@@ -210,51 +214,3 @@ def test_reduction_route_agrees_with_direct(rng, random_coloring):
         cert = find_mono_matching_kiraly(g, ec, r.witness, targets)
         if cert is not None:
             assert check_matching_certificate(g, ec, cert) == []
-
-
-# ---------------------------------------------------------------------------
-# extended colorings and properly colored cycles
-
-def test_extend_with_color_zero(c5):
-    ec = mc.EdgeColoring(2, {e: 1 for e in c5.edges()})
-    kg, ext = extend_with_color_zero(c5, ec)
-    assert kg.m == 10 and ext.extended
-    assert ext.color_of(0, 2) == 0 and ext.color_of(0, 1) == 1
-    with pytest.raises(ValueError):
-        extend_with_color_zero(c5, ext)
-
-
-def test_properly_colored_cycle_found():
-    g = mc.complete_graph(3)
-    ec = mc.EdgeColoring(3, {(0, 1): 1, (1, 2): 2, (0, 2): 3})
-    cyc = find_properly_colored_cycle(g, ec)
-    assert cyc is not None and sorted(cyc) == [0, 1, 2]
-
-
-def test_properly_colored_cycle_absent():
-    g = mc.complete_graph(3)
-    ec = mc.EdgeColoring(2, {(0, 1): 1, (1, 2): 1, (0, 2): 2})
-    assert find_properly_colored_cycle(g, ec) is None
-    c4 = mc.cycle_graph(4)
-    mono = mc.EdgeColoring(1, {e: 1 for e in c4.edges()})
-    assert find_properly_colored_cycle(c4, mono) is None
-
-
-def test_properly_colored_cycle_uses_color_zero(c5):
-    # all of C5 in color 1: proper cycles must alternate with chord color 0
-    ec = mc.EdgeColoring(1, {e: 1 for e in c5.edges()})
-    kg, ext = extend_with_color_zero(c5, ec)
-    cyc = find_properly_colored_cycle(kg, ext)
-    assert cyc is not None
-    k = len(cyc)
-    assert k >= 3
-    cols = [ext.color_of(cyc[i], cyc[(i + 1) % k]) for i in range(k)]
-    assert all(cols[i] != cols[(i + 1) % k] for i in range(k))
-
-
-def test_properly_colored_cycle_guard():
-    g = mc.complete_graph(13)
-    ec = mc.EdgeColoring(1, {e: 1 for e in g.edges()})
-    with pytest.raises(ValueError):
-        find_properly_colored_cycle(g, ec)
-    assert find_properly_colored_cycle(g, ec, max_n=13) is None

@@ -74,9 +74,6 @@ def test_edge_color_dual_requires_two_colors(c5):
     ec3 = mc.EdgeColoring(3, {e: 1 for e in c5.edges()})
     with pytest.raises(ValueError):
         build_dual(c5, ec3)
-    ext = mc.EdgeColoring(2, {e: 1 for e in c5.edges()}, extended=True)
-    with pytest.raises(ValueError):
-        build_dual(c5, ext)
 
 
 def test_vertex_coloring_from_dual_rejects_improper(c5):
