@@ -18,7 +18,6 @@ from .graphs import (
     complete_graph,
     complete_multipartite,
     connected_components,
-    color_subgraph,
     cycle_graph,
     induced_subgraph,
     parse_edge_coloring,

@@ -177,7 +177,9 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
         search(len(clique), n - len(clique))
     except _Done:
         pass
-    except _Budget:
+    except (_Budget, RecursionError):
+        # The search recurses once per vertex; a stack too shallow for the
+        # graph is reported like an exhausted budget, never as an answer.
         exact = False
     witness = VertexColoring.normalized(best_assign)
     if exact:

@@ -52,9 +52,7 @@ def _load_graph(args) -> Graph:
 
 def _load_coloring(args, g: Graph, t: int | None = None) -> EdgeColoring:
     with open(args.coloring) as fh:
-        ec = parse_edge_coloring(fh.read(), t=t)
-    ec.validate_cover(g)
-    return ec
+        return parse_edge_coloring(fh.read(), g, t=t)
 
 
 def _parse_targets(spec: str) -> matching.MatchingTargets:
@@ -104,8 +102,8 @@ def _cmd_tree_cert(args) -> int:
         r = chromatic.chi_exact(g, budget=args.budget)
         lower = r.lower
         chi_info = {"lower": r.lower, "upper": r.upper, "exact": r.exact}
-    cert = tree_cert.mono_tree_certificate(g, ec, lower)
-    dual = tree_cert.build_dual(g, ec)
+    cert = tree_cert.mono_tree_certificate(ec, lower)
+    dual = tree_cert.build_dual(ec)
     link_colors = tree_cert.edge_color_dual(dual)
     vc = tree_cert.vertex_coloring_from_dual(g, dual, link_colors)
     _emit(args, {
@@ -134,12 +132,10 @@ def _cmd_match_cert(args) -> int:
     r = chromatic.chi_exact(g, budget=args.budget)
     need = matching.ramsey_matching_number(targets)
     if args.kiraly:
-        cert = matching.find_mono_matching_kiraly(
-            g, ec, r.witness, targets, chi_lower=r.lower
-        )
+        cert = matching.find_mono_matching_kiraly(ec, r.witness, targets, chi_lower=r.lower)
         route = "reduction"
     else:
-        cert = matching.find_mono_matching(g, ec, targets, chi_lower=r.lower)
+        cert = matching.find_mono_matching(ec, targets, chi_lower=r.lower)
         route = "direct"
     _emit(args, {
         "chi": {"lower": r.lower, "upper": r.upper, "exact": r.exact},
@@ -168,10 +164,7 @@ def _cmd_ramsey(args) -> int:
         payload["n"] = args.n
         payload["arrowing"] = res.arrowing
         payload["colorings_examined"] = res.colorings_examined
-        payload["avoiding"] = (
-            None if res.avoiding is None
-            else [[u, v, c] for (u, v), c in sorted(res.avoiding.colors.items())]
-        )
+        payload["avoiding"] = None if res.avoiding is None else res.avoiding.to_json()
         code = 0 if res.arrowing else 1
         _note(
             f"K_{args.n} {'forces' if res.arrowing else 'does not force'} the "
@@ -187,7 +180,7 @@ def _cmd_reduce(args) -> int:
     g = _load_graph(args)
     ec = _load_coloring(args, g)
     r = chromatic.chi_exact(g, budget=args.budget)
-    ri = matching.kiraly_reduce(g, ec, r.witness)
+    ri = matching.kiraly_reduce(ec, r.witness)
     _emit(args, {
         "chi": {"lower": r.lower, "upper": r.upper, "exact": r.exact},
         "instance": ri.to_json(),
@@ -271,13 +264,13 @@ def _cmd_verify(args) -> int:
             ec = _load_coloring(args, g)
             if kind == "tree":
                 cert = tree_cert.TreeCertificate.from_json(data)
-                problems = verify.check_tree_certificate(g, ec, cert)
+                problems = verify.check_tree_certificate(ec, cert)
             elif kind == "matching":
                 cert = matching.MatchingCertificate.from_json(data)
-                problems = verify.check_matching_certificate(g, ec, cert)
+                problems = verify.check_matching_certificate(ec, cert)
             else:
                 ri = matching.ReducedInstance.from_json(data)
-                problems = verify.check_reduced_instance(g, ec, ri)
+                problems = verify.check_reduced_instance(ec, ri)
     _emit(args, {"kind": kind, "ok": not problems, "problems": problems})
     _note("certificate holds" if not problems else "; ".join(problems))
     return 0 if not problems else 2

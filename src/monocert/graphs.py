@@ -5,10 +5,16 @@ bitset row per vertex; arbitrary-width ints make dense instances up to a few
 hundred vertices cheap without a sparse fallback, and bit tricks (``&``,
 ``bit_count``) do the heavy lifting everywhere else in the package.
 
+An edge-colored graph is one object, an ``EdgeColoring``: one spanning class
+graph per color, edge-disjoint, whose union is the host. It is checked once
+when built, so consumers read a color class as ``ec.classes[c - 1]`` and the
+host as ``ec.graph`` without re-checking that a coloring fits its graph.
+
 Supported text formats: edge list ("u v" per line, 0-indexed, ``#``
 comments, optional ``# n <count>`` directive for isolated vertices), DIMACS
 .col ("p edge n m" / "e u v", 1-indexed, translated at this boundary), and
-graph6 (single line, optional ``>>graph6<<`` header).
+graph6 (single line, optional ``>>graph6<<`` header). Edge colorings are
+"u v c" lines, read against the graph they color.
 """
 
 from __future__ import annotations
@@ -186,51 +192,65 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return [tuple(iter_bits(mask)) for mask in component_masks(g)]
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class EdgeColoring:
-    """Colors 1..t keyed by canonical edge.
+    """A graph with its edges colored 1..t, held as one class graph per color.
 
-    Instances are treated as immutable: nothing in the package mutates
-    ``colors`` after construction, so sharing across operations is safe.
+    ``classes[c - 1]`` is the spanning subgraph of the edges of color c. The
+    classes share one vertex count and no edge, and ``graph``, the host, is
+    their union. Build from an {edge: color} dict with ``EdgeColoring.of``.
     """
 
     t: int
-    colors: dict[tuple[int, int], int] = field(default_factory=dict)
+    classes: tuple[Graph, ...]
+    graph: Graph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("need at least one color")
-        for (u, v), c in self.colors.items():
-            if not (0 <= u < v):
+        if len(self.classes) != self.t:
+            raise ValueError(f"need {self.t} class graphs, got {len(self.classes)}")
+        n = self.classes[0].n
+        if any(cls.n != n for cls in self.classes):
+            raise ValueError("class graphs must share one vertex count")
+        union = []
+        for v in range(n):
+            row = 0
+            for cls in self.classes:
+                if row & cls.adj[v]:
+                    raise ValueError(f"an edge at vertex {v} has two colors")
+                row |= cls.adj[v]
+            union.append(row)
+        object.__setattr__(self, "graph", Graph(n, tuple(union)))
+
+    @staticmethod
+    def of(g: Graph, colors: dict[tuple[int, int], int], t: int) -> "EdgeColoring":
+        """Color g from {canonical edge: color}; the keys must be exactly E(g)."""
+        rows = [[0] * g.n for _ in range(t)]
+        for (u, v), c in colors.items():
+            if not 0 <= u < v:
                 raise ValueError(f"edge ({u},{v}) is not a canonical pair")
-            if not 1 <= c <= self.t:
-                raise ValueError(f"color {c} on edge ({u},{v}) outside 1..{self.t}")
-        object.__setattr__(self, "colors", dict(self.colors))
+            if not 1 <= c <= t:
+                raise ValueError(f"color {c} on edge ({u},{v}) outside 1..{t}")
+            if not g.has_edge(u, v):
+                raise ValueError(f"colored edge {(u, v)} is not an edge of the graph")
+            rows[c - 1][u] |= 1 << v
+            rows[c - 1][v] |= 1 << u
+        if len(colors) != g.m:
+            missing = next(e for e in g.edges() if e not in colors)
+            raise ValueError(f"edge {missing} of the graph has no color")
+        return EdgeColoring(t, tuple(Graph(g.n, tuple(r)) for r in rows))
 
     def color_of(self, u: int, v: int) -> int:
         e = canonical_edge(u, v)
-        try:
-            return self.colors[e]
-        except KeyError:
-            raise ValueError(f"edge {e} has no color") from None
+        for c, cls in enumerate(self.classes, start=1):
+            if cls.has_edge(u, v):
+                return c
+        raise ValueError(f"edge {e} has no color")
 
-    def validate_cover(self, g: Graph) -> None:
-        """Require a bijection between colored edges and E(g)."""
-        ge = set(g.edges())
-        for e in self.colors:
-            if e not in ge:
-                raise ValueError(f"colored edge {e} is not an edge of the graph")
-        for e in ge:
-            if e not in self.colors:
-                raise ValueError(f"edge {e} of the graph has no color")
-
-
-def color_subgraph(g: Graph, ec: EdgeColoring, c: int) -> Graph:
-    """Spanning subgraph keeping only edges of color c."""
-    if not 1 <= c <= ec.t:
-        raise ValueError(f"color {c} outside 1..{ec.t}")
-    edges = [e for e in g.edges() if ec.color_of(*e) == c]
-    return Graph.from_edges(g.n, edges)
+    def to_json(self) -> list[list[int]]:
+        """[[u, v, c], ...] with u < v, sorted by edge."""
+        return [[u, v, self.color_of(u, v)] for u, v in self.graph.edges()]
 
 
 @dataclass(frozen=True)
@@ -451,15 +471,14 @@ def _parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def parse_edge_coloring(text: str | bytes, t: int | None = None) -> EdgeColoring:
-    """Parse "u v c" lines (0-indexed vertices, colors 1..t).
+def parse_edge_coloring(text: str | bytes, g: Graph, t: int | None = None) -> EdgeColoring:
+    """Parse "u v c" lines (0-indexed vertices, colors 1..t) coloring every edge of g.
 
     t defaults to the largest color seen.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
     colors: dict[tuple[int, int], int] = {}
-    max_c = 0
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -477,22 +496,20 @@ def parse_edge_coloring(text: str | bytes, t: int | None = None) -> EdgeColoring
             raise GraphParseError(f"self-loop at vertex {u}", ln)
         if c < 1:
             raise GraphParseError(f"color {c} below 1", ln)
+        if t is not None and c > t:
+            raise GraphParseError(f"color {c} exceeds declared t={t}", ln)
         e = canonical_edge(u, v)
+        if not g.has_edge(u, v):
+            raise GraphParseError(f"colored edge {e} is not an edge of the graph", ln)
         if e in colors:
             raise GraphParseError(f"edge {e} colored twice", ln)
         colors[e] = c
-        max_c = max(max_c, c)
-    if t is None:
-        t = max(max_c, 1)
-    elif max_c > t:
-        raise GraphParseError(f"color {max_c} exceeds declared t={t}")
-    return EdgeColoring(t, colors)
+    return EdgeColoring.of(g, colors, max(colors.values(), default=1) if t is None else t)
 
 
 def write_edge_coloring(ec: EdgeColoring) -> str:
     """Serialize as "u v c" lines in edge order."""
-    lines = [f"{u} {v} {c}" for (u, v), c in sorted(ec.colors.items())]
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(f"{u} {v} {c}\n" for u, v, c in ec.to_json())
 
 
 # ---------------------------------------------------------------------------

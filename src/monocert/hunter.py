@@ -30,7 +30,6 @@ from .graphs import (
     Graph,
     InternalInconsistencyError,
     canonical_edge,
-    color_subgraph,
     complete_graph,
     complete_multipartite,
     component_masks,
@@ -355,9 +354,8 @@ def _search_avoiding(
     E = len(edges)
     rows = [[0] * n for _ in range(t)]
     masks = [0] * t
-    assign = [-1] * E
     nodes = 0
-    found: list[int] | None = None
+    found: EdgeColoring | None = None
 
     def rec(i: int) -> bool:
         nonlocal nodes, found
@@ -365,7 +363,7 @@ def _search_avoiding(
         if budget is not None and nodes > budget:
             raise _BudgetHit
         if i == E:
-            found = assign[:]
+            found = EdgeColoring(t, tuple(Graph(n, tuple(rc)) for rc in rows))
             return True
         u, v = edges[i]
         ub, vb, eb = 1 << u, 1 << v, 1 << i
@@ -375,10 +373,8 @@ def _search_avoiding(
             rc[v] |= ub
             masks[c] |= eb
             if not per_color[c].creates(rc, u, v, masks[c]):
-                assign[i] = c
                 if rec(i + 1):
                     return True
-                assign[i] = -1
             rc[u] &= ~vb
             rc[v] &= ~ub
             masks[c] &= ~eb
@@ -386,12 +382,11 @@ def _search_avoiding(
 
     try:
         rec(0)
-    except _BudgetHit:
+    except (_BudgetHit, RecursionError):
+        # The kernel recurses once per edge; a stack too shallow for the
+        # host leaves the candidate unsettled, like an exhausted budget.
         return None, False, nodes
-    if found is not None:
-        coloring = EdgeColoring(t, {edges[i]: found[i] + 1 for i in range(E)})
-        return coloring, False, nodes
-    return None, True, nodes
+    return found, found is None, nodes
 
 
 @dataclass(frozen=True)
@@ -560,15 +555,14 @@ class HuntReport:
     colorings_budget: int
     candidates: tuple[CandidateOutcome, ...]
     colorings_examined: int
-    counterexample: tuple[Graph, EdgeColoring] | None
+    counterexample: EdgeColoring | None
 
     def to_json(self) -> dict:
         cex = None
         if self.counterexample is not None:
-            g, ec = self.counterexample
             cex = {
-                "graph6": write_graph(g, "g6").strip(),
-                "coloring": [[u, v, c] for (u, v), c in sorted(ec.colors.items())],
+                "graph6": write_graph(self.counterexample.graph, "g6").strip(),
+                "coloring": self.counterexample.to_json(),
             }
         return {
             "pattern": {"n": self.pattern.n, "edges": [list(e) for e in self.pattern.edges()]},
@@ -583,7 +577,7 @@ class HuntReport:
 
     @staticmethod
     def counterexample_from_json(data):
-        """(pattern, t, ramsey_value, host, coloring) for check_hunt_counterexample.
+        """(pattern, t, ramsey_value, coloring) for check_hunt_counterexample.
 
         None when the report claims no counterexample; ValueError on any other shape.
         """
@@ -596,16 +590,16 @@ class HuntReport:
         if not isinstance(graph6, str):
             raise ValueError(f"expected a graph6 string, got {graph6!r:.60}")
         rows = (json_ints(row, 3) for row in json_list(coloring))
-        ec = EdgeColoring(json_int(t), {canonical_edge(u, v): c for u, v, c in rows})
+        colors = {canonical_edge(u, v): c for u, v, c in rows}
+        ec = EdgeColoring.of(parse_graph(graph6, "g6"), colors, json_int(t))
         pat = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
-        return pat, ec.t, json_int(ramsey_value), parse_graph(graph6, "g6"), ec
+        return pat, ec.t, json_int(ramsey_value), ec
 
 
 def check_hunt_counterexample(
     pattern: AcyclicPattern,
     t: int,
     ramsey_value: int,
-    g: Graph,
     ec: EdgeColoring,
     chi_budget: int = chromatic.DEFAULT_BUDGET,
 ) -> list[str]:
@@ -613,18 +607,13 @@ def check_hunt_counterexample(
     problems = []
     if ec.t != t:
         problems.append(f"coloring has t={ec.t}, expected {t}")
-    try:
-        ec.validate_cover(g)
-    except ValueError as e:
-        problems.append(str(e))
-        return problems
-    r = chi_exact(g, budget=chi_budget)
+    r = chi_exact(ec.graph, budget=chi_budget)
     if not r.exact:
         problems.append("chromatic number did not resolve exactly within budget")
     elif r.lower < ramsey_value:
         problems.append(f"chi={r.lower} is below ramsey_value={ramsey_value}")
-    for c in range(1, ec.t + 1):
-        if contains_forest(color_subgraph(g, ec, c), pattern) is not None:
+    for c, cls in enumerate(ec.classes, start=1):
+        if contains_forest(cls, pattern) is not None:
             problems.append(f"color {c} contains the pattern")
     return problems
 
@@ -674,7 +663,7 @@ def hunt(
         total += nodes
         if coloring is not None:
             problems = check_hunt_counterexample(
-                pattern, t, ramsey_value, g, coloring, chi_budget
+                pattern, t, ramsey_value, coloring, chi_budget
             )
             if problems:
                 raise InternalInconsistencyError(
@@ -684,7 +673,7 @@ def hunt(
             outcomes.append(CandidateOutcome(
                 ident, r.lower, r.upper, True, True, None, nodes, False, True,
             ))
-            counterexample = (g, coloring)
+            counterexample = coloring
             break
         outcomes.append(CandidateOutcome(
             ident, r.lower, r.upper, True, True, None, nodes, exhausted, False,

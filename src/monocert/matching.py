@@ -21,7 +21,6 @@ from .graphs import (
     InternalInconsistencyError,
     VertexColoring,
     canonical_edge,
-    color_subgraph,
     complete_graph,
     iter_bits,
     json_edges,
@@ -171,7 +170,6 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
 
 
 def find_mono_matching(
-    g: Graph,
     ec: EdgeColoring,
     targets: MatchingTargets,
     chi_lower: int | None = None,
@@ -185,10 +183,8 @@ def find_mono_matching(
     """
     if ec.t != targets.t:
         raise ValueError(f"coloring has t={ec.t} but targets have t={targets.t}")
-    ec.validate_cover(g)
-    for color in range(1, ec.t + 1):
-        want = targets.targets[color - 1]
-        mm = maximum_matching(color_subgraph(g, ec, color))
+    for color, want in enumerate(targets.targets, start=1):
+        mm = maximum_matching(ec.classes[color - 1])
         if len(mm) >= want:
             return MatchingCertificate(color, want, tuple(mm[:want]))
     if chi_lower is not None and chi_lower >= ramsey_matching_number(targets):
@@ -253,7 +249,7 @@ class ReducedInstance:
         return ReducedInstance(json_int(t), classes, edge_color, provenance)
 
 
-def kiraly_reduce(g: Graph, ec: EdgeColoring, vc: VertexColoring) -> ReducedInstance:
+def kiraly_reduce(ec: EdgeColoring, vc: VertexColoring) -> ReducedInstance:
     """Contract a properly colored host onto its color classes.
 
     Classes with no crossing edge are merged first (smallest index pairs
@@ -261,7 +257,7 @@ def kiraly_reduce(g: Graph, ec: EdgeColoring, vc: VertexColoring) -> ReducedInst
     then colored by its smallest crossing genuine color, with the smallest
     such edge recorded as provenance.
     """
-    ec.validate_cover(g)
+    g = ec.graph
     if not verify_proper(g, vc):
         raise ValueError("vertex coloring is not proper")
     classes = [sorted(cls) for cls in vc.classes()]
@@ -291,19 +287,30 @@ def kiraly_reduce(g: Graph, ec: EdgeColoring, vc: VertexColoring) -> ReducedInst
     k = len(classes)
     for i in range(k):
         for j in range(i + 1, k):
-            best: tuple[int, tuple[int, int]] | None = None
-            for u in classes[i]:
-                for w in iter_bits(g.adj[u] & masks[j]):
-                    cand = (ec.color_of(u, w), canonical_edge(u, w))
-                    if best is None or cand < best:
-                        best = cand
-            if best is None:
+            for color, cls in enumerate(ec.classes, start=1):
+                edge = _first_crossing_edge(cls, masks[i], masks[j])
+                if edge is not None:
+                    edge_color[(i, j)] = color
+                    provenance[(i, j)] = edge
+                    break
+            else:
                 raise InternalInconsistencyError(
                     f"classes {i} and {j} survived merging without a crossing edge"
                 )
-            edge_color[(i, j)] = best[0]
-            provenance[(i, j)] = best[1]
     return ReducedInstance(ec.t, tuple(tuple(c) for c in classes), edge_color, provenance)
+
+
+def _first_crossing_edge(g: Graph, a: int, b: int) -> tuple[int, int] | None:
+    """Smallest canonical edge of g with one end in mask a and the other in mask b.
+
+    The first vertex (ascending) with a neighbor across is the smaller end
+    of that edge: a smaller neighbor across would have been found first.
+    """
+    for u in iter_bits(a | b):
+        across = g.adj[u] & (b if (a >> u) & 1 else a)
+        if across:
+            return canonical_edge(u, (across & -across).bit_length() - 1)
+    return None
 
 
 def _mask(vertices) -> int:
@@ -337,7 +344,6 @@ def lift_matching(
 
 
 def find_mono_matching_kiraly(
-    g: Graph,
     ec: EdgeColoring,
     vc: VertexColoring,
     targets: MatchingTargets,
@@ -346,14 +352,10 @@ def find_mono_matching_kiraly(
     """Reduction route: contract, match on the class graph, lift."""
     if ec.t != targets.t:
         raise ValueError(f"coloring has t={ec.t} but targets have t={targets.t}")
-    ri = kiraly_reduce(g, ec, vc)
-    kg = complete_graph(ri.k)
-    rec = EdgeColoring(ec.t, dict(ri.edge_color)) if ri.edge_color else None
-    for color in range(1, ec.t + 1):
-        want = targets.targets[color - 1]
-        if rec is None:
-            continue
-        mm = maximum_matching(color_subgraph(kg, rec, color))
+    ri = kiraly_reduce(ec, vc)
+    rec = EdgeColoring.of(complete_graph(ri.k), ri.edge_color, ec.t)
+    for color, want in enumerate(targets.targets, start=1):
+        mm = maximum_matching(rec.classes[color - 1])
         if len(mm) >= want:
             lifted = lift_matching(ri, mm[:want], color)
             return MatchingCertificate(color, want, tuple(lifted))

@@ -20,7 +20,6 @@ from .graphs import (
     InternalInconsistencyError,
     VertexColoring,
     canonical_edge,
-    color_subgraph,
     connected_components,
     iter_bits,
     json_edges,
@@ -75,11 +74,7 @@ class DualMultigraph:
 
     def max_degree(self) -> int:
         """Largest number of links at any node (0 for the empty dual)."""
-        counts: dict[tuple[str, int], int] = {}
-        for li, ri, _ in self.links:
-            counts[("L", li)] = counts.get(("L", li), 0) + 1
-            counts[("R", ri)] = counts.get(("R", ri), 0) + 1
-        return max(counts.values(), default=0)
+        return max(map(len, self.left + self.right), default=0)
 
 
 @dataclass(frozen=True)
@@ -111,20 +106,14 @@ class TreeCertificate:
         )
 
 
-def _require_two_coloring(g: Graph, ec: EdgeColoring) -> None:
+def build_dual(ec: EdgeColoring) -> DualMultigraph:
+    """Dual multigraph of the red/blue component families."""
     if ec.t != 2:
         raise ValueError(f"need exactly 2 colors, got t={ec.t}")
-    ec.validate_cover(g)
-
-
-def build_dual(g: Graph, ec: EdgeColoring) -> DualMultigraph:
-    """Dual multigraph of the red/blue component families."""
-    _require_two_coloring(g, ec)
-    red = connected_components(color_subgraph(g, ec, RED))
-    blue = connected_components(color_subgraph(g, ec, BLUE))
+    red, blue = (connected_components(cls) for cls in ec.classes)
     red_of = {v: i for i, comp in enumerate(red) for v in comp}
     blue_of = {v: i for i, comp in enumerate(blue) for v in comp}
-    links = tuple((red_of[v], blue_of[v], v) for v in range(g.n))
+    links = tuple((red_of[v], blue_of[v], v) for v in range(ec.graph.n))
     return DualMultigraph(tuple(red), tuple(blue), links)
 
 
@@ -207,36 +196,37 @@ def vertex_coloring_from_dual(
     return vc
 
 
-def max_mono_component(g: Graph, ec: EdgeColoring) -> tuple[int, tuple[int, ...]]:
+def max_mono_component(ec: EdgeColoring) -> tuple[int, tuple[int, ...]]:
     """Largest monochromatic component; ties by minimum vertex, then red first."""
-    _require_two_coloring(g, ec)
-    if g.n == 0:
+    if ec.t != 2:
+        raise ValueError(f"need exactly 2 colors, got t={ec.t}")
+    if ec.graph.n == 0:
         raise ValueError("the empty graph has no components")
     best_key = None
     best = None
     for color in (RED, BLUE):
-        for comp in connected_components(color_subgraph(g, ec, color)):
+        for comp in connected_components(ec.classes[color - 1]):
             key = (-len(comp), comp[0], color)
             if best_key is None or key < best_key:
                 best_key, best = key, (color, comp)
     return best
 
 
-def mono_tree_certificate(g: Graph, ec: EdgeColoring, chi_lower: int) -> TreeCertificate:
+def mono_tree_certificate(ec: EdgeColoring, chi_lower: int) -> TreeCertificate:
     """Spanning tree of a largest monochromatic component.
 
     chi_lower must be a true lower bound on chi(g); the certificate's
     component is then guaranteed to reach that size, and falling short
     raises InternalInconsistencyError rather than returning a weak witness.
     """
-    color, comp = max_mono_component(g, ec)
+    color, comp = max_mono_component(ec)
     if len(comp) < chi_lower:
         raise InternalInconsistencyError(
             f"largest monochromatic component has {len(comp)} vertices, "
             f"below the claimed chromatic lower bound {chi_lower}; "
             "the supplied bound cannot be correct"
         )
-    sub = color_subgraph(g, ec, color)
+    sub = ec.classes[color - 1]
     root = comp[0]
     seen = 1 << root
     frontier = [root]

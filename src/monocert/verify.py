@@ -13,7 +13,8 @@ from .matching import MatchingCertificate, ReducedInstance
 from .tree_cert import TreeCertificate
 
 
-def check_tree_certificate(g: Graph, ec: EdgeColoring, cert: TreeCertificate) -> list[str]:
+def check_tree_certificate(ec: EdgeColoring, cert: TreeCertificate) -> list[str]:
+    g = ec.graph
     problems = []
     verts = set(cert.vertices)
     if not verts:
@@ -59,9 +60,8 @@ def check_tree_certificate(g: Graph, ec: EdgeColoring, cert: TreeCertificate) ->
     return problems
 
 
-def check_matching_certificate(
-    g: Graph, ec: EdgeColoring, cert: MatchingCertificate
-) -> list[str]:
+def check_matching_certificate(ec: EdgeColoring, cert: MatchingCertificate) -> list[str]:
+    g = ec.graph
     problems = []
     if cert.target < 1:
         problems.append("target must be at least 1")
@@ -114,7 +114,8 @@ def check_chi_witness(g: Graph, data: dict) -> list[str]:
     return problems
 
 
-def check_reduced_instance(g: Graph, ec: EdgeColoring, ri: ReducedInstance) -> list[str]:
+def check_reduced_instance(ec: EdgeColoring, ri: ReducedInstance) -> list[str]:
+    g = ec.graph
     problems = []
     seen: set[int] = set()
     for cls in ri.classes:

@@ -33,7 +33,7 @@ def rng():
 @pytest.fixture(scope="session")
 def random_coloring():
     def make(g, t, rng):
-        return mc.EdgeColoring(t, {e: rng.randint(1, t) for e in g.edges()})
+        return mc.EdgeColoring.of(g, {e: rng.randint(1, t) for e in g.edges()}, t)
 
     return make
 

@@ -52,7 +52,11 @@ def _finish(num: int, desc: str, problems: list) -> None:
 def _all_two_colorings(g):
     edges = g.edges()
     for bits in product((1, 2), repeat=len(edges)):
-        yield mc.EdgeColoring(2, dict(zip(edges, bits)))
+        yield mc.EdgeColoring.of(g, dict(zip(edges, bits)), 2)
+
+
+def _color_dict(ec):
+    return {(u, v): c for u, v, c in ec.to_json()}
 
 
 def _mycielski_23v():
@@ -69,9 +73,10 @@ def test_criterion_1_formula_vs_search():
         if below.arrowing:
             problems.append(f"{pair}: K_{r - 1} unexpectedly forces the targets")
         elif r - 1 > 0:
-            host = mc.complete_graph(r - 1)
+            if below.avoiding.graph != mc.complete_graph(r - 1):
+                problems.append(f"{pair}: avoiding coloring does not color K_{r - 1}")
             for c, want in enumerate(targets.targets, start=1):
-                sub = mc.color_subgraph(host, below.avoiding, c)
+                sub = below.avoiding.classes[c - 1]
                 if matching_number_recursive(sub) >= want:
                     problems.append(f"{pair}: avoiding coloring has {want}K2 in color {c}")
         at = ramsey_bruteforce(patterns, r)
@@ -87,13 +92,13 @@ def test_criterion_2_tree_theorem_exhaustive():
         for ec in _all_two_colorings(g):
             count += 1
             biggest = max(
-                max_mono_component_size(g, ec.colors, c) for c in (1, 2)
+                max_mono_component_size(g, _color_dict(ec), c) for c in (1, 2)
             )
             if biggest < chi:
                 problems.append(f"{g.n}-vertex host: component {biggest} < chi {chi}")
                 continue
-            cert = mono_tree_certificate(g, ec, chi)
-            bad = check_tree_certificate(g, ec, cert)
+            cert = mono_tree_certificate(ec, chi)
+            bad = check_tree_certificate(ec, cert)
             if bad:
                 problems.append(f"{g.n}-vertex host: {bad[0]}")
         if count != 2 ** g.m:
@@ -105,9 +110,9 @@ def test_criterion_3_dual_witness(petersen, grotzsch):
     problems = []
 
     def check(g, ec, chi):
-        dual = build_dual(g, ec)
+        dual = build_dual(ec)
         delta = dual.max_degree()
-        oracle = max(max_mono_component_size(g, ec.colors, c) for c in (1, 2))
+        oracle = max(max_mono_component_size(g, _color_dict(ec), c) for c in (1, 2))
         if delta != oracle:
             problems.append(f"dual degree {delta} != component size {oracle}")
             return
@@ -129,7 +134,7 @@ def test_criterion_3_dual_witness(petersen, grotzsch):
         if not exact.exact or exact.lower != chi:
             problems.append(f"host chi resolved to {exact.lower}, expected {chi}")
         for _ in range(1000):
-            ec = mc.EdgeColoring(2, {e: rng.randint(1, 2) for e in g.edges()})
+            ec = mc.EdgeColoring.of(g, {e: rng.randint(1, 2) for e in g.edges()}, 2)
             check(g, ec, chi)
     _finish(3, "dual edge coloring always yields a proper chi-sized witness", problems)
 
@@ -159,19 +164,19 @@ def test_criterion_4_matching_both_routes():
         for i in range(500):
             g = hosts[i % len(hosts)]
             chi, vc = witnesses[id(g)]
-            ec = mc.EdgeColoring(t, {e: rng.randint(1, t) for e in g.edges()})
-            direct = find_mono_matching(g, ec, targets, chi_lower=chi)
+            ec = mc.EdgeColoring.of(g, {e: rng.randint(1, t) for e in g.edges()}, t)
+            direct = find_mono_matching(ec, targets, chi_lower=chi)
             if direct is None:
                 problems.append(f"direct route came up empty on {g.n} vertices")
                 continue
-            bad = check_matching_certificate(g, ec, direct)
+            bad = check_matching_certificate(ec, direct)
             if bad:
                 problems.append(f"direct: {bad[0]}")
-            lifted = find_mono_matching_kiraly(g, ec, vc, targets, chi_lower=chi)
+            lifted = find_mono_matching_kiraly(ec, vc, targets, chi_lower=chi)
             if lifted is None:
                 problems.append(f"reduction route came up empty on {g.n} vertices")
                 continue
-            bad = check_matching_certificate(g, ec, lifted)
+            bad = check_matching_certificate(ec, lifted)
             if bad:
                 problems.append(f"reduction: {bad[0]}")
     _finish(4, "both matching routes verify on 1000 seeded colorings", problems)
@@ -256,9 +261,9 @@ def test_criterion_8_goodness_regressions():
     for name, pattern, t, rv in configs:
         report = hunt(pattern, t, rv, candidate_pool, colorings_budget=10_000_000)
         if report.counterexample is not None:
-            g, ec = report.counterexample
+            host = report.counterexample.graph
             problems.append(
-                f"{name}: counterexample on {mc.write_graph(g, 'g6').strip()} "
+                f"{name}: counterexample on {mc.write_graph(host, 'g6').strip()} "
                 "(re-verified; this would be a discovery, not a bug)"
             )
         searched = [c for c in report.candidates if c.searched]

@@ -64,6 +64,17 @@ def test_chi_parse_error_exit_two(tmp_path, capsys):
     assert main(["chi", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_chi_deep_recursion_exit_three(tmp_path, capsys):
+    # P1200 plus a disjoint C5: the search recurses deeper than the stack
+    # allows, which must read as inexact, never as a crash
+    path = [(i, i + 1) for i in range(1199)]
+    cycle = [(1200 + i, 1200 + (i + 1) % 5) for i in range(5)]
+    gf = write_graph_file(tmp_path, mc.Graph.from_edges(1205, path + cycle))
+    rc, doc = run(capsys, ["chi", gf])
+    assert rc == 3
+    assert (doc["lower"], doc["upper"], doc["exact"]) == (2, 3, False)
+
+
 def test_json_out_matches_stdout(tmp_path, capsys, c5):
     gf = write_graph_file(tmp_path, c5)
     out_path = tmp_path / "result.json"
@@ -85,7 +96,7 @@ def test_chi_deterministic(tmp_path, capsys, petersen):
 # tree-cert
 
 def tree_coloring(g, rng):
-    return mc.EdgeColoring(2, {e: rng.randint(1, 2) for e in g.edges()})
+    return mc.EdgeColoring.of(g, {e: rng.randint(1, 2) for e in g.edges()}, 2)
 
 
 def test_tree_cert_end_to_end(tmp_path, capsys, grotzsch, rng):
@@ -108,7 +119,7 @@ def test_tree_cert_end_to_end(tmp_path, capsys, grotzsch, rng):
 
 def test_tree_cert_trusted_bound(tmp_path, capsys, c5):
     gf = write_graph_file(tmp_path, c5)
-    ec = mc.EdgeColoring(2, {e: 1 for e in c5.edges()})
+    ec = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2)
     cf = write_coloring_file(tmp_path, ec)
     rc, doc = run(capsys, ["tree-cert", gf, "--coloring", cf, "--chi-lower", "3"])
     assert rc == 0
@@ -119,18 +130,25 @@ def test_tree_cert_trusted_bound(tmp_path, capsys, c5):
 def test_tree_cert_false_bound_exit_two(tmp_path, capsys):
     g = mc.path_graph(6)
     gf = write_graph_file(tmp_path, g)
-    ec = mc.EdgeColoring(2, {e: 1 if e[0] % 2 == 0 else 2 for e in g.edges()})
+    ec = mc.EdgeColoring.of(g, {e: 1 if e[0] % 2 == 0 else 2 for e in g.edges()}, 2)
     cf = write_coloring_file(tmp_path, ec)
     assert main(["tree-cert", gf, "--coloring", cf, "--chi-lower", "3"]) == 2
     capsys.readouterr()
 
 
 def test_tree_cert_coloring_mismatch_exit_two(tmp_path, capsys, c5, k4):
-    gf = write_graph_file(tmp_path, k4)
-    ec = mc.EdgeColoring(2, {e: 1 for e in c5.edges()})
+    ec = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2)
     cf = write_coloring_file(tmp_path, ec)
-    assert main(["tree-cert", gf, "--coloring", cf]) == 2
-    capsys.readouterr()
+    assert main(["tree-cert", write_graph_file(tmp_path, k4), "--coloring", cf]) == 2
+    assert "line 2" in capsys.readouterr().err  # (0, 4) names vertex 4 of K4
+    gf = write_graph_file(tmp_path, c5)
+    text = mc.write_edge_coloring(ec)
+    for bad, named in ((text + "0 2 1\n", "line 6"),  # not an edge of C5
+                       ("0 7 1\n" + text, "line 1"),  # vertex beyond n
+                       (text.replace("0 1 1\n", ""), "(0, 1)")):  # edge left uncolored
+        (tmp_path / "bad.txt").write_text(bad)
+        assert main(["tree-cert", gf, "--coloring", str(tmp_path / "bad.txt")]) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_verify_catches_tampered_tree_cert(tmp_path, capsys, grotzsch, rng):
@@ -152,7 +170,7 @@ def test_verify_catches_tampered_tree_cert(tmp_path, capsys, grotzsch, rng):
 def test_match_cert_direct_and_kiraly(tmp_path, capsys, rng):
     g = mc.complete_graph(5)
     gf = write_graph_file(tmp_path, g)
-    ec = mc.EdgeColoring(2, {e: rng.randint(1, 2) for e in g.edges()})
+    ec = mc.EdgeColoring.of(g, {e: rng.randint(1, 2) for e in g.edges()}, 2)
     cf = write_coloring_file(tmp_path, ec)
     for extra in ([], ["--kiraly"]):
         out = tmp_path / "m.json"
@@ -171,7 +189,7 @@ def test_match_cert_direct_and_kiraly(tmp_path, capsys, rng):
 def test_match_cert_not_found_exit_one(tmp_path, capsys):
     g = mc.star_graph(4)
     gf = write_graph_file(tmp_path, g)
-    ec = mc.EdgeColoring(2, {(0, 1): 1, (0, 2): 1, (0, 3): 2, (0, 4): 2})
+    ec = mc.EdgeColoring.of(g, {(0, 1): 1, (0, 2): 1, (0, 3): 2, (0, 4): 2}, 2)
     cf = write_coloring_file(tmp_path, ec)
     rc, doc = run(capsys, ["match-cert", gf, "--coloring", cf, "--targets", "2,2"])
     assert rc == 1 and doc["certificate"] is None
@@ -179,7 +197,7 @@ def test_match_cert_not_found_exit_one(tmp_path, capsys):
 
 def test_match_cert_bad_targets_exit_two(tmp_path, capsys, c5):
     gf = write_graph_file(tmp_path, c5)
-    ec = mc.EdgeColoring(2, {e: 1 for e in c5.edges()})
+    ec = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2)
     cf = write_coloring_file(tmp_path, ec)
     assert main(["match-cert", gf, "--coloring", cf, "--targets", "2,x"]) == 2
     capsys.readouterr()
@@ -188,7 +206,7 @@ def test_match_cert_bad_targets_exit_two(tmp_path, capsys, c5):
 def test_verify_catches_tampered_matching(tmp_path, capsys, rng):
     g = mc.complete_graph(5)
     gf = write_graph_file(tmp_path, g)
-    ec = mc.EdgeColoring(2, {e: rng.randint(1, 2) for e in g.edges()})
+    ec = mc.EdgeColoring.of(g, {e: rng.randint(1, 2) for e in g.edges()}, 2)
     cf = write_coloring_file(tmp_path, ec)
     out = tmp_path / "m.json"
     run(capsys, ["match-cert", gf, "--coloring", cf, "--targets", "2,2",
@@ -214,12 +232,10 @@ def test_ramsey_bruteforce_negative(capsys):
     rc, doc = run(capsys, ["ramsey", "--targets", "2,2", "--n", "4"])
     assert rc == 1 and doc["arrowing"] is False
     colors = {(u, v): c for u, v, c in doc["avoiding"]}
-    g = mc.complete_graph(4)
-    ec = mc.EdgeColoring(2, colors)
-    ec.validate_cover(g)
+    ec = mc.EdgeColoring.of(mc.complete_graph(4), colors, 2)
     from monocert.hunter import contains_forest, matching_pattern
-    for c in (1, 2):
-        assert contains_forest(mc.color_subgraph(g, ec, c), matching_pattern(2)) is None
+    for cls in ec.classes:
+        assert contains_forest(cls, matching_pattern(2)) is None
 
 
 def test_ramsey_bruteforce_positive(capsys):
@@ -239,7 +255,7 @@ def test_ramsey_guard_exit_two(capsys):
 def test_reduce_end_to_end(tmp_path, capsys, rng):
     g = mc.complete_graph(6)
     gf = write_graph_file(tmp_path, g)
-    ec = mc.EdgeColoring(3, {e: rng.randint(1, 3) for e in g.edges()})
+    ec = mc.EdgeColoring.of(g, {e: rng.randint(1, 3) for e in g.edges()}, 3)
     cf = write_coloring_file(tmp_path, ec)
     out = tmp_path / "r.json"
     rc, doc = run(capsys, ["reduce", gf, "--coloring", cf, "--json-out", str(out)])
@@ -284,6 +300,18 @@ def test_hunt_inconclusive_exit_three(capsys):
     ])
     assert rc == 3
     assert doc["candidates"][0]["exhausted"] is False
+
+
+def test_hunt_deep_recursion_exit_three(capsys):
+    # 1500 edges: the kernel recurses deeper than the stack allows, which
+    # leaves the candidate unsettled rather than crashing
+    rc, doc = run(capsys, [
+        "hunt", "--pattern", "star:60", "--t", "1", "--ramsey-value", "1",
+        "--candidates", "multipartite:" + ",".join(["6"] * 10),
+    ])
+    assert rc == 3 and doc["counterexample"] is None
+    out = doc["candidates"][0]
+    assert out["searched"] and not out["exhausted"]
 
 
 def test_hunt_candidates_from_g6_file(tmp_path, capsys, c5, k4):
@@ -396,6 +424,10 @@ MALFORMED = {
         "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
         "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": 5},
     }, False),
+    "hunt-coloring-misses-an-edge": ({
+        "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
+        "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": [[0, 1, 1]]},
+    }, False),
     "chi-classes-not-a-list": ({"classes": 5, "upper": 1, "lower": 1}, True),
 }
 
@@ -407,7 +439,7 @@ def test_verify_malformed_json_exit_two(name, tmp_path, capsys, c5):
     cert.write_text(json.dumps(data))
     argv = ["verify", str(cert)]
     if needs_graph:
-        cf = write_coloring_file(tmp_path, mc.EdgeColoring(2, {e: 1 for e in c5.edges()}))
+        cf = write_coloring_file(tmp_path, mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2))
         argv += [write_graph_file(tmp_path, c5), "--coloring", cf]
     assert main(argv) == 2
     out = capsys.readouterr().out

@@ -93,36 +93,78 @@ def test_induced_subgraph(petersen):
 # edge colorings
 
 def test_edge_coloring_validation():
-    mc.EdgeColoring(2, {(0, 1): 1, (1, 2): 2})
+    p3 = mc.path_graph(3)
+    mc.EdgeColoring.of(p3, {(0, 1): 1, (1, 2): 2}, 2)
     with pytest.raises(ValueError):
-        mc.EdgeColoring(2, {(1, 0): 1})  # not canonical
+        mc.EdgeColoring.of(p3, {(1, 0): 1, (1, 2): 1}, 2)  # not canonical
     with pytest.raises(ValueError):
-        mc.EdgeColoring(2, {(0, 1): 3})  # out of range
+        mc.EdgeColoring.of(p3, {(0, 1): 3, (1, 2): 1}, 2)  # out of range
     with pytest.raises(ValueError):
-        mc.EdgeColoring(2, {(0, 1): 0})  # colors start at 1
+        mc.EdgeColoring.of(p3, {(0, 1): 0, (1, 2): 1}, 2)  # colors start at 1
     with pytest.raises(ValueError):
-        mc.EdgeColoring(0, {})
+        mc.EdgeColoring.of(mc.path_graph(1), {}, 0)
+    red = Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        mc.EdgeColoring(2, (red,))  # one class per color
+    with pytest.raises(ValueError):
+        mc.EdgeColoring(2, (red, Graph.from_edges(4, [(1, 2)])))  # one vertex count
+    with pytest.raises(ValueError):
+        mc.EdgeColoring(2, (red, red))  # an edge with two colors
 
 
 def test_edge_coloring_cover(c5):
-    ec = mc.EdgeColoring(2, {e: 1 for e in c5.edges()})
-    ec.validate_cover(c5)
-    partial = mc.EdgeColoring(2, {(0, 1): 1})
+    ec = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2)
+    assert ec.graph == c5
+    with pytest.raises(ValueError, match=r"edge \(0, 4\) of the graph has no color"):
+        mc.EdgeColoring.of(c5, {(0, 1): 1}, 2)
     with pytest.raises(ValueError):
-        partial.validate_cover(c5)
-    stray = mc.EdgeColoring(2, {**{e: 1 for e in c5.edges()}, (0, 2): 2})
-    with pytest.raises(ValueError):
-        stray.validate_cover(c5)
+        mc.EdgeColoring.of(c5, {**{e: 1 for e in c5.edges()}, (0, 2): 2}, 2)
+    # a coloring file is read against its graph; a bad line is named
+    text = mc.write_edge_coloring(ec)
+    for bad, line in ((text + "0 2 2\n", 6), ("0 9 1\n" + text, 1)):
+        with pytest.raises(GraphParseError) as err:
+            mc.parse_edge_coloring(bad, c5)
+        assert err.value.line == line
+    with pytest.raises(ValueError, match=r"edge \(0, 4\) of the graph has no color"):
+        mc.parse_edge_coloring("0 1 1\n", c5)
 
 
-def test_color_subgraph_partition(c5, rng):
-    ec = mc.EdgeColoring(3, {e: rng.randint(1, 3) for e in c5.edges()})
-    pieces = [mc.color_subgraph(c5, ec, c) for c in range(1, 4)]
-    assert sum(p.m for p in pieces) == c5.m
-    with pytest.raises(ValueError):
-        mc.color_subgraph(c5, ec, 4)
-    with pytest.raises(ValueError):
-        mc.color_subgraph(c5, ec, 0)  # colors start at 1
+@st.composite
+def colored_graphs(draw, max_n=8, max_t=3):
+    g = draw(graphs(max_n))
+    t = draw(st.integers(min_value=1, max_value=max_t))
+    colors = {e: draw(st.integers(min_value=1, max_value=t)) for e in g.edges()}
+    return g, colors, t
+
+
+@given(colored_graphs())
+@settings(max_examples=80, deadline=None)
+def test_edge_coloring_classes(case):
+    g, colors, t = case
+    ec = mc.EdgeColoring.of(g, colors, t)
+    # the classes partition E(g) by color, and their union is g
+    assert sum(cls.m for cls in ec.classes) == g.m
+    assert {e: c for c, cls in enumerate(ec.classes, 1) for e in cls.edges()} == colors
+    assert ec.graph == g
+    assert all(ec.color_of(v, u) == c for (u, v), c in colors.items())
+    text = mc.write_edge_coloring(ec)
+    assert mc.parse_edge_coloring(text, g, t) == ec
+    assert mc.parse_edge_coloring(text, g).t == max(colors.values(), default=1)
+    if colors:
+        e = g.edges()[0]
+        for bad in (0, t + 1):  # colors run 1..t
+            with pytest.raises(ValueError):
+                mc.EdgeColoring.of(g, {**colors, e: bad}, t)
+    # each reduced pair takes the least (color, edge) over its crossing edges
+    ri = mc.kiraly_reduce(ec, mc.greedy_upper(g).witness)
+    side = {v: i for i, cls in enumerate(ri.classes) for v in cls}
+    crossing: dict = {}
+    for (u, v), c in colors.items():
+        i, j = sorted((side[u], side[v]))
+        crossing.setdefault((i, j), []).append((c, (u, v)))
+    assert set(crossing) == set(ri.edge_color)
+    for pair, options in crossing.items():
+        assert (ri.edge_color[pair], ri.provenance[pair]) == min(options)
 
 
 def test_vertex_coloring():
@@ -207,17 +249,18 @@ def test_round_trip_all_formats(g):
 
 
 def test_edge_coloring_files():
-    ec = mc.parse_edge_coloring("0 1 1\n1 2 2\n")
+    p3 = mc.path_graph(3)
+    ec = mc.parse_edge_coloring("0 1 1\n1 2 2\n", p3)
     assert ec.t == 2 and ec.color_of(1, 0) == 1
     text = mc.write_edge_coloring(ec)
-    assert mc.parse_edge_coloring(text) == ec
+    assert mc.parse_edge_coloring(text, p3) == ec
     with pytest.raises(GraphParseError):
-        mc.parse_edge_coloring("0 1 0\n")  # colors start at 1
+        mc.parse_edge_coloring("0 1 0\n1 2 1\n", p3)  # colors start at 1
     with pytest.raises(GraphParseError):
-        mc.parse_edge_coloring("0 1 1\n1 0 2\n")  # same edge twice
+        mc.parse_edge_coloring("0 1 1\n1 0 2\n", p3)  # same edge twice
     with pytest.raises(GraphParseError):
-        mc.parse_edge_coloring("0 1 5\n", t=2)
-    ec3 = mc.parse_edge_coloring("0 1 1\n", t=3)
+        mc.parse_edge_coloring("0 1 5\n1 2 1\n", p3, t=2)
+    ec3 = mc.parse_edge_coloring("0 1 1\n", mc.path_graph(2), t=3)
     assert ec3.t == 3
 
 

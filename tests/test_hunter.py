@@ -125,8 +125,8 @@ def test_ramsey_bruteforce_path4():
     p = path_pattern(4)
     r4 = ramsey_bruteforce([p, p], 4)
     assert not r4.arrowing
-    for c in (1, 2):
-        sub = mc.color_subgraph(mc.complete_graph(4), r4.avoiding, c)
+    assert r4.avoiding.graph == mc.complete_graph(4)
+    for sub in r4.avoiding.classes:
         assert contains_forest(sub, p) is None
     assert ramsey_bruteforce([p, p], 5).arrowing
 
@@ -216,9 +216,9 @@ def test_hunt_finds_planted_counterexample(c5, k4):
     # 3-chromatic yet 2-colorable without a monochromatic P4
     report = hunt(path_pattern(4), 2, 3, [c5, k4])
     assert report.counterexample is not None
-    g, ec = report.counterexample
-    assert g == c5
-    assert check_hunt_counterexample(path_pattern(4), 2, 3, g, ec) == []
+    ec = report.counterexample
+    assert ec.graph == c5
+    assert check_hunt_counterexample(path_pattern(4), 2, 3, ec) == []
     assert len(report.candidates) == 1  # stopped at the first hit
     assert report.candidates[0].counterexample
 
@@ -265,22 +265,22 @@ def test_hunt_report_json(c5):
     assert d["counterexample"]["graph6"] == mc.write_graph(c5, "g6").strip()
     triples = d["counterexample"]["coloring"]
     assert len(triples) == 5 and all(c in (1, 2) for _, _, c in triples)
-    pattern, t, rv, g, ec = HuntReport.counterexample_from_json(d)
-    assert (pattern, t, rv, g, ec) == (path_pattern(4), 2, 3, *report.counterexample)
+    claim = HuntReport.counterexample_from_json(d)
+    assert claim == (path_pattern(4), 2, 3, report.counterexample)
     d["counterexample"] = None
     assert HuntReport.counterexample_from_json(d) is None
 
 
 def test_check_hunt_counterexample_rejects_bad_claims(c5):
-    ec = mc.EdgeColoring(2, {e: 1 for e in c5.edges()})
-    assert check_hunt_counterexample(path_pattern(4), 2, 3, c5, ec)  # mono P4
-    ok_ec = mc.EdgeColoring(2, {
+    ec = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2)
+    assert check_hunt_counterexample(path_pattern(4), 2, 3, ec)  # mono P4
+    ok_ec = mc.EdgeColoring.of(c5, {
         (0, 1): 1, (1, 2): 1, (2, 3): 2, (3, 4): 1, (0, 4): 2,
-    })
-    problems = check_hunt_counterexample(path_pattern(4), 2, 3, c5, ok_ec)
+    }, 2)
+    problems = check_hunt_counterexample(path_pattern(4), 2, 3, ok_ec)
     assert problems == []
-    assert check_hunt_counterexample(path_pattern(4), 2, 4, c5, ok_ec)  # chi too low
-    assert check_hunt_counterexample(path_pattern(4), 3, 3, c5, ok_ec)  # wrong t
+    assert check_hunt_counterexample(path_pattern(4), 2, 4, ok_ec)  # chi too low
+    assert check_hunt_counterexample(path_pattern(4), 3, 3, ok_ec)  # wrong t
 
 
 def test_goodness_regression_table():

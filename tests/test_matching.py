@@ -78,28 +78,28 @@ def test_find_mono_matching_exhaustive_k5():
     targets = MatchingTargets((2, 2))
     edges = g.edges()
     for bits in product((1, 2), repeat=len(edges)):
-        ec = mc.EdgeColoring(2, dict(zip(edges, bits)))
-        cert = find_mono_matching(g, ec, targets, chi_lower=5)
+        ec = mc.EdgeColoring.of(g, dict(zip(edges, bits)), 2)
+        cert = find_mono_matching(ec, targets, chi_lower=5)
         assert cert is not None
         assert len(cert.edges) == cert.target == 2
-        assert check_matching_certificate(g, ec, cert) == []
+        assert check_matching_certificate(ec, cert) == []
 
 
 def test_find_mono_matching_none_when_avoidable():
     # a star has matching number 1 regardless of the coloring
     h = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    hec = mc.EdgeColoring(2, {(0, 1): 1, (0, 2): 1, (0, 3): 2})
-    assert find_mono_matching(h, hec, MatchingTargets((2, 2))) is None
-    assert find_mono_matching(h, hec, MatchingTargets((1, 1))) is not None
+    hec = mc.EdgeColoring.of(h, {(0, 1): 1, (0, 2): 1, (0, 3): 2}, 2)
+    assert find_mono_matching(hec, MatchingTargets((2, 2))) is None
+    assert find_mono_matching(hec, MatchingTargets((1, 1))) is not None
 
 
 def test_find_mono_matching_rejects_false_bound():
     h = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    hec = mc.EdgeColoring(2, {(0, 1): 1, (0, 2): 1, (0, 3): 2})
+    hec = mc.EdgeColoring.of(h, {(0, 1): 1, (0, 2): 1, (0, 3): 2}, 2)
     with pytest.raises(InternalInconsistencyError):
-        find_mono_matching(h, hec, MatchingTargets((2, 2)), chi_lower=5)
+        find_mono_matching(hec, MatchingTargets((2, 2)), chi_lower=5)
     with pytest.raises(ValueError):
-        find_mono_matching(h, hec, MatchingTargets((2, 2, 2)))
+        find_mono_matching(hec, MatchingTargets((2, 2, 2)))
 
 
 def test_certificate_json_round_trip():
@@ -108,28 +108,28 @@ def test_certificate_json_round_trip():
 
 
 def test_check_matching_certificate_catches_tampering(c5):
-    ec = mc.EdgeColoring(2, {e: 1 for e in c5.edges()})
+    ec = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2)
     good = mc.MatchingCertificate(1, 2, ((0, 1), (2, 3)))
-    assert check_matching_certificate(c5, ec, good) == []
-    assert check_matching_certificate(c5, ec, mc.MatchingCertificate(2, 2, ((0, 1), (2, 3))))
-    assert check_matching_certificate(c5, ec, mc.MatchingCertificate(1, 2, ((0, 1), (1, 2))))
-    assert check_matching_certificate(c5, ec, mc.MatchingCertificate(1, 2, ((0, 1),)))
-    assert check_matching_certificate(c5, ec, mc.MatchingCertificate(1, 1, ((0, 2),)))
+    assert check_matching_certificate(ec, good) == []
+    assert check_matching_certificate(ec, mc.MatchingCertificate(2, 2, ((0, 1), (2, 3))))
+    assert check_matching_certificate(ec, mc.MatchingCertificate(1, 2, ((0, 1), (1, 2))))
+    assert check_matching_certificate(ec, mc.MatchingCertificate(1, 2, ((0, 1),)))
+    assert check_matching_certificate(ec, mc.MatchingCertificate(1, 1, ((0, 2),)))
 
 
 # ---------------------------------------------------------------------------
 # reduction route
 
 def test_kiraly_reduce_c5(c5):
-    ec = mc.EdgeColoring(2, {e: 1 if e[0] == 0 else 2 for e in c5.edges()})
+    ec = mc.EdgeColoring.of(c5, {e: 1 if e[0] == 0 else 2 for e in c5.edges()}, 2)
     vc = mc.VertexColoring(3, (0, 1, 0, 1, 2))
-    ri = kiraly_reduce(c5, ec, vc)
+    ri = kiraly_reduce(ec, vc)
     assert ri.k == 3 and ri.t == 2
     assert set(ri.edge_color) == {(0, 1), (0, 2), (1, 2)}
     for pair, (u, v) in ri.provenance.items():
         assert c5.has_edge(u, v)
         assert ri.edge_color[pair] == ec.color_of(u, v)
-    assert check_reduced_instance(c5, ec, ri) == []
+    assert check_reduced_instance(ec, ri) == []
     assert ReducedInstance.from_json(ri.to_json()) == ri
     bad = ri.to_json()
     bad["pairs"][0]["j"] = 3  # names a class that does not exist
@@ -142,31 +142,31 @@ def test_kiraly_reduce_merges_disconnected_classes():
     # that pair non-adjacent vertices get merged down to k=1 ... build a
     # case where classes {0,2} and {1,3} cross, but {0,1} vs {2,3} do not
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    ec = mc.EdgeColoring(1, {(0, 1): 1, (2, 3): 1})
+    ec = mc.EdgeColoring.of(g, {(0, 1): 1, (2, 3): 1}, 1)
     vc = mc.VertexColoring(2, (0, 1, 0, 1))
-    ri = kiraly_reduce(g, ec, vc)
+    ri = kiraly_reduce(ec, vc)
     assert ri.k == 2
     assert ri.edge_color == {(0, 1): 1}
     # now a coloring whose classes have no crossing edges at all
     vc2 = mc.VertexColoring(2, (0, 0, 1, 1))
     with pytest.raises(ValueError):
-        kiraly_reduce(g, ec, vc2)  # not proper: (0,1) inside class 0
+        kiraly_reduce(ec, vc2)  # not proper: (0,1) inside class 0
 
 
 def test_kiraly_reduce_merge_to_single_class():
     g = Graph.from_edges(2, [])
-    ec = mc.EdgeColoring(1, {})
+    ec = mc.EdgeColoring.of(g, {}, 1)
     vc = mc.VertexColoring(2, (0, 1))
-    ri = kiraly_reduce(g, ec, vc)
+    ri = kiraly_reduce(ec, vc)
     assert ri.k == 1 and ri.edge_color == {}
 
 
 def test_kiraly_reduce_picks_smallest_color():
     # both edges of P3 cross the same class pair; the smaller color wins
     p3 = mc.path_graph(3)
-    ec = mc.EdgeColoring(2, {(0, 1): 2, (1, 2): 1})
+    ec = mc.EdgeColoring.of(p3, {(0, 1): 2, (1, 2): 1}, 2)
     vc = mc.VertexColoring(2, (0, 1, 0))
-    ri = kiraly_reduce(p3, ec, vc)
+    ri = kiraly_reduce(ec, vc)
     assert ri.k == 2
     assert ri.edge_color == {(0, 1): 1}
     assert ri.provenance == {(0, 1): (1, 2)}
@@ -174,9 +174,9 @@ def test_kiraly_reduce_picks_smallest_color():
 
 def test_lift_matching_validation():
     g = mc.complete_graph(4)
-    ec = mc.EdgeColoring(2, {e: 1 for e in g.edges()})
+    ec = mc.EdgeColoring.of(g, {e: 1 for e in g.edges()}, 2)
     vc = mc.VertexColoring(4, (0, 1, 2, 3))
-    ri = kiraly_reduce(g, ec, vc)
+    ri = kiraly_reduce(ec, vc)
     assert lift_matching(ri, [(0, 1), (2, 3)], 1) == [(0, 1), (2, 3)]
     assert lift_matching(ri, [(1, 0)], 1) == [(0, 1)]
     with pytest.raises(ValueError):
@@ -193,12 +193,12 @@ def test_reduction_route_end_to_end(rng, random_coloring):
     for _ in range(100):
         ec = random_coloring(g, 2, rng)
         vc = mc.chi_exact(g).witness
-        cert = find_mono_matching_kiraly(g, ec, vc, targets, chi_lower=7)
+        cert = find_mono_matching_kiraly(ec, vc, targets, chi_lower=7)
         assert cert is not None
-        assert check_matching_certificate(g, ec, cert) == []
-        direct = find_mono_matching(g, ec, targets, chi_lower=7)
+        assert check_matching_certificate(ec, cert) == []
+        direct = find_mono_matching(ec, targets, chi_lower=7)
         assert direct is not None
-        assert check_matching_certificate(g, ec, direct) == []
+        assert check_matching_certificate(ec, direct) == []
 
 
 def test_reduction_route_agrees_with_direct(rng, random_coloring):
@@ -211,6 +211,6 @@ def test_reduction_route_agrees_with_direct(rng, random_coloring):
         if r.upper < 2:
             continue
         ec = random_coloring(g, 2, rng)
-        cert = find_mono_matching_kiraly(g, ec, r.witness, targets)
+        cert = find_mono_matching_kiraly(ec, r.witness, targets)
         if cert is not None:
-            assert check_matching_certificate(g, ec, cert) == []
+            assert check_matching_certificate(ec, cert) == []

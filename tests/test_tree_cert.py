@@ -21,29 +21,30 @@ from oracles import max_mono_component_size
 
 
 def oracle_max_comp(g, ec):
-    return max(max_mono_component_size(g, ec.colors, c) for c in (RED, BLUE))
+    colors = {(u, v): c for u, v, c in ec.to_json()}
+    return max(max_mono_component_size(g, colors, c) for c in (RED, BLUE))
 
 
 def all_two_colorings(g):
     edges = g.edges()
     for bits in product((RED, BLUE), repeat=len(edges)):
-        yield mc.EdgeColoring(2, dict(zip(edges, bits)))
+        yield mc.EdgeColoring.of(g, dict(zip(edges, bits)), 2)
 
 
 def test_build_dual_all_red(c5):
-    ec = mc.EdgeColoring(2, {e: RED for e in c5.edges()})
-    dual = build_dual(c5, ec)
+    ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
+    dual = build_dual(ec)
     assert len(dual.left) == 1 and len(dual.right) == 5
     assert dual.max_degree() == 5
 
 
 def test_build_dual_k4_split(k4):
     # red perfect matching, blue 4-cycle on the rest
-    ec = mc.EdgeColoring(2, {
+    ec = mc.EdgeColoring.of(k4, {
         (0, 1): RED, (2, 3): RED,
         (0, 2): BLUE, (0, 3): BLUE, (1, 2): BLUE, (1, 3): BLUE,
-    })
-    dual = build_dual(k4, ec)
+    }, 2)
+    dual = build_dual(ec)
     assert [len(c) for c in dual.left] == [2, 2]
     assert [len(c) for c in dual.right] == [4]
     assert dual.max_degree() == 4
@@ -60,8 +61,8 @@ def test_edge_color_dual_parallel_links():
     # triangle, edges 01 and 12 red, 02 blue: vertices 0 and 2 share both
     # their red and their blue component, giving two parallel links
     g = mc.complete_graph(3)
-    ec = mc.EdgeColoring(2, {(0, 1): RED, (1, 2): RED, (0, 2): BLUE})
-    dual = build_dual(g, ec)
+    ec = mc.EdgeColoring.of(g, {(0, 1): RED, (1, 2): RED, (0, 2): BLUE}, 2)
+    dual = build_dual(ec)
     pairs = [(li, ri) for li, ri, _ in dual.links]
     assert len(pairs) != len(set(pairs))
     colors = edge_color_dual(dual)
@@ -71,14 +72,14 @@ def test_edge_color_dual_parallel_links():
 
 
 def test_edge_color_dual_requires_two_colors(c5):
-    ec3 = mc.EdgeColoring(3, {e: 1 for e in c5.edges()})
+    ec3 = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 3)
     with pytest.raises(ValueError):
-        build_dual(c5, ec3)
+        build_dual(ec3)
 
 
 def test_vertex_coloring_from_dual_rejects_improper(c5):
-    ec = mc.EdgeColoring(2, {e: RED for e in c5.edges()})
-    dual = build_dual(c5, ec)
+    ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
+    dual = build_dual(ec)
     bad = {v: 1 for v in range(5)}  # one color at a degree-5 left node
     with pytest.raises(ValueError):
         vertex_coloring_from_dual(c5, dual, bad)
@@ -89,7 +90,7 @@ def test_vertex_coloring_from_dual_rejects_improper(c5):
 def test_pipeline_exhaustive_small(c5, k4):
     for g in (c5, k4):
         for ec in all_two_colorings(g):
-            dual = build_dual(g, ec)
+            dual = build_dual(ec)
             delta = dual.max_degree()
             assert delta == oracle_max_comp(g, ec)
             colors = edge_color_dual(dual)
@@ -102,7 +103,7 @@ def test_pipeline_exhaustive_small(c5, k4):
 def test_max_mono_component_matches_oracle(petersen, rng, random_coloring):
     for _ in range(200):
         ec = random_coloring(petersen, 2, rng)
-        color, comp = max_mono_component(petersen, ec)
+        color, comp = max_mono_component(ec)
         assert color in (RED, BLUE)
         assert len(comp) == oracle_max_comp(petersen, ec)
 
@@ -110,19 +111,19 @@ def test_max_mono_component_matches_oracle(petersen, rng, random_coloring):
 def test_max_mono_component_tie_break(k4):
     # red and blue both induce one spanning component: prefer lowest vertex,
     # then red
-    ec = mc.EdgeColoring(2, {
+    ec = mc.EdgeColoring.of(k4, {
         (0, 1): RED, (1, 2): RED, (2, 3): RED,
         (0, 2): BLUE, (0, 3): BLUE, (1, 3): BLUE,
-    })
-    color, comp = max_mono_component(k4, ec)
+    }, 2)
+    color, comp = max_mono_component(ec)
     assert color == RED and comp == (0, 1, 2, 3)
 
 
 def test_mono_tree_certificate_valid(grotzsch, rng, random_coloring):
     for _ in range(50):
         ec = random_coloring(grotzsch, 2, rng)
-        cert = mono_tree_certificate(grotzsch, ec, chi_lower=4)
-        assert check_tree_certificate(grotzsch, ec, cert) == []
+        cert = mono_tree_certificate(ec, chi_lower=4)
+        assert check_tree_certificate(ec, cert) == []
         assert len(cert.vertices) >= 4
         assert len(cert.edges) == len(cert.vertices) - 1
 
@@ -131,42 +132,42 @@ def test_mono_tree_certificate_rejects_false_bound():
     # a path is 2-chromatic; alternate its colors so every monochromatic
     # component has 2 vertices, then claim chi >= 3
     g = mc.path_graph(6)
-    ec = mc.EdgeColoring(2, {e: RED if e[0] % 2 == 0 else BLUE for e in g.edges()})
-    cert = mono_tree_certificate(g, ec, chi_lower=2)
+    ec = mc.EdgeColoring.of(g, {e: RED if e[0] % 2 == 0 else BLUE for e in g.edges()}, 2)
+    cert = mono_tree_certificate(ec, chi_lower=2)
     assert len(cert.vertices) == 2
     with pytest.raises(InternalInconsistencyError):
-        mono_tree_certificate(g, ec, chi_lower=3)
+        mono_tree_certificate(ec, chi_lower=3)
 
 
 def test_tree_certificate_json_round_trip(c5):
-    ec = mc.EdgeColoring(2, {e: RED for e in c5.edges()})
-    cert = mono_tree_certificate(c5, ec, chi_lower=3)
+    ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
+    cert = mono_tree_certificate(ec, chi_lower=3)
     again = mc.TreeCertificate.from_json(cert.to_json())
     assert again == cert
 
 
 def test_check_tree_certificate_catches_tampering(c5):
-    ec = mc.EdgeColoring(2, {e: RED for e in c5.edges()})
-    cert = mono_tree_certificate(c5, ec, chi_lower=3)
-    assert check_tree_certificate(c5, ec, cert) == []
+    ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
+    cert = mono_tree_certificate(ec, chi_lower=3)
+    assert check_tree_certificate(ec, cert) == []
 
     wrong_color = mc.TreeCertificate(BLUE, cert.edges, cert.vertices, 3)
-    assert check_tree_certificate(c5, ec, wrong_color)
+    assert check_tree_certificate(ec, wrong_color)
 
     cyclic = mc.TreeCertificate(
         RED, tuple(sorted(cert.edges + ((0, 4),))), cert.vertices, 3
     )
-    assert any("cycle" in p or "|V|-1" in p for p in check_tree_certificate(c5, ec, cyclic))
+    assert any("cycle" in p or "|V|-1" in p for p in check_tree_certificate(ec, cyclic))
 
     fake_edge = mc.TreeCertificate(RED, ((0, 2),) + cert.edges[1:], cert.vertices, 3)
-    assert check_tree_certificate(c5, ec, fake_edge)
+    assert check_tree_certificate(ec, fake_edge)
 
     inflated = mc.TreeCertificate(RED, cert.edges, cert.vertices, 9)
-    assert any("below the claimed bound" in p for p in check_tree_certificate(c5, ec, inflated))
+    assert any("below the claimed bound" in p for p in check_tree_certificate(ec, inflated))
 
 
 def test_check_tree_certificate_rejects_forest():
     g = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (2, 3)])
-    ec = mc.EdgeColoring(2, {e: RED for e in g.edges()})
+    ec = mc.EdgeColoring.of(g, {e: RED for e in g.edges()}, 2)
     split = mc.TreeCertificate(RED, ((0, 1), (2, 3)), (0, 1, 2, 3), 2)
-    assert any("|V|-1" in p for p in check_tree_certificate(g, ec, split))
+    assert any("|V|-1" in p for p in check_tree_certificate(ec, split))
