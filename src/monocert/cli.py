@@ -202,10 +202,14 @@ def _cmd_hunt(args) -> int:
     )
     _emit(args, report.to_json())
     for c in report.candidates:
+        # the kernel stops at budget + 1 nodes when the budget runs out;
+        # an unsettled search below that hit Python's stack depth
         state = (
             "counterexample" if c.counterexample
             else c.skipped_reason if c.skipped_reason
-            else ("exhausted" if c.exhausted else "budget hit")
+            else "exhausted" if c.exhausted
+            else "budget hit" if c.colorings_examined > args.budget
+            else "stack depth reached"
         )
         _note(f"{c.graph6}  chi>={c.chi_lower}  {state}")
     if report.counterexample is not None:

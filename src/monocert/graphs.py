@@ -5,10 +5,11 @@ bitset row per vertex; arbitrary-width ints make dense instances up to a few
 hundred vertices cheap without a sparse fallback, and bit tricks (``&``,
 ``bit_count``) do the heavy lifting everywhere else in the package.
 
-An edge-colored graph is one object, an ``EdgeColoring``: one spanning class
-graph per color, edge-disjoint, whose union is the host. It is checked once
-when built, so consumers read a color class as ``ec.classes[c - 1]`` and the
-host as ``ec.graph`` without re-checking that a coloring fits its graph.
+An edge-colored graph is one object, an ``EdgeColoring``: the host graph
+it was given plus one spanning class graph per color, edge-disjoint, whose
+union is the host. The constructor is the one place that checks a coloring
+fits its graph, row by row, so consumers read a color class as
+``ec.classes[c - 1]`` and the host as ``ec.graph`` without re-checking it.
 
 Supported text formats: edge list ("u v" per line, 0-indexed, ``#``
 comments, optional ``# n <count>`` directive for isolated vertices), DIMACS
@@ -19,7 +20,7 @@ graph6 (single line, optional ``>>graph6<<`` header). Edge colorings are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphParseError(ValueError):
@@ -196,50 +197,53 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 class EdgeColoring:
     """A graph with its edges colored 1..t, held as one class graph per color.
 
-    ``classes[c - 1]`` is the spanning subgraph of the edges of color c. The
-    classes share one vertex count and no edge, and ``graph``, the host, is
-    their union. Build from an {edge: color} dict with ``EdgeColoring.of``.
+    ``classes[c - 1]`` is the spanning subgraph of ``graph`` made of the
+    edges of color c. The classes share no edge, and together they hold
+    every edge of ``graph`` and no other. Build from an {edge: color} dict
+    with ``EdgeColoring.of``.
     """
 
-    t: int
+    graph: Graph
     classes: tuple[Graph, ...]
-    graph: Graph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.t < 1:
+        if not self.classes:
             raise ValueError("need at least one color")
-        if len(self.classes) != self.t:
-            raise ValueError(f"need {self.t} class graphs, got {len(self.classes)}")
-        n = self.classes[0].n
+        n = self.graph.n
         if any(cls.n != n for cls in self.classes):
-            raise ValueError("class graphs must share one vertex count")
-        union = []
-        for v in range(n):
+            raise ValueError(f"class graphs must have the graph's {n} vertices")
+        for v, want in enumerate(self.graph.adj):
             row = 0
             for cls in self.classes:
                 if row & cls.adj[v]:
                     raise ValueError(f"an edge at vertex {v} has two colors")
                 row |= cls.adj[v]
-            union.append(row)
-        object.__setattr__(self, "graph", Graph(n, tuple(union)))
+            if row != want:
+                # the rows below v agree, so v is the smaller end of each
+                # edge that differs here and the lowest bit names the first
+                extra = row & ~want
+                wrong = extra or want & ~row
+                e = (v, (wrong & -wrong).bit_length() - 1)
+                if extra:
+                    raise ValueError(f"colored edge {e} is not an edge of the graph")
+                raise ValueError(f"edge {e} of the graph has no color")
+
+    @property
+    def t(self) -> int:
+        return len(self.classes)
 
     @staticmethod
     def of(g: Graph, colors: dict[tuple[int, int], int], t: int) -> "EdgeColoring":
         """Color g from {canonical edge: color}; the keys must be exactly E(g)."""
         rows = [[0] * g.n for _ in range(t)]
         for (u, v), c in colors.items():
-            if not 0 <= u < v:
-                raise ValueError(f"edge ({u},{v}) is not a canonical pair")
+            if not 0 <= u < v < g.n:
+                raise ValueError(f"edge ({u},{v}) is not a canonical pair in 0..{g.n - 1}")
             if not 1 <= c <= t:
                 raise ValueError(f"color {c} on edge ({u},{v}) outside 1..{t}")
-            if not g.has_edge(u, v):
-                raise ValueError(f"colored edge {(u, v)} is not an edge of the graph")
             rows[c - 1][u] |= 1 << v
             rows[c - 1][v] |= 1 << u
-        if len(colors) != g.m:
-            missing = next(e for e in g.edges() if e not in colors)
-            raise ValueError(f"edge {missing} of the graph has no color")
-        return EdgeColoring(t, tuple(Graph(g.n, tuple(r)) for r in rows))
+        return EdgeColoring(g, tuple(Graph(g.n, tuple(r)) for r in rows))
 
     def color_of(self, u: int, v: int) -> int:
         e = canonical_edge(u, v)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb, log2
 
@@ -363,7 +363,7 @@ def _search_avoiding(
         if budget is not None and nodes > budget:
             raise _BudgetHit
         if i == E:
-            found = EdgeColoring(t, tuple(Graph(n, tuple(rc)) for rc in rows))
+            found = EdgeColoring(g, tuple(Graph(n, tuple(rc)) for rc in rows))
             return True
         u, v = edges[i]
         ub, vb, eb = 1 << u, 1 << v, 1 << i
@@ -534,17 +534,7 @@ class CandidateOutcome:
     counterexample: bool
 
     def to_json(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "chi_lower": self.chi_lower,
-            "chi_upper": self.chi_upper,
-            "chi_is_exact": self.chi_is_exact,
-            "searched": self.searched,
-            "skipped_reason": self.skipped_reason,
-            "colorings_examined": self.colorings_examined,
-            "exhausted": self.exhausted,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -577,9 +567,10 @@ class HuntReport:
 
     @staticmethod
     def counterexample_from_json(data):
-        """(pattern, t, ramsey_value, coloring) for check_hunt_counterexample.
+        """(pattern, ramsey_value, coloring) for check_hunt_counterexample.
 
-        None when the report claims no counterexample; ValueError on any other shape.
+        None when the report claims no counterexample; ValueError on any other
+        shape. The report's t sizes the coloring, so a color above t is refused.
         """
         (cex,) = json_fields(data, "counterexample")
         if cex is None:
@@ -593,20 +584,17 @@ class HuntReport:
         colors = {canonical_edge(u, v): c for u, v, c in rows}
         ec = EdgeColoring.of(parse_graph(graph6, "g6"), colors, json_int(t))
         pat = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
-        return pat, ec.t, json_int(ramsey_value), ec
+        return pat, json_int(ramsey_value), ec
 
 
 def check_hunt_counterexample(
     pattern: AcyclicPattern,
-    t: int,
     ramsey_value: int,
     ec: EdgeColoring,
     chi_budget: int = chromatic.DEFAULT_BUDGET,
 ) -> list[str]:
     """Re-verify a claimed counterexample from scratch; empty list means good."""
     problems = []
-    if ec.t != t:
-        problems.append(f"coloring has t={ec.t}, expected {t}")
     r = chi_exact(ec.graph, budget=chi_budget)
     if not r.exact:
         problems.append("chromatic number did not resolve exactly within budget")
@@ -662,9 +650,7 @@ def hunt(
         )
         total += nodes
         if coloring is not None:
-            problems = check_hunt_counterexample(
-                pattern, t, ramsey_value, coloring, chi_budget
-            )
+            problems = check_hunt_counterexample(pattern, ramsey_value, coloring, chi_budget)
             if problems:
                 raise InternalInconsistencyError(
                     "search produced a coloring that failed re-verification: "

@@ -349,21 +349,16 @@ def find_mono_matching_kiraly(
     targets: MatchingTargets,
     chi_lower: int | None = None,
 ) -> MatchingCertificate | None:
-    """Reduction route: contract, match on the class graph, lift."""
-    if ec.t != targets.t:
-        raise ValueError(f"coloring has t={ec.t} but targets have t={targets.t}")
+    """Reduction route: contract, match on the class graph, lift.
+
+    The merged classes stay a proper coloring, so the class graph has at
+    least chi classes and chi_lower vouches for it as it does for the host.
+    """
     ri = kiraly_reduce(ec, vc)
     rec = EdgeColoring.of(complete_graph(ri.k), ri.edge_color, ec.t)
-    for color, want in enumerate(targets.targets, start=1):
-        mm = maximum_matching(rec.classes[color - 1])
-        if len(mm) >= want:
-            lifted = lift_matching(ri, mm[:want], color)
-            return MatchingCertificate(color, want, tuple(lifted))
-    if chi_lower is not None and chi_lower >= ramsey_matching_number(targets):
-        raise InternalInconsistencyError(
-            "reduction route found no matching although the claimed chromatic "
-            f"lower bound {chi_lower} meets the matching Ramsey number; "
-            "the bound cannot be correct"
-        )
-    return None
-
+    cert = find_mono_matching(rec, targets, chi_lower)
+    if cert is None:
+        return None
+    return MatchingCertificate(
+        cert.color, cert.target, tuple(lift_matching(ri, cert.edges, cert.color))
+    )

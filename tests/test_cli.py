@@ -304,14 +304,19 @@ def test_hunt_inconclusive_exit_three(capsys):
 
 def test_hunt_deep_recursion_exit_three(capsys):
     # 1500 edges: the kernel recurses deeper than the stack allows, which
-    # leaves the candidate unsettled rather than crashing
-    rc, doc = run(capsys, [
-        "hunt", "--pattern", "star:60", "--t", "1", "--ramsey-value", "1",
-        "--candidates", "multipartite:" + ",".join(["6"] * 10),
-    ])
+    # leaves the candidate unsettled rather than crashing, and says why
+    argv = ["hunt", "--pattern", "star:60", "--t", "1", "--ramsey-value", "1",
+            "--candidates", "multipartite:" + ",".join(["6"] * 10)]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
     assert rc == 3 and doc["counterexample"] is None
-    out = doc["candidates"][0]
-    assert out["searched"] and not out["exhausted"]
+    cand = doc["candidates"][0]
+    assert cand["searched"] and not cand["exhausted"]
+    assert "stack depth reached" in err and "budget hit" not in err
+    # the same host with a budget of one node runs out of budget instead
+    assert main(argv + ["--budget", "1"]) == 3
+    assert "budget hit" in capsys.readouterr().err
 
 
 def test_hunt_candidates_from_g6_file(tmp_path, capsys, c5, k4):

@@ -103,13 +103,20 @@ def test_edge_coloring_validation():
         mc.EdgeColoring.of(p3, {(0, 1): 0, (1, 2): 1}, 2)  # colors start at 1
     with pytest.raises(ValueError):
         mc.EdgeColoring.of(mc.path_graph(1), {}, 0)
-    red = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError):
-        mc.EdgeColoring(2, (red,))  # one class per color
+        mc.EdgeColoring.of(p3, {(0, 1): 1, (1, 3): 1}, 2)  # vertex outside 0..n-1
+    red, blue = Graph.from_edges(3, [(0, 1)]), Graph.from_edges(3, [(1, 2)])
+    assert mc.EdgeColoring(p3, (red, blue)).t == 2
     with pytest.raises(ValueError):
-        mc.EdgeColoring(2, (red, Graph.from_edges(4, [(1, 2)])))  # one vertex count
+        mc.EdgeColoring(p3, ())  # at least one color
     with pytest.raises(ValueError):
-        mc.EdgeColoring(2, (red, red))  # an edge with two colors
+        mc.EdgeColoring(p3, (red, Graph.from_edges(4, [(1, 2)])))  # the graph's vertex count
+    with pytest.raises(ValueError):
+        mc.EdgeColoring(p3, (red, blue, red))  # an edge with two colors
+    with pytest.raises(ValueError, match=r"colored edge \(0, 2\) is not an edge of the graph"):
+        mc.EdgeColoring(p3, (red, Graph.from_edges(3, [(1, 2), (0, 2)])))
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) of the graph has no color"):
+        mc.EdgeColoring(p3, (red, Graph(3, (0, 0, 0))))
 
 
 def test_edge_coloring_cover(c5):
@@ -142,10 +149,10 @@ def colored_graphs(draw, max_n=8, max_t=3):
 def test_edge_coloring_classes(case):
     g, colors, t = case
     ec = mc.EdgeColoring.of(g, colors, t)
-    # the classes partition E(g) by color, and their union is g
+    # the coloring holds its host, and the classes partition E(g) by color
+    assert ec.graph is g and ec.t == t
     assert sum(cls.m for cls in ec.classes) == g.m
     assert {e: c for c, cls in enumerate(ec.classes, 1) for e in cls.edges()} == colors
-    assert ec.graph == g
     assert all(ec.color_of(v, u) == c for (u, v), c in colors.items())
     text = mc.write_edge_coloring(ec)
     assert mc.parse_edge_coloring(text, g, t) == ec

@@ -218,7 +218,7 @@ def test_hunt_finds_planted_counterexample(c5, k4):
     assert report.counterexample is not None
     ec = report.counterexample
     assert ec.graph == c5
-    assert check_hunt_counterexample(path_pattern(4), 2, 3, ec) == []
+    assert check_hunt_counterexample(path_pattern(4), 3, ec) == []
     assert len(report.candidates) == 1  # stopped at the first hit
     assert report.candidates[0].counterexample
 
@@ -266,21 +266,20 @@ def test_hunt_report_json(c5):
     triples = d["counterexample"]["coloring"]
     assert len(triples) == 5 and all(c in (1, 2) for _, _, c in triples)
     claim = HuntReport.counterexample_from_json(d)
-    assert claim == (path_pattern(4), 2, 3, report.counterexample)
+    assert claim == (path_pattern(4), 3, report.counterexample)
     d["counterexample"] = None
     assert HuntReport.counterexample_from_json(d) is None
 
 
 def test_check_hunt_counterexample_rejects_bad_claims(c5):
     ec = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2)
-    assert check_hunt_counterexample(path_pattern(4), 2, 3, ec)  # mono P4
+    assert check_hunt_counterexample(path_pattern(4), 3, ec)  # mono P4
     ok_ec = mc.EdgeColoring.of(c5, {
         (0, 1): 1, (1, 2): 1, (2, 3): 2, (3, 4): 1, (0, 4): 2,
     }, 2)
-    problems = check_hunt_counterexample(path_pattern(4), 2, 3, ok_ec)
+    problems = check_hunt_counterexample(path_pattern(4), 3, ok_ec)
     assert problems == []
-    assert check_hunt_counterexample(path_pattern(4), 2, 4, ok_ec)  # chi too low
-    assert check_hunt_counterexample(path_pattern(4), 3, 3, ok_ec)  # wrong t
+    assert check_hunt_counterexample(path_pattern(4), 4, ok_ec)  # chi too low
 
 
 def test_goodness_regression_table():
