@@ -33,6 +33,7 @@ CASES = {
     "tree-cert": ["tree-cert", "@grotzsch.txt", "--coloring", "@grotzsch-2.col"],
     "tree-cert-trusted": ["tree-cert", "@grotzsch.txt", "--coloring", "@grotzsch-2.col",
                           "--chi-lower", "3"],
+    "tree-cert-tie": ["tree-cert", "@k4.txt", "--coloring", "@k4-tie.col"],
     "match-direct": ["match-cert", "@k5.txt", "--coloring", "@k5-2.col", "--targets", "2,2"],
     "match-kiraly": ["match-cert", "@k5.txt", "--coloring", "@k5-2.col", "--targets", "2,2",
                      "--kiraly"],
