@@ -14,12 +14,10 @@ from .graphs import (
     GraphParseError,
     InternalInconsistencyError,
     VertexColoring,
-    complement,
     complete_graph,
     complete_multipartite,
     connected_components,
     cycle_graph,
-    induced_subgraph,
     parse_edge_coloring,
     parse_graph,
     path_graph,
@@ -60,7 +58,6 @@ from .hunter import (
     matching_pattern,
     mycielskian,
     path_pattern,
-    peel_to_min_degree,
     ramsey_bruteforce,
     star_pattern,
 )

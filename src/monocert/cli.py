@@ -102,8 +102,8 @@ def _cmd_tree_cert(args) -> int:
         r = chromatic.chi_exact(g, budget=args.budget)
         lower = r.lower
         chi_info = {"lower": r.lower, "upper": r.upper, "exact": r.exact}
-    cert = tree_cert.mono_tree_certificate(ec, lower)
     dual = tree_cert.build_dual(ec)
+    cert = tree_cert.mono_tree_certificate(ec, dual, lower)
     link_colors = tree_cert.edge_color_dual(dual)
     vc = tree_cert.vertex_coloring_from_dual(g, dual, link_colors)
     _emit(args, {
@@ -112,9 +112,9 @@ def _cmd_tree_cert(args) -> int:
         "dual": {
             "left": [list(c) for c in dual.left],
             "right": [list(c) for c in dual.right],
-            "links": [list(l) for l in dual.links],
+            "links": [[li, ri, v] for v, (li, ri) in enumerate(dual.links)],
             "max_degree": dual.max_degree(),
-            "link_colors": [[v, link_colors[v]] for v in sorted(link_colors)],
+            "link_colors": [[v, c] for v, c in enumerate(link_colors)],
         },
         "derived_classes": vc.classes(),
     })

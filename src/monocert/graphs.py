@@ -150,24 +150,6 @@ def complete_multipartite(sizes) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ g.adj[v]) & ~(1 << v) for v in range(g.n)))
-
-
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Induced subgraph with vertices relabeled 0..k-1 in sorted order."""
-    keep = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u in keep
-        for v in iter_bits(g.adj[u])
-        if v > u and v in index
-    ]
-    return Graph.from_edges(len(keep), edges)
-
-
 def component_masks(g: Graph) -> list[int]:
     """Connected components as vertex bitmasks, ordered by minimum vertex."""
     comps = []

@@ -33,7 +33,6 @@ from .graphs import (
     complete_graph,
     complete_multipartite,
     component_masks,
-    induced_subgraph,
     iter_bits,
     json_edges,
     json_fields,
@@ -168,14 +167,6 @@ def peel_core_vertices(g: Graph, d: int) -> tuple[int, ...] | None:
     if not alive:
         return None
     return tuple(iter_bits(alive))
-
-
-def peel_to_min_degree(g: Graph, d: int) -> Graph | None:
-    """Maximum subgraph of minimum degree >= d, relabeled 0..k-1; None if empty."""
-    core = peel_core_vertices(g, d)
-    if core is None:
-        return None
-    return induced_subgraph(g, core)
 
 
 def embed_tree_folklore(g: Graph, h: AcyclicPattern, chi_lower: int) -> tuple[int, ...]:
@@ -580,8 +571,13 @@ class HuntReport:
         graph6, coloring = json_fields(cex, "graph6", "coloring")
         if not isinstance(graph6, str):
             raise ValueError(f"expected a graph6 string, got {graph6!r:.60}")
-        rows = (json_ints(row, 3) for row in json_list(coloring))
-        colors = {canonical_edge(u, v): c for u, v, c in rows}
+        colors = {}
+        for row in json_list(coloring):
+            u, v, c = json_ints(row, 3)
+            e = canonical_edge(u, v)
+            if e in colors:
+                raise ValueError(f"edge {e} colored twice")
+            colors[e] = c
         ec = EdgeColoring.of(parse_graph(graph6, "g6"), colors, json_int(t))
         pat = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
         return pat, json_int(ramsey_value), ec

@@ -252,10 +252,12 @@ class ReducedInstance:
 def kiraly_reduce(ec: EdgeColoring, vc: VertexColoring) -> ReducedInstance:
     """Contract a properly colored host onto its color classes.
 
-    Classes with no crossing edge are merged first (smallest index pairs
-    first), so every remaining pair carries at least one edge; each pair is
-    then colored by its smallest crossing genuine color, with the smallest
-    such edge recorded as provenance.
+    Classes with no crossing edge are merged first, in one pass over index
+    pairs (smallest first), so every remaining pair carries at least one
+    edge. A merged class crosses every class either part crossed, so no
+    pair already passed needs a second look. Each pair is then colored by
+    its smallest crossing genuine color, with the smallest such edge
+    recorded as provenance.
     """
     g = ec.graph
     if not verify_proper(g, vc):
@@ -266,21 +268,18 @@ def kiraly_reduce(ec: EdgeColoring, vc: VertexColoring) -> ReducedInstance:
     def crossing(i: int, j: int) -> bool:
         return any(g.adj[u] & masks[j] for u in classes[i])
 
-    merged = True
-    while merged:
-        merged = False
-        k = len(classes)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not crossing(i, j):
-                    classes[i] = sorted(classes[i] + classes[j])
-                    masks[i] |= masks[j]
-                    del classes[j]
-                    del masks[j]
-                    merged = True
-                    break
-            if merged:
-                break
+    i = 0
+    while i < len(classes):
+        j = i + 1
+        while j < len(classes):
+            if crossing(i, j):
+                j += 1
+                continue
+            classes[i] = sorted(classes[i] + classes[j])
+            masks[i] |= masks[j]
+            del classes[j]
+            del masks[j]
+        i += 1
 
     edge_color: dict[tuple[int, int], int] = {}
     provenance: dict[tuple[int, int], tuple[int, int]] = {}

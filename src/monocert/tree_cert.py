@@ -5,9 +5,9 @@ with one link per vertex (its red component on the left, its blue component
 on the right). A proper edge coloring of that multigraph with exactly its
 maximum degree many colors exists because it is bipartite; reading each
 vertex's link color back yields a proper vertex coloring of the host graph
-with max-component-size many classes. A largest monochromatic component
-therefore spans at least chi(G) vertices, and its BFS spanning tree is the
-certificate.
+with max-component-size many classes. The dual's largest node, a largest
+monochromatic component, therefore spans at least chi(G) vertices, and its
+BFS spanning tree is the certificate.
 """
 
 from __future__ import annotations
@@ -36,35 +36,30 @@ RED, BLUE = 1, 2
 class DualMultigraph:
     """Bipartite multigraph of red components vs blue components.
 
-    ``links`` holds one (left index, right index, vertex) triple per vertex
-    of the host graph, in vertex order; the degree of a node equals the size
-    of its component because components of the two colors overlap in exactly
-    their shared vertices.
+    ``links[v]`` is the pair (left index, right index) of vertex v of the
+    host graph: its red and its blue component. The degree of a node equals
+    the size of its component because components of the two colors overlap
+    in exactly their shared vertices.
     """
 
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
-    links: tuple[tuple[int, int, int], ...]
+    links: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = len(self.links)
         for side in (self.left, self.right):
             mins = [comp[0] for comp in side]
             if mins != sorted(mins):
                 raise ValueError("components must be ordered by minimum vertex")
-        seen = set()
+        left_of = {v: i for i, comp in enumerate(self.left) for v in comp}
+        right_of = {v: i for i, comp in enumerate(self.right) for v in comp}
         ldeg = [0] * len(self.left)
         rdeg = [0] * len(self.right)
-        for li, ri, v in self.links:
-            if v in seen:
-                raise ValueError(f"vertex {v} has two links")
-            seen.add(v)
-            if v not in self.left[li] or v not in self.right[ri]:
+        for v, (li, ri) in enumerate(self.links):
+            if left_of.get(v) != li or right_of.get(v) != ri:
                 raise ValueError(f"link for vertex {v} joins components not containing it")
             ldeg[li] += 1
             rdeg[ri] += 1
-        if seen != set(range(n)):
-            raise ValueError("links must cover vertices 0..n-1 exactly once")
         for i, comp in enumerate(self.left):
             if ldeg[i] != len(comp):
                 raise ValueError(f"left node {i} degree {ldeg[i]} != component size {len(comp)}")
@@ -113,11 +108,11 @@ def build_dual(ec: EdgeColoring) -> DualMultigraph:
     red, blue = (connected_components(cls) for cls in ec.classes)
     red_of = {v: i for i, comp in enumerate(red) for v in comp}
     blue_of = {v: i for i, comp in enumerate(blue) for v in comp}
-    links = tuple((red_of[v], blue_of[v], v) for v in range(ec.graph.n))
+    links = tuple((red_of[v], blue_of[v]) for v in range(ec.graph.n))
     return DualMultigraph(tuple(red), tuple(blue), links)
 
 
-def edge_color_dual(b: DualMultigraph) -> dict[int, int]:
+def edge_color_dual(b: DualMultigraph) -> tuple[int, ...]:
     """Properly edge-color the dual with exactly max_degree colors.
 
     Links are inserted one at a time. If no color is free at both endpoints,
@@ -125,7 +120,8 @@ def edge_color_dual(b: DualMultigraph) -> dict[int, int]:
     alternating two-color path starting at the right endpoint; in a
     bipartite multigraph that path can never reach the left endpoint (it
     would have to close with the wrong parity), so afterwards the left
-    color is free at both ends. Returns {vertex label: color in 1..Delta}.
+    color is free at both ends. Returns the color in 1..Delta of each
+    vertex's link, in vertex order.
     """
     delta = b.max_degree()
     nl = len(b.left)
@@ -133,7 +129,7 @@ def edge_color_dual(b: DualMultigraph) -> dict[int, int]:
     color_at: list[dict[int, int]] = [dict() for _ in range(nl + len(b.right))]
     ends: list[tuple[int, int]] = []
     link_color: list[int] = []
-    for li, ri, _v in b.links:
+    for li, ri in b.links:
         p, q = li, nl + ri
         ends.append((p, q))
         idx = len(link_color)
@@ -171,55 +167,45 @@ def edge_color_dual(b: DualMultigraph) -> dict[int, int]:
         raise InternalInconsistencyError(
             "edge coloring of the dual did not use exactly max_degree colors"
         )
-    return {b.links[i][2]: link_color[i] for i in range(len(link_color))}
+    return tuple(link_color)
 
 
 def vertex_coloring_from_dual(
-    g: Graph, b: DualMultigraph, link_colors: dict[int, int]
+    g: Graph, b: DualMultigraph, link_colors: tuple[int, ...]
 ) -> VertexColoring:
-    """Turn a proper link coloring into a proper vertex coloring of g."""
+    """Turn a proper link coloring, one color per vertex, into a proper
+    vertex coloring of g."""
+    if len(link_colors) != len(b.links):
+        raise ValueError(f"{len(link_colors)} link colors for {len(b.links)} links")
     seen_l: list[set[int]] = [set() for _ in b.left]
     seen_r: list[set[int]] = [set() for _ in b.right]
-    for li, ri, v in b.links:
-        if v not in link_colors:
-            raise ValueError(f"vertex {v} has no link color")
-        c = link_colors[v]
+    for (li, ri), c in zip(b.links, link_colors):
         if c in seen_l[li] or c in seen_r[ri]:
             raise ValueError("link coloring is not proper on the dual")
         seen_l[li].add(c)
         seen_r[ri].add(c)
-    order = sorted(set(link_colors[v] for v in range(g.n)))
+    order = sorted(set(link_colors))
     remap = {c: i for i, c in enumerate(order)}
-    vc = VertexColoring(len(order), tuple(remap[link_colors[v]] for v in range(g.n)))
+    vc = VertexColoring(len(order), tuple(remap[c] for c in link_colors))
     if not verify_proper(g, vc):
         raise ValueError("link coloring does not come from this graph's dual")
     return vc
 
 
-def max_mono_component(ec: EdgeColoring) -> tuple[int, tuple[int, ...]]:
-    """Largest monochromatic component; ties by minimum vertex, then red first."""
-    if ec.t != 2:
-        raise ValueError(f"need exactly 2 colors, got t={ec.t}")
-    if ec.graph.n == 0:
-        raise ValueError("the empty graph has no components")
-    best_key = None
-    best = None
-    for color in (RED, BLUE):
-        for comp in connected_components(ec.classes[color - 1]):
-            key = (-len(comp), comp[0], color)
-            if best_key is None or key < best_key:
-                best_key, best = key, (color, comp)
-    return best
-
-
-def mono_tree_certificate(ec: EdgeColoring, chi_lower: int) -> TreeCertificate:
-    """Spanning tree of a largest monochromatic component.
+def mono_tree_certificate(
+    ec: EdgeColoring, dual: DualMultigraph, chi_lower: int
+) -> TreeCertificate:
+    """Spanning tree of the dual's largest node, a largest monochromatic
+    component of ec; ties go to the lowest minimum vertex, then to red.
 
     chi_lower must be a true lower bound on chi(g); the certificate's
     component is then guaranteed to reach that size, and falling short
     raises InternalInconsistencyError rather than returning a weak witness.
     """
-    color, comp = max_mono_component(ec)
+    nodes = [(RED, comp) for comp in dual.left] + [(BLUE, comp) for comp in dual.right]
+    if not nodes:
+        raise ValueError("the empty graph has no components")
+    color, comp = min(nodes, key=lambda node: (-len(node[1]), node[1][0], node[0]))
     if len(comp) < chi_lower:
         raise InternalInconsistencyError(
             f"largest monochromatic component has {len(comp)} vertices, "
@@ -239,6 +225,8 @@ def mono_tree_certificate(ec: EdgeColoring, chi_lower: int) -> TreeCertificate:
                 tree_edges.append(canonical_edge(u, w))
                 nxt.append(w)
         frontier = nxt
+    if tuple(iter_bits(seen)) != comp:
+        raise ValueError(f"dual component {comp} is not a component of this coloring")
     return TreeCertificate(
         color=color,
         edges=tuple(sorted(tree_edges)),

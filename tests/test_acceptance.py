@@ -97,7 +97,7 @@ def test_criterion_2_tree_theorem_exhaustive():
             if biggest < chi:
                 problems.append(f"{g.n}-vertex host: component {biggest} < chi {chi}")
                 continue
-            cert = mono_tree_certificate(ec, chi)
+            cert = mono_tree_certificate(ec, build_dual(ec), chi)
             bad = check_tree_certificate(ec, cert)
             if bad:
                 problems.append(f"{g.n}-vertex host: {bad[0]}")

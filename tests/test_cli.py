@@ -111,6 +111,7 @@ def test_tree_cert_end_to_end(tmp_path, capsys, grotzsch, rng):
     assert doc["chi"]["exact"] is True and doc["chi"]["lower"] == 4
     dual = doc["dual"]
     assert dual["max_degree"] >= 4
+    assert len(cert["vertices"]) == dual["max_degree"]
     assert len(dual["links"]) == grotzsch.n
     assert len(doc["derived_classes"]) == dual["max_degree"]
     rc2, vdoc = run(capsys, ["verify", str(out), gf, "--coloring", cf])
@@ -432,6 +433,12 @@ MALFORMED = {
     "hunt-coloring-misses-an-edge": ({
         "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
         "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": [[0, 1, 1]]},
+    }, False),
+    "hunt-coloring-edge-twice": ({
+        "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
+        "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": [
+            [0, 1, 1], [0, 1, 2], [0, 4, 1], [1, 2, 2], [2, 3, 1], [3, 4, 2],
+        ]},
     }, False),
     "chi-classes-not-a-list": ({"classes": 5, "upper": 1, "lower": 1}, True),
 }

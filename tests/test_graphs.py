@@ -52,22 +52,6 @@ def test_named_constructors():
     assert not k222.has_edge(0, 1) and k222.has_edge(0, 2)
 
 
-def test_complement_examples():
-    assert mc.complement(mc.complete_graph(3)).m == 0
-    g = mc.complement(Graph.from_edges(4, []))
-    assert g.m == 6
-    cc5 = mc.complement(mc.cycle_graph(5))
-    # complement of C5 is again a 5-cycle
-    assert cc5.m == 5 and all(cc5.degree(v) == 2 for v in range(5))
-    assert len(mc.connected_components(cc5)) == 1
-
-
-@given(graphs())
-@settings(max_examples=60, deadline=None)
-def test_complement_involution(g):
-    assert mc.complement(mc.complement(g)) == g
-
-
 def test_components_examples():
     g = Graph.from_edges(5, [(0, 1), (3, 4)])
     assert mc.connected_components(g) == [(0, 1), (2,), (3, 4)]
@@ -78,15 +62,6 @@ def test_components_examples():
 @settings(max_examples=60, deadline=None)
 def test_components_match_union_find(g):
     assert mc.connected_components(g) == components_union_find(g)
-
-
-def test_induced_subgraph(petersen):
-    sub = mc.induced_subgraph(petersen, [0, 1, 2, 3])
-    assert sub.n == 4
-    assert sub.m == sum(
-        1 for i, u in enumerate([0, 1, 2, 3]) for v in [0, 1, 2, 3][i + 1:]
-        if petersen.has_edge(u, v)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from monocert.hunter import (
     mycielskian,
     path_pattern,
     peel_core_vertices,
-    peel_to_min_degree,
     ramsey_bruteforce,
     random_graph,
     star_pattern,
@@ -80,9 +79,6 @@ def test_peeling(k4, c5):
     assert peel_core_vertices(mc.path_graph(5), 2) is None
     lollipop = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     assert peel_core_vertices(lollipop, 2) == (0, 1, 2)
-    core = peel_to_min_degree(lollipop, 2)
-    assert core is not None and core.n == 3 and core.m == 3
-    assert peel_to_min_degree(lollipop, 3) is None
 
 
 def test_embed_tree_folklore(grotzsch):

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import monocert as mc
 from monocert.graphs import Graph, InternalInconsistencyError
@@ -170,6 +171,38 @@ def test_kiraly_reduce_picks_smallest_color():
     assert ri.k == 2
     assert ri.edge_color == {(0, 1): 1}
     assert ri.provenance == {(0, 1): (1, 2)}
+
+
+@st.composite
+def sparse_graphs(draw, max_n=14):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n)
+                 if pairs else st.just([]))
+    return Graph.from_edges(n, edges)
+
+
+def merge_with_restart(g, classes):
+    """The merge rule written out: merge the first pair with no crossing edge,
+    then scan again from (0, 1)."""
+    classes = [list(c) for c in classes]
+    while True:
+        pair = next(((i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))
+                     if not any(g.has_edge(u, v) for u in classes[i] for v in classes[j])),
+                    None)
+        if pair is None:
+            return tuple(tuple(c) for c in classes)
+        i, j = pair
+        classes[i] = sorted(classes[i] + classes.pop(j))
+
+
+@given(sparse_graphs())
+@settings(max_examples=150, deadline=None)
+def test_kiraly_reduce_merges_like_restart(g):
+    # singleton classes on a sparse graph leave many pairs to merge
+    ec = mc.EdgeColoring.of(g, {e: 1 for e in g.edges()}, 1)
+    vc = mc.VertexColoring(g.n, tuple(range(g.n)))
+    assert kiraly_reduce(ec, vc).classes == merge_with_restart(g, vc.classes())
 
 
 def test_lift_matching_validation():

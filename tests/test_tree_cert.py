@@ -11,7 +11,6 @@ from monocert.tree_cert import (
     DualMultigraph,
     build_dual,
     edge_color_dual,
-    max_mono_component,
     mono_tree_certificate,
     vertex_coloring_from_dual,
 )
@@ -51,10 +50,18 @@ def test_build_dual_k4_split(k4):
 
 
 def test_dual_validation():
-    with pytest.raises(ValueError):
-        DualMultigraph(((0, 1),), ((0,), (1,)), ((0, 0, 0), (0, 0, 1)))
-    with pytest.raises(ValueError):
-        DualMultigraph(((0,), (1,)), ((0, 1),), ((0, 0, 0), (0, 0, 1)))
+    DualMultigraph(((0, 1),), ((0,), (1,)), ((0, 0), (0, 1)))
+    # vertex 1's link names blue component 0, which lacks vertex 1
+    with pytest.raises(ValueError, match="not containing it"):
+        DualMultigraph(((0, 1),), ((0,), (1,)), ((0, 0), (0, 0)))
+    with pytest.raises(ValueError, match="not containing it"):
+        DualMultigraph(((0,), (1,)), ((0, 1),), ((0, 0), (0, 0)))
+    # components out of order by minimum vertex
+    with pytest.raises(ValueError, match="ordered"):
+        DualMultigraph(((1,), (0,)), ((0, 1),), ((1, 0), (0, 0)))
+    # a component holding a vertex no link names: degree below its size
+    with pytest.raises(ValueError, match="degree"):
+        DualMultigraph(((0, 1),), ((0, 1),), ((0, 0),))
 
 
 def test_edge_color_dual_parallel_links():
@@ -63,10 +70,9 @@ def test_edge_color_dual_parallel_links():
     g = mc.complete_graph(3)
     ec = mc.EdgeColoring.of(g, {(0, 1): RED, (1, 2): RED, (0, 2): BLUE}, 2)
     dual = build_dual(ec)
-    pairs = [(li, ri) for li, ri, _ in dual.links]
-    assert len(pairs) != len(set(pairs))
+    assert len(dual.links) != len(set(dual.links))
     colors = edge_color_dual(dual)
-    assert set(colors.values()) == set(range(1, dual.max_degree() + 1))
+    assert set(colors) == set(range(1, dual.max_degree() + 1))
     vc = vertex_coloring_from_dual(g, dual, colors)
     assert verify_proper(g, vc)
 
@@ -80,11 +86,11 @@ def test_edge_color_dual_requires_two_colors(c5):
 def test_vertex_coloring_from_dual_rejects_improper(c5):
     ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
     dual = build_dual(ec)
-    bad = {v: 1 for v in range(5)}  # one color at a degree-5 left node
+    bad = (1,) * 5  # one color at a degree-5 left node
     with pytest.raises(ValueError):
         vertex_coloring_from_dual(c5, dual, bad)
     with pytest.raises(ValueError):
-        vertex_coloring_from_dual(c5, dual, {v: v + 1 for v in range(4)})
+        vertex_coloring_from_dual(c5, dual, tuple(range(1, 5)))
 
 
 def test_pipeline_exhaustive_small(c5, k4):
@@ -94,7 +100,7 @@ def test_pipeline_exhaustive_small(c5, k4):
             delta = dual.max_degree()
             assert delta == oracle_max_comp(g, ec)
             colors = edge_color_dual(dual)
-            assert set(colors.values()) == set(range(1, delta + 1))
+            assert set(colors) == set(range(1, delta + 1))
             vc = vertex_coloring_from_dual(g, dual, colors)
             assert verify_proper(g, vc)
             assert vc.k == delta
@@ -103,9 +109,9 @@ def test_pipeline_exhaustive_small(c5, k4):
 def test_max_mono_component_matches_oracle(petersen, rng, random_coloring):
     for _ in range(200):
         ec = random_coloring(petersen, 2, rng)
-        color, comp = max_mono_component(ec)
-        assert color in (RED, BLUE)
-        assert len(comp) == oracle_max_comp(petersen, ec)
+        cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=1)
+        assert cert.color in (RED, BLUE)
+        assert len(cert.vertices) == oracle_max_comp(petersen, ec)
 
 
 def test_max_mono_component_tie_break(k4):
@@ -115,14 +121,14 @@ def test_max_mono_component_tie_break(k4):
         (0, 1): RED, (1, 2): RED, (2, 3): RED,
         (0, 2): BLUE, (0, 3): BLUE, (1, 3): BLUE,
     }, 2)
-    color, comp = max_mono_component(ec)
-    assert color == RED and comp == (0, 1, 2, 3)
+    cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=4)
+    assert cert.color == RED and cert.vertices == (0, 1, 2, 3)
 
 
 def test_mono_tree_certificate_valid(grotzsch, rng, random_coloring):
     for _ in range(50):
         ec = random_coloring(grotzsch, 2, rng)
-        cert = mono_tree_certificate(ec, chi_lower=4)
+        cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=4)
         assert check_tree_certificate(ec, cert) == []
         assert len(cert.vertices) >= 4
         assert len(cert.edges) == len(cert.vertices) - 1
@@ -133,22 +139,26 @@ def test_mono_tree_certificate_rejects_false_bound():
     # component has 2 vertices, then claim chi >= 3
     g = mc.path_graph(6)
     ec = mc.EdgeColoring.of(g, {e: RED if e[0] % 2 == 0 else BLUE for e in g.edges()}, 2)
-    cert = mono_tree_certificate(ec, chi_lower=2)
+    cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=2)
     assert len(cert.vertices) == 2
     with pytest.raises(InternalInconsistencyError):
-        mono_tree_certificate(ec, chi_lower=3)
+        mono_tree_certificate(ec, build_dual(ec), chi_lower=3)
+    # the dual of another coloring names a component this one lacks
+    all_red = mc.EdgeColoring.of(g, {e: RED for e in g.edges()}, 2)
+    with pytest.raises(ValueError, match="not a component"):
+        mono_tree_certificate(ec, build_dual(all_red), chi_lower=2)
 
 
 def test_tree_certificate_json_round_trip(c5):
     ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
-    cert = mono_tree_certificate(ec, chi_lower=3)
+    cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=3)
     again = mc.TreeCertificate.from_json(cert.to_json())
     assert again == cert
 
 
 def test_check_tree_certificate_catches_tampering(c5):
     ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
-    cert = mono_tree_certificate(ec, chi_lower=3)
+    cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=3)
     assert check_tree_certificate(ec, cert) == []
 
     wrong_color = mc.TreeCertificate(BLUE, cert.edges, cert.vertices, 3)
