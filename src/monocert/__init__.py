@@ -43,10 +43,10 @@ from .matching import (
     kiraly_reduce,
     lift_matching,
     maximum_matching,
+    miss_witness,
     ramsey_matching_number,
 )
 from .hunter import (
-    GOODNESS_REGRESSIONS,
     AcyclicPattern,
     ArrowingResult,
     HuntReport,

@@ -4,7 +4,8 @@ Batch semantics: every subcommand writes exactly one JSON object to stdout
 (sorted keys, seed recorded) and human-oriented notes to stderr. Exit codes:
 0 success or definitive positive, 1 legitimate negative (avoiding coloring
 exists, no matching reaches its target, counterexample found), 2 input
-error, 3 budget-inconclusive.
+error, 3 budget-inconclusive. Every output that ``verify`` reads names its
+kind under ``"kind"``: chi, tree, matching, reduced or hunt.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .graphs import (
     Graph,
     GraphParseError,
     InternalInconsistencyError,
+    json_classes,
+    json_fields,
+    json_ints,
     parse_edge_coloring,
     parse_graph,
 )
@@ -87,7 +91,7 @@ def _candidate_stream(specs, seed: int, chi_budget: int):
 def _cmd_chi(args) -> int:
     g = _load_graph(args)
     r = chromatic.chi_exact(g, budget=args.budget)
-    _emit(args, r.to_json())
+    _emit(args, {"kind": "chi", **r.to_json()})
     _note(f"chi in [{r.lower},{r.upper}] exact={r.exact} on {g.n} vertices")
     return 0 if r.exact else 3
 
@@ -95,19 +99,12 @@ def _cmd_chi(args) -> int:
 def _cmd_tree_cert(args) -> int:
     g = _load_graph(args)
     ec = _load_coloring(args, g, t=2)
-    if args.chi_lower is not None:
-        lower = args.chi_lower
-        chi_info = None
-    else:
-        r = chromatic.chi_exact(g, budget=args.budget)
-        lower = r.lower
-        chi_info = {"lower": r.lower, "upper": r.upper, "exact": r.exact}
     dual = tree_cert.build_dual(ec)
-    cert = tree_cert.mono_tree_certificate(ec, dual, lower)
+    cert = tree_cert.mono_tree_certificate(ec, dual)
     link_colors = tree_cert.edge_color_dual(dual)
     vc = tree_cert.vertex_coloring_from_dual(g, dual, link_colors)
     _emit(args, {
-        "chi": chi_info,
+        "kind": "tree",
         "certificate": cert.to_json(),
         "dual": {
             "left": [list(c) for c in dual.left],
@@ -119,38 +116,44 @@ def _cmd_tree_cert(args) -> int:
         "derived_classes": vc.classes(),
     })
     _note(
-        f"color {cert.color} tree on {len(cert.vertices)} vertices "
-        f"(bound used: {cert.chi_lower_used}); dual max degree {dual.max_degree()}"
+        f"color {cert.color} tree on {len(cert.vertices)} vertices; "
+        f"derived proper coloring with {vc.k} classes"
     )
     return 0
+
+
+def _reduce_greedy(ec: EdgeColoring) -> matching.ReducedInstance:
+    return matching.kiraly_reduce(ec, chromatic.greedy_upper(ec.graph).witness)
 
 
 def _cmd_match_cert(args) -> int:
     g = _load_graph(args)
     targets = _parse_targets(args.targets)
     ec = _load_coloring(args, g, t=targets.t)
-    r = chromatic.chi_exact(g, budget=args.budget)
     need = matching.ramsey_matching_number(targets)
-    if args.kiraly:
-        cert = matching.find_mono_matching_kiraly(ec, r.witness, targets, chi_lower=r.lower)
-        route = "reduction"
+    ri = _reduce_greedy(ec) if args.kiraly else None
+    if ri is None:
+        cert = matching.find_mono_matching(ec, targets)
     else:
-        cert = matching.find_mono_matching(ec, targets, chi_lower=r.lower)
-        route = "direct"
-    _emit(args, {
-        "chi": {"lower": r.lower, "upper": r.upper, "exact": r.exact},
+        cert = matching.find_mono_matching_kiraly(ri, targets)
+    payload = {
+        "kind": "matching",
         "ramsey_value": need,
-        "route": route,
+        "route": "reduction" if args.kiraly else "direct",
+        "targets": list(targets.targets),
         "certificate": cert.to_json() if cert else None,
-    })
+    }
     if cert:
-        _note(f"{route} route: color {cert.color} matching of {cert.target} edges")
-        return 0
-    _note(
-        f"no color reaches its target (chi lower bound {r.lower} < {need}, "
-        "so nothing is guaranteed)"
-    )
-    return 1
+        _note(f"{payload['route']} route: color {cert.color} matching of {cert.target} edges")
+    else:
+        classes = matching.miss_witness(ri or _reduce_greedy(ec), targets)
+        payload["coloring"] = [list(c) for c in classes]
+        _note(
+            f"no color reaches its target; the {len(classes)} merged classes are a "
+            f"proper coloring with fewer than {need} colors, so nothing is guaranteed"
+        )
+    _emit(args, payload)
+    return 0 if cert else 1
 
 
 def _cmd_ramsey(args) -> int:
@@ -178,13 +181,8 @@ def _cmd_ramsey(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = _load_graph(args)
-    ec = _load_coloring(args, g)
-    r = chromatic.chi_exact(g, budget=args.budget)
-    ri = matching.kiraly_reduce(ec, r.witness)
-    _emit(args, {
-        "chi": {"lower": r.lower, "upper": r.upper, "exact": r.exact},
-        "instance": ri.to_json(),
-    })
+    ri = _reduce_greedy(_load_coloring(args, g))
+    _emit(args, {"kind": "reduced", "instance": ri.to_json()})
     _note(f"reduced to {ri.k} classes, {len(ri.edge_color)} colored pairs")
     return 0
 
@@ -200,7 +198,7 @@ def _cmd_hunt(args) -> int:
         colorings_budget=args.budget,
         chi_budget=args.chi_budget,
     )
-    _emit(args, report.to_json())
+    _emit(args, {"kind": "hunt", **report.to_json()})
     for c in report.candidates:
         # the kernel stops at budget + 1 nodes when the budget runs out;
         # an unsettled search below that hit Python's stack depth
@@ -226,56 +224,53 @@ def _cmd_hunt(args) -> int:
     return 0
 
 
-def _infer_kind(data: dict) -> str:
-    if "vertices" in data and "chi_lower_used" in data:
-        return "tree"
-    if "target" in data and "edges" in data:
-        return "matching"
-    if "classes" in data and "upper" in data:
-        return "chi"
-    if "pairs" in data and "classes" in data:
-        return "reduced"
-    if "pattern" in data and "ramsey_value" in data:
-        return "hunt"
-    raise ValueError("cannot tell what kind of certificate this is")
-
-
 def _cmd_verify(args) -> int:
     with open(args.certificate) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a certificate is a JSON object")
-    # unwrap CLI output envelopes
-    for key in ("certificate", "instance"):
-        if key in data and isinstance(data[key], dict):
-            data = data[key]
-            break
-    kind = _infer_kind(data)
+    (kind,) = json_fields(data, "kind")
+    unchecked: list[str] = []
     if kind == "hunt":
         claim = hunter.HuntReport.counterexample_from_json(data)
         problems = [] if claim is None else hunter.check_hunt_counterexample(
             *claim, chi_budget=args.budget
         )
+    elif kind not in ("chi", "tree", "matching", "reduced"):
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    elif args.graph is None:
+        raise ValueError(f"a {kind} certificate needs the graph it talks about")
+    elif kind == "chi":
+        problems = verify.check_chi_witness(_load_graph(args), data)
+        if not problems and data.get("lower", 0) > 2:
+            unchecked.append("chi lower bound")
+    elif args.coloring is None:
+        raise ValueError(f"a {kind} certificate needs --coloring")
     else:
-        if args.graph is None:
-            raise ValueError(f"a {kind} certificate needs the graph it talks about")
-        g = _load_graph(args)
-        if kind == "chi":
-            problems = verify.check_chi_witness(g, data)
-        else:
-            if args.coloring is None:
-                raise ValueError(f"a {kind} certificate needs --coloring")
-            ec = _load_coloring(args, g)
-            if kind == "tree":
-                cert = tree_cert.TreeCertificate.from_json(data)
-                problems = verify.check_tree_certificate(ec, cert)
-            elif kind == "matching":
-                cert = matching.MatchingCertificate.from_json(data)
-                problems = verify.check_matching_certificate(ec, cert)
+        ec = _load_coloring(args, _load_graph(args))
+        if kind == "tree":
+            cert, derived = json_fields(data, "certificate", "derived_classes")
+            problems = verify.check_tree_certificate(
+                ec, tree_cert.TreeCertificate.from_json(cert), json_classes(derived)
+            )
+        elif kind == "matching":
+            (cert,) = json_fields(data, "certificate")
+            if cert is not None:
+                problems = verify.check_matching_certificate(
+                    ec, matching.MatchingCertificate.from_json(cert)
+                )
             else:
-                ri = matching.ReducedInstance.from_json(data)
-                problems = verify.check_reduced_instance(ec, ri)
-    _emit(args, {"kind": kind, "ok": not problems, "problems": problems})
+                coloring, targets = json_fields(data, "coloring", "targets")
+                problems = verify.check_matching_miss(
+                    ec.graph, json_classes(coloring),
+                    matching.MatchingTargets.of(json_ints(targets)),
+                )
+                unchecked.append("no color reaches its target")
+        else:
+            (instance,) = json_fields(data, "instance")
+            problems = verify.check_reduced_instance(
+                ec, matching.ReducedInstance.from_json(instance)
+            )
+    _emit(args, {"kind": kind, "ok": not problems, "problems": problems,
+                 "unchecked": unchecked})
     _note("certificate holds" if not problems else "; ".join(problems))
     return 0 if not problems else 2
 
@@ -308,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree-cert", help="monochromatic-tree certificate and dual witness")
     common(p, coloring=True)
-    p.add_argument("--chi-lower", type=int, default=None,
-                   help="trusted chromatic lower bound (default: computed)")
     p.set_defaults(func=_cmd_tree_cert)
 
     p = sub.add_parser("match-cert", help="monochromatic-matching certificate")

@@ -98,9 +98,6 @@ class Graph:
     def m(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool((self.adj[u] >> v) & 1)
 
@@ -526,6 +523,11 @@ def json_ints(value, size: int | None = None) -> tuple[int, ...]:
     if size is not None and len(json_list(value)) != size:
         raise ValueError(f"expected {size} integers, got {value!r:.60}")
     return tuple(json_int(x) for x in json_list(value))
+
+
+def json_classes(value) -> tuple[tuple[int, ...], ...]:
+    """A JSON list of vertex lists, such as the classes of a coloring."""
+    return tuple(json_ints(cls) for cls in json_list(value))
 
 
 def json_edges(value) -> tuple[tuple[int, int], ...]:

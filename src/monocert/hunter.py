@@ -670,12 +670,3 @@ def hunt(
         counterexample=counterexample,
     )
 
-
-# Goodness regressions: (name, pattern, t, ramsey value). The path-4 entry
-# for t=3 is carried as a config only; no outcome is asserted for it.
-GOODNESS_REGRESSIONS = (
-    ("star-2", star_pattern(2), 2, 3),
-    ("star-3", star_pattern(3), 2, 6),
-    ("path-4", path_pattern(4), 2, 5),
-    ("path-4-t3", path_pattern(4), 3, 6),
-)

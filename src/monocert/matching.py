@@ -2,12 +2,18 @@
 
 The target vector (n_1 >= ... >= n_t) has matching Ramsey number
 R = n_1 + 1 + sum_i (n_i - 1); any graph with chi >= R carries a
-monochromatic matching of n_i edges in some color i. Two routes produce
-certificates: the direct one runs maximum matching per color class, and the
+monochromatic matching of n_i edges in some color i. Two routes look for
+one: the direct route runs maximum matching per color class, and the
 reduction route contracts each class of a proper vertex coloring to a
-single node, colors the resulting complete graph by picking the smallest
-genuine color on each class pair, finds the matching there, and lifts it
-back through recorded provenance edges.
+single node, merging classes with no edge between them, colors the
+resulting complete graph by picking the smallest genuine color on each
+class pair, finds the matching there, and lifts it back through recorded
+provenance edges.
+
+Neither route needs chi. Either the k' merged classes reach R, and
+Cockayne-Lorimer on K_k' forces a matching that lifts back to the host, or
+they are a proper coloring with fewer than R colors, which shows that
+nothing is guaranteed. ``miss_witness`` hands out that second side.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .graphs import (
     canonical_edge,
     complete_graph,
     iter_bits,
+    json_classes,
     json_edges,
     json_fields,
     json_int,
@@ -170,16 +177,11 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
 
 
 def find_mono_matching(
-    ec: EdgeColoring,
-    targets: MatchingTargets,
-    chi_lower: int | None = None,
+    ec: EdgeColoring, targets: MatchingTargets
 ) -> MatchingCertificate | None:
     """First color (ascending) whose class holds its target matching.
 
     The certificate's edge list is truncated to exactly the target size.
-    When the caller vouches chi_lower >= ramsey_matching_number(targets),
-    a miss is impossible and raises InternalInconsistencyError instead of
-    returning None.
     """
     if ec.t != targets.t:
         raise ValueError(f"coloring has t={ec.t} but targets have t={targets.t}")
@@ -187,12 +189,6 @@ def find_mono_matching(
         mm = maximum_matching(ec.classes[color - 1])
         if len(mm) >= want:
             return MatchingCertificate(color, want, tuple(mm[:want]))
-    if chi_lower is not None and chi_lower >= ramsey_matching_number(targets):
-        raise InternalInconsistencyError(
-            "no color reached its matching target although the claimed "
-            f"chromatic lower bound {chi_lower} meets the matching Ramsey "
-            f"number {ramsey_matching_number(targets)}; the bound cannot be correct"
-        )
     return None
 
 
@@ -237,7 +233,7 @@ class ReducedInstance:
     def from_json(data) -> "ReducedInstance":
         """Inverse of to_json; ValueError when data has another shape."""
         t, classes, pairs = json_fields(data, "t", "classes", "pairs")
-        classes = tuple(json_ints(c) for c in json_list(classes))
+        classes = json_classes(classes)
         edge_color, provenance = {}, {}
         for pair in json_list(pairs):
             i, j, color, prov = json_fields(pair, "i", "j", "color", "provenance")
@@ -343,21 +339,30 @@ def lift_matching(
 
 
 def find_mono_matching_kiraly(
-    ec: EdgeColoring,
-    vc: VertexColoring,
-    targets: MatchingTargets,
-    chi_lower: int | None = None,
+    ri: ReducedInstance, targets: MatchingTargets
 ) -> MatchingCertificate | None:
-    """Reduction route: contract, match on the class graph, lift.
-
-    The merged classes stay a proper coloring, so the class graph has at
-    least chi classes and chi_lower vouches for it as it does for the host.
-    """
-    ri = kiraly_reduce(ec, vc)
-    rec = EdgeColoring.of(complete_graph(ri.k), ri.edge_color, ec.t)
-    cert = find_mono_matching(rec, targets, chi_lower)
+    """Reduction route: match on the class graph of ri, then lift."""
+    rec = EdgeColoring.of(complete_graph(ri.k), ri.edge_color, ri.t)
+    cert = find_mono_matching(rec, targets)
     if cert is None:
         return None
     return MatchingCertificate(
         cert.color, cert.target, tuple(lift_matching(ri, cert.edges, cert.color))
     )
+
+
+def miss_witness(ri: ReducedInstance, targets: MatchingTargets) -> tuple[tuple[int, ...], ...]:
+    """The merged classes of ri, as the witness that no target is forced.
+
+    Call it only after a route found no matching. The classes are a proper
+    coloring of the host; with k' >= R of them, Cockayne-Lorimer on K_k'
+    would have forced a matching that lifts to the host, so the miss itself
+    is wrong and InternalInconsistencyError is raised instead.
+    """
+    need = ramsey_matching_number(targets)
+    if ri.k >= need:
+        raise InternalInconsistencyError(
+            f"no color reached its matching target although the {ri.k} merged "
+            f"classes reach the matching Ramsey number {need}"
+        )
+    return ri.classes

@@ -3,11 +3,13 @@
 Pipeline: the red and blue component families form a bipartite multigraph
 with one link per vertex (its red component on the left, its blue component
 on the right). A proper edge coloring of that multigraph with exactly its
-maximum degree many colors exists because it is bipartite; reading each
-vertex's link color back yields a proper vertex coloring of the host graph
-with max-component-size many classes. The dual's largest node, a largest
-monochromatic component, therefore spans at least chi(G) vertices, and its
-BFS spanning tree is the certificate.
+maximum degree many colors exists because it is bipartite (König); reading
+each vertex's link color back yields a proper vertex coloring of the host
+graph with max-component-size many classes. The dual's largest node, a
+largest monochromatic component, therefore spans at least chi(G) vertices.
+The certificate is its BFS spanning tree, and the derived coloring proves
+the bound: a checker needs no chi to see that it is proper and has no more
+classes than the tree has vertices.
 """
 
 from __future__ import annotations
@@ -77,28 +79,19 @@ class TreeCertificate:
     color: int
     edges: tuple[tuple[int, int], ...]
     vertices: tuple[int, ...]
-    chi_lower_used: int
 
     def to_json(self) -> dict:
         return {
             "color": self.color,
             "edges": [list(e) for e in self.edges],
             "vertices": list(self.vertices),
-            "chi_lower_used": self.chi_lower_used,
         }
 
     @staticmethod
     def from_json(data) -> "TreeCertificate":
         """Inverse of to_json; ValueError when data has another shape."""
-        color, edges, vertices, bound = json_fields(
-            data, "color", "edges", "vertices", "chi_lower_used"
-        )
-        return TreeCertificate(
-            color=json_int(color),
-            edges=json_edges(edges),
-            vertices=json_ints(vertices),
-            chi_lower_used=json_int(bound),
-        )
+        color, edges, vertices = json_fields(data, "color", "edges", "vertices")
+        return TreeCertificate(json_int(color), json_edges(edges), json_ints(vertices))
 
 
 def build_dual(ec: EdgeColoring) -> DualMultigraph:
@@ -192,26 +185,13 @@ def vertex_coloring_from_dual(
     return vc
 
 
-def mono_tree_certificate(
-    ec: EdgeColoring, dual: DualMultigraph, chi_lower: int
-) -> TreeCertificate:
+def mono_tree_certificate(ec: EdgeColoring, dual: DualMultigraph) -> TreeCertificate:
     """Spanning tree of the dual's largest node, a largest monochromatic
-    component of ec; ties go to the lowest minimum vertex, then to red.
-
-    chi_lower must be a true lower bound on chi(g); the certificate's
-    component is then guaranteed to reach that size, and falling short
-    raises InternalInconsistencyError rather than returning a weak witness.
-    """
+    component of ec; ties go to the lowest minimum vertex, then to red."""
     nodes = [(RED, comp) for comp in dual.left] + [(BLUE, comp) for comp in dual.right]
     if not nodes:
         raise ValueError("the empty graph has no components")
     color, comp = min(nodes, key=lambda node: (-len(node[1]), node[1][0], node[0]))
-    if len(comp) < chi_lower:
-        raise InternalInconsistencyError(
-            f"largest monochromatic component has {len(comp)} vertices, "
-            f"below the claimed chromatic lower bound {chi_lower}; "
-            "the supplied bound cannot be correct"
-        )
     sub = ec.classes[color - 1]
     root = comp[0]
     seen = 1 << root
@@ -227,9 +207,4 @@ def mono_tree_certificate(
         frontier = nxt
     if tuple(iter_bits(seen)) != comp:
         raise ValueError(f"dual component {comp} is not a component of this coloring")
-    return TreeCertificate(
-        color=color,
-        edges=tuple(sorted(tree_edges)),
-        vertices=tuple(comp),
-        chi_lower_used=chi_lower,
-    )
+    return TreeCertificate(color, tuple(sorted(tree_edges)), comp)

@@ -3,17 +3,49 @@
 Each checker returns a list of problem strings (empty means the certificate
 holds) and avoids the code paths that built the object: tree shape is
 checked with union-find rather than BFS, matchings by direct endpoint
-bookkeeping, and chromatic witnesses by a per-edge scan.
+bookkeeping, and every vertex coloring (a chi witness, a tree's derived
+classes, a matching miss, reduced classes) by one proper-partition check.
 """
 
 from __future__ import annotations
 
-from .graphs import EdgeColoring, Graph, json_int, json_ints, json_list
-from .matching import MatchingCertificate, ReducedInstance
+from .graphs import EdgeColoring, Graph, json_classes, json_int
+from .matching import (
+    MatchingCertificate,
+    MatchingTargets,
+    ReducedInstance,
+    ramsey_matching_number,
+)
 from .tree_cert import TreeCertificate
 
 
-def check_tree_certificate(ec: EdgeColoring, cert: TreeCertificate) -> list[str]:
+def check_partition(g: Graph, classes) -> list[str]:
+    """Problems with classes as a proper coloring of g: each class
+    non-empty and independent, every vertex 0..n-1 in exactly one."""
+    problems = []
+    class_of: dict[int, int] = {}
+    for i, cls in enumerate(classes):
+        if not cls:
+            problems.append(f"class {i} is empty")
+        for v in cls:
+            if v in class_of:
+                problems.append(f"vertex {v} appears in two classes")
+            class_of[v] = i
+    if set(class_of) != set(range(g.n)):
+        problems.append("classes do not cover vertices 0..n-1 exactly")
+        return problems
+    for u, v in g.edges():
+        if class_of[u] == class_of[v]:
+            problems.append(f"edge ({u},{v}) lies inside class {class_of[u]}")
+    return problems
+
+
+def check_tree_certificate(
+    ec: EdgeColoring, cert: TreeCertificate, derived_classes
+) -> list[str]:
+    """The tree is a monochromatic tree of ec, and derived_classes, a
+    proper coloring of the host with no more classes than the tree has
+    vertices, shows that the tree spans at least chi vertices."""
     g = ec.graph
     problems = []
     verts = set(cert.vertices)
@@ -52,10 +84,11 @@ def check_tree_certificate(ec: EdgeColoring, cert: TreeCertificate) -> list[str]
             parent[ru] = rv
     if not problems and len({find(v) for v in verts}) != 1:
         problems.append("edges do not connect the vertex set")
-    if len(verts) < cert.chi_lower_used:
+    problems += [f"derived coloring: {p}" for p in check_partition(g, derived_classes)]
+    if len(derived_classes) > len(verts):
         problems.append(
-            f"tree spans {len(verts)} vertices, below the claimed bound "
-            f"{cert.chi_lower_used}"
+            f"derived coloring has {len(derived_classes)} classes, more than "
+            f"the {len(verts)} vertices of the tree"
         )
     return problems
 
@@ -83,48 +116,49 @@ def check_matching_certificate(ec: EdgeColoring, cert: MatchingCertificate) -> l
     return problems
 
 
+def check_matching_miss(g: Graph, classes, targets: MatchingTargets) -> list[str]:
+    """A miss holds up when its coloring is proper with fewer than R colors:
+    then chi < R, and the theorem promises no matching."""
+    problems = check_partition(g, classes)
+    need = ramsey_matching_number(targets)
+    if len(classes) >= need:
+        problems.append(
+            f"coloring has {len(classes)} classes, not fewer than R = {need}; "
+            "a matching is guaranteed"
+        )
+    return problems
+
+
 def check_chi_witness(g: Graph, data: dict) -> list[str]:
-    """Check a chi-result JSON: classes partition V, are proper, count == upper."""
+    """Check a chi-result JSON: classes are a proper coloring with upper
+    classes, and a lower bound of at most 2 holds (1 needs a vertex, 2 an
+    edge, and no bound exceeds n). A larger lower bound is not checked."""
     try:
-        classes = [json_ints(cls) for cls in json_list(data.get("classes"))]
+        classes = json_classes(data.get("classes"))
         lower, upper = json_int(data.get("lower", 0)), json_int(data.get("upper"))
     except ValueError as e:
         return [f"malformed chi result: {e}"]
-    problems = []
-    assign: dict[int, int] = {}
-    for i, cls in enumerate(classes):
-        if not cls:
-            problems.append(f"class {i} is empty")
-        for v in cls:
-            if v in assign:
-                problems.append(f"vertex {v} appears in two classes")
-            assign[v] = i
-    if set(assign) != set(range(g.n)):
-        problems.append("classes do not cover vertices 0..n-1 exactly")
-        return problems
-    for u, v in g.edges():
-        if assign[u] == assign[v]:
-            problems.append(f"edge ({u},{v}) is monochromatic in the witness")
+    problems = check_partition(g, classes)
     if len(classes) != upper:
         problems.append(f"witness uses {len(classes)} classes but upper is {upper}")
     if lower > upper:
         problems.append("lower bound exceeds upper bound")
     if data.get("exact") and data.get("lower") != upper:
         problems.append("exact result with lower != upper")
+    if lower > g.n:
+        problems.append(f"lower bound {lower} exceeds the {g.n} vertices")
+    elif lower >= 2 and not any(g.adj):
+        problems.append(f"lower bound {lower} on a graph with no edge")
     return problems
 
 
 def check_reduced_instance(ec: EdgeColoring, ri: ReducedInstance) -> list[str]:
     g = ec.graph
-    problems = []
-    seen: set[int] = set()
-    for cls in ri.classes:
-        for v in cls:
-            if v in seen:
-                problems.append(f"vertex {v} appears in two classes")
-            seen.add(v)
-    if seen != set(range(g.n)):
-        problems.append("classes do not partition the vertex set")
+    problems = check_partition(g, ri.classes)
+    class_of = {v: i for i, cls in enumerate(ri.classes) for v in cls}
+    missing = ri.k * (ri.k - 1) // 2 - len(ri.edge_color)
+    if missing:
+        problems.append(f"{missing} class pairs have no color")
     for (i, j), color in ri.edge_color.items():
         u, v = ri.provenance[(i, j)]
         if not g.has_edge(u, v):
@@ -134,8 +168,6 @@ def check_reduced_instance(ec: EdgeColoring, ri: ReducedInstance) -> list[str]:
             problems.append(
                 f"provenance ({u},{v}) has color {ec.color_of(u, v)}, not {color}"
             )
-        in_i = u in ri.classes[i] or v in ri.classes[i]
-        in_j = u in ri.classes[j] or v in ri.classes[j]
-        if not (in_i and in_j and {u, v} <= set(ri.classes[i]) | set(ri.classes[j])):
+        if {class_of.get(u), class_of.get(v)} != {i, j}:
             problems.append(f"provenance ({u},{v}) does not join classes {i} and {j}")
     return problems

@@ -4,12 +4,24 @@ Each oracle favors transparency over speed and shares no code path with the
 implementation it checks: chromatic number by subset DP over independent
 sets, matching number by memoized take-or-skip recursion (with a literal
 edge-subset variant for tiny graphs), components by union-find, and forest
-containment by trying every injection.
+containment by trying every injection. The goodness table below is the one
+list of hunts whose verdict a theorem settles.
 """
 
 from itertools import combinations, permutations
 
 from monocert.graphs import Graph, iter_bits
+from monocert.hunter import path_pattern, star_pattern
+
+# Goodness regressions: (name, pattern, t, ramsey value), settled by theorem
+# so that no hunt may find a counterexample. The path-4 entry for t=3 is
+# carried as a config only; no outcome is asserted for it.
+GOODNESS_REGRESSIONS = (
+    ("star-2", star_pattern(2), 2, 3),
+    ("star-3", star_pattern(3), 2, 6),
+    ("path-4", path_pattern(4), 2, 5),
+    ("path-4-t3", path_pattern(4), 3, 6),
+)
 
 
 def chromatic_number_dp(g: Graph) -> int:

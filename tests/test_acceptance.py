@@ -16,15 +16,14 @@ from monocert.hunter import (
     generate_candidates,
     hunt,
     matching_pattern,
-    path_pattern,
     ramsey_bruteforce,
     random_graph,
-    star_pattern,
 )
 from monocert.matching import (
     MatchingTargets,
     find_mono_matching,
     find_mono_matching_kiraly,
+    kiraly_reduce,
     maximum_matching,
     ramsey_matching_number,
 )
@@ -37,6 +36,7 @@ from monocert.tree_cert import (
 from monocert.verify import check_matching_certificate, check_tree_certificate
 
 from oracles import (
+    GOODNESS_REGRESSIONS,
     chromatic_number_dp,
     matching_number_recursive,
     max_mono_component_size,
@@ -97,8 +97,10 @@ def test_criterion_2_tree_theorem_exhaustive():
             if biggest < chi:
                 problems.append(f"{g.n}-vertex host: component {biggest} < chi {chi}")
                 continue
-            cert = mono_tree_certificate(ec, build_dual(ec), chi)
-            bad = check_tree_certificate(ec, cert)
+            dual = build_dual(ec)
+            cert = mono_tree_certificate(ec, dual)
+            derived = vertex_coloring_from_dual(g, dual, edge_color_dual(dual)).classes()
+            bad = check_tree_certificate(ec, cert, derived)
             if bad:
                 problems.append(f"{g.n}-vertex host: {bad[0]}")
         if count != 2 ** g.m:
@@ -160,19 +162,18 @@ def test_criterion_4_matching_both_routes():
             r = mc.chi_exact(g)
             if not r.exact or r.lower < chi_min:
                 problems.append(f"host on {g.n} vertices has chi {r.lower} < {chi_min}")
-            witnesses[id(g)] = (r.lower, r.witness)
+            witnesses[id(g)] = mc.greedy_upper(g).witness
         for i in range(500):
             g = hosts[i % len(hosts)]
-            chi, vc = witnesses[id(g)]
             ec = mc.EdgeColoring.of(g, {e: rng.randint(1, t) for e in g.edges()}, t)
-            direct = find_mono_matching(ec, targets, chi_lower=chi)
+            direct = find_mono_matching(ec, targets)
             if direct is None:
                 problems.append(f"direct route came up empty on {g.n} vertices")
                 continue
             bad = check_matching_certificate(ec, direct)
             if bad:
                 problems.append(f"direct: {bad[0]}")
-            lifted = find_mono_matching_kiraly(ec, vc, targets, chi_lower=chi)
+            lifted = find_mono_matching_kiraly(kiraly_reduce(ec, witnesses[id(g)]), targets)
             if lifted is None:
                 problems.append(f"reduction route came up empty on {g.n} vertices")
                 continue
@@ -253,11 +254,8 @@ def test_criterion_8_goodness_regressions():
         ]
         + list(generate_candidates("mycielski:4"))
     )
-    configs = [
-        ("star-2", star_pattern(2), 2, 3),
-        ("star-3", star_pattern(3), 2, 6),
-        ("path-4", path_pattern(4), 2, 5),
-    ]
+    # the t=3 row of the table is a config only
+    configs = [row for row in GOODNESS_REGRESSIONS if row[2] == 2]
     for name, pattern, t, rv in configs:
         report = hunt(pattern, t, rv, candidate_pool, colorings_budget=10_000_000)
         if report.counterexample is not None:
@@ -281,9 +279,6 @@ def test_criterion_8_goodness_regressions():
 def test_criterion_8_sanity_patterns_embed():
     # the regression table's positive side: each pattern really does sit
     # inside every eligible candidate (otherwise criterion 8 is vacuous)
-    for _, pattern, _, rv in (
-        ("star-2", star_pattern(2), 2, 3),
-        ("path-4", path_pattern(4), 2, 5),
-    ):
+    for _, pattern, _, rv in GOODNESS_REGRESSIONS:
         host = mc.complete_graph(rv)
         assert contains_forest(host, pattern) is not None

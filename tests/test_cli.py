@@ -108,7 +108,7 @@ def test_tree_cert_end_to_end(tmp_path, capsys, grotzsch, rng):
     cert = doc["certificate"]
     assert len(cert["vertices"]) >= 4
     assert len(cert["edges"]) == len(cert["vertices"]) - 1
-    assert doc["chi"]["exact"] is True and doc["chi"]["lower"] == 4
+    assert "chi" not in doc and doc["kind"] == "tree"
     dual = doc["dual"]
     assert dual["max_degree"] >= 4
     assert len(cert["vertices"]) == dual["max_degree"]
@@ -116,25 +116,22 @@ def test_tree_cert_end_to_end(tmp_path, capsys, grotzsch, rng):
     assert len(doc["derived_classes"]) == dual["max_degree"]
     rc2, vdoc = run(capsys, ["verify", str(out), gf, "--coloring", cf])
     assert rc2 == 0 and vdoc["ok"] is True and vdoc["kind"] == "tree"
+    assert vdoc["unchecked"] == []
 
 
 def test_tree_cert_trusted_bound(tmp_path, capsys, c5):
+    # no bound is taken on trust: the option is gone, and the derived
+    # classes carry the proof instead
     gf = write_graph_file(tmp_path, c5)
     ec = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2)
     cf = write_coloring_file(tmp_path, ec)
-    rc, doc = run(capsys, ["tree-cert", gf, "--coloring", cf, "--chi-lower", "3"])
-    assert rc == 0
-    assert doc["chi"] is None
-    assert doc["certificate"]["chi_lower_used"] == 3
-
-
-def test_tree_cert_false_bound_exit_two(tmp_path, capsys):
-    g = mc.path_graph(6)
-    gf = write_graph_file(tmp_path, g)
-    ec = mc.EdgeColoring.of(g, {e: 1 if e[0] % 2 == 0 else 2 for e in g.edges()}, 2)
-    cf = write_coloring_file(tmp_path, ec)
-    assert main(["tree-cert", gf, "--coloring", cf, "--chi-lower", "3"]) == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["tree-cert", gf, "--coloring", cf, "--chi-lower", "3"])
+    assert exc.value.code == 2
+    assert "--chi-lower" in capsys.readouterr().err
+    rc, doc = run(capsys, ["tree-cert", gf, "--coloring", cf])
+    assert rc == 0 and "chi_lower_used" not in doc["certificate"]
+    assert len(doc["derived_classes"]) == len(doc["certificate"]["vertices"]) == 5
 
 
 def test_tree_cert_coloring_mismatch_exit_two(tmp_path, capsys, c5, k4):
@@ -158,11 +155,16 @@ def test_verify_catches_tampered_tree_cert(tmp_path, capsys, grotzsch, rng):
     out = tmp_path / "cert.json"
     run(capsys, ["tree-cert", gf, "--coloring", cf, "--json-out", str(out)])
     doc = json.loads(out.read_text())
-    doc["certificate"]["chi_lower_used"] = 99
-    tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(doc))
-    rc, vdoc = run(capsys, ["verify", str(tampered), gf, "--coloring", cf])
-    assert rc == 2 and vdoc["ok"] is False and vdoc["problems"]
+    classes = doc["derived_classes"]
+    u, v = grotzsch.edges()[0]
+    cu, cv = (next(c for c in classes if x in c) for x in (u, v))
+    joined = [c for c in classes if c not in (cu, cv)] + [sorted(cu + cv)]
+    for name, derived in (("missing-class", classes[1:]), ("edge-inside", joined)):
+        tampered = tmp_path / f"{name}.json"
+        tampered.write_text(json.dumps({**doc, "derived_classes": derived}))
+        rc, vdoc = run(capsys, ["verify", str(tampered), gf, "--coloring", cf])
+        assert rc == 2 and vdoc["ok"] is False, name
+        assert any("derived coloring" in p for p in vdoc["problems"]), name
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +194,20 @@ def test_match_cert_not_found_exit_one(tmp_path, capsys):
     gf = write_graph_file(tmp_path, g)
     ec = mc.EdgeColoring.of(g, {(0, 1): 1, (0, 2): 1, (0, 3): 2, (0, 4): 2}, 2)
     cf = write_coloring_file(tmp_path, ec)
-    rc, doc = run(capsys, ["match-cert", gf, "--coloring", cf, "--targets", "2,2"])
-    assert rc == 1 and doc["certificate"] is None
+    for extra in ([], ["--kiraly"]):
+        out = tmp_path / "m.json"
+        rc, doc = run(capsys, ["match-cert", gf, "--coloring", cf, "--targets", "2,2",
+                               "--json-out", str(out), *extra])
+        assert rc == 1 and doc["certificate"] is None
+        assert doc["coloring"] == [[0], [1, 2, 3, 4]] and doc["targets"] == [2, 2]
+        rc2, vdoc = run(capsys, ["verify", str(out), gf, "--coloring", cf])
+        assert rc2 == 0 and vdoc["ok"] is True
+        assert vdoc["unchecked"] == ["no color reaches its target"]
+        # a miss whose coloring reaches R = 5 classes proves nothing
+        doc["coloring"] = [[0], [1], [2], [3], [4]]
+        out.write_text(json.dumps(doc))
+        rc3, vdoc3 = run(capsys, ["verify", str(out), gf, "--coloring", cf])
+        assert rc3 == 2 and any("R = 5" in p for p in vdoc3["problems"])
 
 
 def test_match_cert_bad_targets_exit_two(tmp_path, capsys, c5):
@@ -266,6 +280,23 @@ def test_reduce_end_to_end(tmp_path, capsys, rng):
     assert len(inst["pairs"]) == 15
     rc2, vdoc = run(capsys, ["verify", str(out), gf, "--coloring", cf])
     assert rc2 == 0 and vdoc["kind"] == "reduced"
+    # forged instances: an edge inside a class, and a class pair left out
+    path = mc.path_graph(3)
+    pf = write_graph_file(tmp_path, path, "path.txt")
+    pcf = write_coloring_file(tmp_path, mc.EdgeColoring.of(path, {(0, 1): 1, (1, 2): 1}, 1), "pc.txt")
+    k3 = mc.complete_graph(3)
+    kf = write_graph_file(tmp_path, k3, "k3.txt")
+    kcf = write_coloring_file(tmp_path, mc.EdgeColoring.of(k3, {e: 1 for e in k3.edges()}, 1), "kc.txt")
+    forged = (
+        (mc.ReducedInstance(1, ((0, 1), (2,)), {(0, 1): 1}, {(0, 1): (1, 2)}), pf, pcf,
+         "edge (0,1) lies inside class 0"),
+        (mc.ReducedInstance(1, ((0,), (1,), (2,)), {(0, 1): 1}, {(0, 1): (0, 1)}), kf, kcf,
+         "2 class pairs have no color"),
+    )
+    for ri, graph_file, coloring_file, problem in forged:
+        out.write_text(json.dumps({"kind": "reduced", "instance": ri.to_json()}))
+        rc3, vdoc3 = run(capsys, ["verify", str(out), graph_file, "--coloring", coloring_file])
+        assert rc3 == 2 and any(problem in p for p in vdoc3["problems"])
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +423,14 @@ def test_verify_chi_witness(tmp_path, capsys, petersen):
     bad.write_text(json.dumps(doc))
     rc2, vdoc2 = run(capsys, ["verify", str(bad), gf])
     assert rc2 == 2 and not vdoc2["ok"]
+    # a lower bound above 2 is listed as unchecked; up to 2 it is re-derived
+    assert vdoc["unchecked"] == ["chi lower bound"]
+    edgeless = write_graph_file(tmp_path, mc.Graph.from_edges(2, []), "edgeless.txt")
+    for lower, ok in ((1, True), (2, False), (3, False)):
+        out.write_text(json.dumps({"kind": "chi", "lower": lower, "upper": 2,
+                                   "exact": lower == 2, "classes": [[0], [1]]}))
+        rc, vdoc = run(capsys, ["verify", str(out), edgeless])
+        assert (rc == 0) is ok and vdoc["ok"] is ok and vdoc["unchecked"] == []
 
 
 def test_verify_needs_graph_exit_two(tmp_path, capsys, c5):
@@ -423,24 +462,31 @@ def test_verify_unknown_shape_exit_two(tmp_path, capsys):
 
 
 MALFORMED = {
-    "matching-edge-not-a-pair": ({"color": 1, "target": 1, "edges": [1]}, True),
-    "matching-vertex-out-of-range": ({"color": 1, "target": 1, "edges": [[7, 9]]}, True),
+    "matching-edge-not-a-pair": ({"kind": "matching", "certificate": {
+        "color": 1, "target": 1, "edges": [1]}}, True),
+    "matching-vertex-out-of-range": ({"kind": "matching", "certificate": {
+        "color": 1, "target": 1, "edges": [[7, 9]]}}, True),
+    "matching-miss-without-targets": ({"kind": "matching", "certificate": None,
+                                       "coloring": [[0, 2], [1, 3], [4]]}, True),
+    "tree-without-derived-classes": ({"kind": "tree", "certificate": {
+        "color": 1, "edges": [[0, 1]], "vertices": [0, 1]}}, True),
     "bare-number": (5, False),
+    "certificate-without-kind": ({"color": 1, "target": 1, "edges": [[0, 1]]}, True),
     "hunt-coloring-not-a-list": ({
-        "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
+        "kind": "hunt", "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
         "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": 5},
     }, False),
     "hunt-coloring-misses-an-edge": ({
-        "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
+        "kind": "hunt", "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
         "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": [[0, 1, 1]]},
     }, False),
     "hunt-coloring-edge-twice": ({
-        "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
+        "kind": "hunt", "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
         "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": [
             [0, 1, 1], [0, 1, 2], [0, 4, 1], [1, 2, 2], [2, 3, 1], [3, 4, 2],
         ]},
     }, False),
-    "chi-classes-not-a-list": ({"classes": 5, "upper": 1, "lower": 1}, True),
+    "chi-classes-not-a-list": ({"kind": "chi", "classes": 5, "upper": 1, "lower": 1}, True),
 }
 
 

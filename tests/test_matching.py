@@ -13,6 +13,7 @@ from monocert.matching import (
     kiraly_reduce,
     lift_matching,
     maximum_matching,
+    miss_witness,
     ramsey_matching_number,
 )
 from monocert.hunter import random_graph
@@ -80,7 +81,7 @@ def test_find_mono_matching_exhaustive_k5():
     edges = g.edges()
     for bits in product((1, 2), repeat=len(edges)):
         ec = mc.EdgeColoring.of(g, dict(zip(edges, bits)), 2)
-        cert = find_mono_matching(ec, targets, chi_lower=5)
+        cert = find_mono_matching(ec, targets)
         assert cert is not None
         assert len(cert.edges) == cert.target == 2
         assert check_matching_certificate(ec, cert) == []
@@ -94,11 +95,18 @@ def test_find_mono_matching_none_when_avoidable():
     assert find_mono_matching(hec, MatchingTargets((1, 1))) is not None
 
 
-def test_find_mono_matching_rejects_false_bound():
+def test_miss_witness_refuses_classes_reaching_ramsey():
     h = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     hec = mc.EdgeColoring.of(h, {(0, 1): 1, (0, 2): 1, (0, 3): 2}, 2)
-    with pytest.raises(InternalInconsistencyError):
-        find_mono_matching(hec, MatchingTargets((2, 2)), chi_lower=5)
+    targets = MatchingTargets((2, 2))
+    ri = kiraly_reduce(hec, mc.greedy_upper(h).witness)
+    assert miss_witness(ri, targets) == ((0,), (1, 2, 3))
+    # K5 has R(2,2) = 5 classes that no merge can join, so no miss may
+    # ever be reported on it
+    k5 = mc.complete_graph(5)
+    ec = mc.EdgeColoring.of(k5, {e: 1 for e in k5.edges()}, 2)
+    with pytest.raises(InternalInconsistencyError, match="reach the matching Ramsey number 5"):
+        miss_witness(kiraly_reduce(ec, mc.greedy_upper(k5).witness), targets)
     with pytest.raises(ValueError):
         find_mono_matching(hec, MatchingTargets((2, 2, 2)))
 
@@ -225,11 +233,11 @@ def test_reduction_route_end_to_end(rng, random_coloring):
     targets = MatchingTargets((3, 2))
     for _ in range(100):
         ec = random_coloring(g, 2, rng)
-        vc = mc.chi_exact(g).witness
-        cert = find_mono_matching_kiraly(ec, vc, targets, chi_lower=7)
+        vc = mc.greedy_upper(g).witness
+        cert = find_mono_matching_kiraly(kiraly_reduce(ec, vc), targets)
         assert cert is not None
         assert check_matching_certificate(ec, cert) == []
-        direct = find_mono_matching(ec, targets, chi_lower=7)
+        direct = find_mono_matching(ec, targets)
         assert direct is not None
         assert check_matching_certificate(ec, direct) == []
 
@@ -240,10 +248,10 @@ def test_reduction_route_agrees_with_direct(rng, random_coloring):
     targets = MatchingTargets((2, 2))
     for _ in range(60):
         g = random_graph(8, 0.6, rng)
-        r = mc.chi_exact(g)
+        r = mc.greedy_upper(g)
         if r.upper < 2:
             continue
         ec = random_coloring(g, 2, rng)
-        cert = find_mono_matching_kiraly(ec, r.witness, targets)
+        cert = find_mono_matching_kiraly(kiraly_reduce(ec, r.witness), targets)
         if cert is not None:
             assert check_matching_certificate(ec, cert) == []

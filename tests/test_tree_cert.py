@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 import monocert as mc
-from monocert.graphs import Graph, InternalInconsistencyError
+from monocert.graphs import Graph
 from monocert.chromatic import verify_proper
 from monocert.tree_cert import (
     BLUE,
@@ -22,6 +22,13 @@ from oracles import max_mono_component_size
 def oracle_max_comp(g, ec):
     colors = {(u, v): c for u, v, c in ec.to_json()}
     return max(max_mono_component_size(g, colors, c) for c in (RED, BLUE))
+
+
+def certify(ec):
+    """The tree certificate of ec and its derived classes."""
+    dual = build_dual(ec)
+    derived = vertex_coloring_from_dual(ec.graph, dual, edge_color_dual(dual)).classes()
+    return mono_tree_certificate(ec, dual), derived
 
 
 def all_two_colorings(g):
@@ -109,7 +116,7 @@ def test_pipeline_exhaustive_small(c5, k4):
 def test_max_mono_component_matches_oracle(petersen, rng, random_coloring):
     for _ in range(200):
         ec = random_coloring(petersen, 2, rng)
-        cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=1)
+        cert = mono_tree_certificate(ec, build_dual(ec))
         assert cert.color in (RED, BLUE)
         assert len(cert.vertices) == oracle_max_comp(petersen, ec)
 
@@ -121,63 +128,67 @@ def test_max_mono_component_tie_break(k4):
         (0, 1): RED, (1, 2): RED, (2, 3): RED,
         (0, 2): BLUE, (0, 3): BLUE, (1, 3): BLUE,
     }, 2)
-    cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=4)
+    cert = mono_tree_certificate(ec, build_dual(ec))
     assert cert.color == RED and cert.vertices == (0, 1, 2, 3)
 
 
 def test_mono_tree_certificate_valid(grotzsch, rng, random_coloring):
     for _ in range(50):
         ec = random_coloring(grotzsch, 2, rng)
-        cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=4)
-        assert check_tree_certificate(ec, cert) == []
+        cert, derived = certify(ec)
+        assert check_tree_certificate(ec, cert, derived) == []
+        assert len(derived) == len(cert.vertices)
         assert len(cert.vertices) >= 4
         assert len(cert.edges) == len(cert.vertices) - 1
 
 
-def test_mono_tree_certificate_rejects_false_bound():
+def test_mono_tree_certificate_rejects_foreign_dual():
     # a path is 2-chromatic; alternate its colors so every monochromatic
-    # component has 2 vertices, then claim chi >= 3
+    # component has 2 vertices
     g = mc.path_graph(6)
     ec = mc.EdgeColoring.of(g, {e: RED if e[0] % 2 == 0 else BLUE for e in g.edges()}, 2)
-    cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=2)
-    assert len(cert.vertices) == 2
-    with pytest.raises(InternalInconsistencyError):
-        mono_tree_certificate(ec, build_dual(ec), chi_lower=3)
+    cert, derived = certify(ec)
+    assert len(cert.vertices) == len(derived) == 2
+    assert check_tree_certificate(ec, cert, derived) == []
     # the dual of another coloring names a component this one lacks
     all_red = mc.EdgeColoring.of(g, {e: RED for e in g.edges()}, 2)
     with pytest.raises(ValueError, match="not a component"):
-        mono_tree_certificate(ec, build_dual(all_red), chi_lower=2)
+        mono_tree_certificate(ec, build_dual(all_red))
 
 
 def test_tree_certificate_json_round_trip(c5):
     ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
-    cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=3)
+    cert = mono_tree_certificate(ec, build_dual(ec))
     again = mc.TreeCertificate.from_json(cert.to_json())
     assert again == cert
 
 
 def test_check_tree_certificate_catches_tampering(c5):
     ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
-    cert = mono_tree_certificate(ec, build_dual(ec), chi_lower=3)
-    assert check_tree_certificate(ec, cert) == []
+    cert, derived = certify(ec)
+    assert check_tree_certificate(ec, cert, derived) == []
 
-    wrong_color = mc.TreeCertificate(BLUE, cert.edges, cert.vertices, 3)
-    assert check_tree_certificate(ec, wrong_color)
+    wrong_color = mc.TreeCertificate(BLUE, cert.edges, cert.vertices)
+    assert check_tree_certificate(ec, wrong_color, derived)
 
-    cyclic = mc.TreeCertificate(
-        RED, tuple(sorted(cert.edges + ((0, 4),))), cert.vertices, 3
-    )
-    assert any("cycle" in p or "|V|-1" in p for p in check_tree_certificate(ec, cyclic))
+    cyclic = mc.TreeCertificate(RED, tuple(sorted(cert.edges + ((0, 4),))), cert.vertices)
+    assert any("cycle" in p or "|V|-1" in p for p in check_tree_certificate(ec, cyclic, derived))
 
-    fake_edge = mc.TreeCertificate(RED, ((0, 2),) + cert.edges[1:], cert.vertices, 3)
-    assert check_tree_certificate(ec, fake_edge)
+    fake_edge = mc.TreeCertificate(RED, ((0, 2),) + cert.edges[1:], cert.vertices)
+    assert check_tree_certificate(ec, fake_edge, derived)
 
-    inflated = mc.TreeCertificate(RED, cert.edges, cert.vertices, 9)
-    assert any("below the claimed bound" in p for p in check_tree_certificate(ec, inflated))
+    # a smaller tree than its derived classes, and derived classes that
+    # lack a vertex or hold an edge
+    shrunk = mc.TreeCertificate(RED, cert.edges[:2], (0, 1, 2))
+    assert any("more than" in p for p in check_tree_certificate(ec, shrunk, derived))
+    assert any("cover" in p for p in check_tree_certificate(ec, cert, derived[1:]))
+    joined = ((0, 1),) + tuple(c for c in derived if 0 not in c and 1 not in c)
+    assert any("inside class 0" in p for p in check_tree_certificate(ec, cert, joined))
 
 
 def test_check_tree_certificate_rejects_forest():
     g = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (2, 3)])
     ec = mc.EdgeColoring.of(g, {e: RED for e in g.edges()}, 2)
-    split = mc.TreeCertificate(RED, ((0, 1), (2, 3)), (0, 1, 2, 3), 2)
-    assert any("|V|-1" in p for p in check_tree_certificate(ec, split))
+    split = mc.TreeCertificate(RED, ((0, 1), (2, 3)), (0, 1, 2, 3))
+    derived = ((0, 2), (1, 3), (4,))
+    assert any("|V|-1" in p for p in check_tree_certificate(ec, split, derived))
