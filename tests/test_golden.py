@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from monocert import chromatic
 from monocert.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,8 +32,6 @@ CASES = {
     "chi-mycielski4": ["chi", "@mycielski4.txt"],
     "chi-budget": ["chi", "@mycielski4.txt", "--budget", "1"],
     "tree-cert": ["tree-cert", "@grotzsch.txt", "--coloring", "@grotzsch-2.col"],
-    "tree-cert-trusted": ["tree-cert", "@grotzsch.txt", "--coloring", "@grotzsch-2.col",
-                          "--chi-lower", "3"],
     "tree-cert-tie": ["tree-cert", "@k4.txt", "--coloring", "@k4-tie.col"],
     "match-direct": ["match-cert", "@k5.txt", "--coloring", "@k5-2.col", "--targets", "2,2"],
     "match-kiraly": ["match-cert", "@k5.txt", "--coloring", "@k5-2.col", "--targets", "2,2",
@@ -43,6 +42,8 @@ CASES = {
                              "--targets", "2,2,2", "--kiraly"],
     "match-none": ["match-cert", "@star4.txt", "--coloring", "@star4-2.col",
                    "--targets", "2,2"],
+    "match-none-kiraly": ["match-cert", "@star4.txt", "--coloring", "@star4-2.col",
+                          "--targets", "2,2", "--kiraly"],
     "reduce": ["reduce", "@k7.txt", "--coloring", "@k7-3.col"],
     "ramsey-formula": ["ramsey", "--targets", "3,2"],
     "ramsey-n4": ["ramsey", "--targets", "2,2", "--n", "4"],
@@ -74,6 +75,9 @@ CASES = {
     "verify-tree": ["verify", "%tree-cert", "@grotzsch.txt", "--coloring", "@grotzsch-2.col"],
     "verify-match-direct": ["verify", "%match-direct", "@k5.txt", "--coloring", "@k5-2.col"],
     "verify-match-kiraly": ["verify", "%match-kiraly", "@k5.txt", "--coloring", "@k5-2.col"],
+    "verify-match-none": ["verify", "%match-none", "@star4.txt", "--coloring", "@star4-2.col"],
+    "verify-match-none-kiraly": ["verify", "%match-none-kiraly", "@star4.txt",
+                                 "--coloring", "@star4-2.col"],
     "verify-reduce": ["verify", "%reduce", "@k7.txt", "--coloring", "@k7-3.col"],
     "verify-hunt-counterexample": ["verify", "%hunt-g6-file"],
     "verify-hunt-settled": ["verify", "%hunt-kneser"],
@@ -108,6 +112,22 @@ def run_case(name: str, tmp: Path, recorded: dict) -> dict:
 def test_golden(name, tmp_path):
     recorded = json.loads(EXPECTED.read_text())
     assert run_case(name, tmp_path, recorded) == recorded[name]
+
+
+def test_certificates_skip_chi_search(tmp_path, monkeypatch):
+    # tree-cert, match-cert (both routes, hit and miss) and reduce certify
+    # without the exact chromatic search
+    def refuse(*args, **kwargs):
+        raise AssertionError("chi_exact was called")
+
+    monkeypatch.setattr(chromatic, "chi_exact", refuse)
+    recorded = json.loads(EXPECTED.read_text())
+    names = [name for name, argv in CASES.items()
+             if argv[0] in ("tree-cert", "match-cert", "reduce")]
+    assert {"match-direct", "match-kiraly", "match-none", "match-none-kiraly",
+            "reduce", "tree-cert"} <= set(names)
+    for name in names:
+        assert run_case(name, tmp_path, recorded) == recorded[name], name
 
 
 if __name__ == "__main__":
