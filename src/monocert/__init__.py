@@ -17,15 +17,13 @@ from .graphs import (
     complete_graph,
     complete_multipartite,
     connected_components,
-    cycle_graph,
     parse_edge_coloring,
     parse_graph,
     path_graph,
     star_graph,
-    write_edge_coloring,
     write_graph,
 )
-from .chromatic import ChiResult, chi_exact, clique_lower, greedy_upper, verify_proper
+from .chromatic import ChiResult, chi_exact, greedy_upper, verify_proper
 from .tree_cert import (
     DualMultigraph,
     TreeCertificate,
@@ -51,7 +49,6 @@ from .hunter import (
     ArrowingResult,
     HuntReport,
     contains_forest,
-    embed_tree_folklore,
     generate_candidates,
     hunt,
     kneser_graph,

@@ -95,12 +95,6 @@ def _greedy_clique(g: Graph) -> list[int]:
     return best
 
 
-def clique_lower(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return len(_greedy_clique(g))
-
-
 class _Budget(Exception):
     pass
 

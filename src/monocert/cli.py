@@ -252,16 +252,16 @@ def _cmd_verify(args) -> int:
                 ec, tree_cert.TreeCertificate.from_json(cert), json_classes(derived)
             )
         elif kind == "matching":
-            (cert,) = json_fields(data, "certificate")
+            cert, targets = json_fields(data, "certificate", "targets")
+            targets = matching.MatchingTargets.of(json_ints(targets))
             if cert is not None:
                 problems = verify.check_matching_certificate(
-                    ec, matching.MatchingCertificate.from_json(cert)
+                    ec, matching.MatchingCertificate.from_json(cert), targets
                 )
             else:
-                coloring, targets = json_fields(data, "coloring", "targets")
+                (coloring,) = json_fields(data, "coloring")
                 problems = verify.check_matching_miss(
-                    ec.graph, json_classes(coloring),
-                    matching.MatchingTargets.of(json_ints(targets)),
+                    ec.graph, json_classes(coloring), targets
                 )
                 unchecked.append("no color reaches its target")
         else:
@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         if coloring:
             p.add_argument("--coloring", required=True, help="edge-coloring file (u v c lines)")
         p.add_argument("--budget", type=int, default=chromatic.DEFAULT_BUDGET,
-                       help="node-expansion budget for exact searches")
+                       help="node-expansion budget of chi's exact search; tree-cert, "
+                       "match-cert and reduce run no search and ignore it")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in the output")
         p.add_argument("--json-out", default=None, help="also write the JSON to this file")
 

@@ -34,12 +34,13 @@ class GraphParseError(ValueError):
 
 
 class InternalInconsistencyError(RuntimeError):
-    """A guarantee backed by a caller-supplied precondition failed.
+    """A theorem-backed guarantee failed to hold.
 
-    Raised when an extraction that is theorem-backed under its stated
-    precondition (usually a chromatic lower bound) cannot deliver the
-    promised object. It means the precondition was false, not that a
-    search was unlucky.
+    Raised when a construction that a theorem promises cannot deliver: a
+    dual edge coloring with exactly max-degree colors, a crossing edge
+    between merged classes, a matching once the merged classes reach the
+    Ramsey number, or a hunt's find that passes re-verification. It means
+    the code is wrong, not that a search was unlucky.
     """
 
 
@@ -112,12 +113,6 @@ class Graph:
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
@@ -488,11 +483,6 @@ def parse_edge_coloring(text: str | bytes, g: Graph, t: int | None = None) -> Ed
             raise GraphParseError(f"edge {e} colored twice", ln)
         colors[e] = c
     return EdgeColoring.of(g, colors, max(colors.values(), default=1) if t is None else t)
-
-
-def write_edge_coloring(ec: EdgeColoring) -> str:
-    """Serialize as "u v c" lines in edge order."""
-    return "".join(f"{u} {v} {c}\n" for u, v, c in ec.to_json())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Counterexample hunting for monochromatic acyclic patterns.
 
-Core pieces: forest containment, the folklore minimum-degree tree
-embedding, an exhaustive arrowing check on complete graphs, candidate-graph
-generators, and ``hunt``, which searches candidate hosts for an edge
-coloring avoiding a pattern in every color.
+Core pieces: forest containment, an exhaustive arrowing check on complete
+graphs, candidate-graph generators, and ``hunt``, which searches candidate
+hosts for an edge coloring avoiding a pattern in every color.
 
 The shared search kernel backtracks over edges in a BFS-derived order and
 assigns one color at a time; a branch dies as soon as every color choice
@@ -56,10 +55,6 @@ class AcyclicPattern:
         g = self.graph
         if g.m != g.n - len(component_masks(g)):
             raise ValueError("pattern contains a cycle")
-
-    @property
-    def is_tree(self) -> bool:
-        return self.graph.n >= 1 and self.graph.m == self.graph.n - 1
 
 
 def path_pattern(k: int) -> AcyclicPattern:
@@ -149,67 +144,6 @@ def contains_forest(g: Graph, h: AcyclicPattern) -> tuple[int, ...] | None:
     if _dfs_embed(g.adj, g.n, pdeg, order, 0, 0, images):
         return tuple(images)
     return None
-
-
-# ---------------------------------------------------------------------------
-# folklore embedding
-
-def peel_core_vertices(g: Graph, d: int) -> tuple[int, ...] | None:
-    """Original ids surviving repeated deletion of degree < d vertices."""
-    alive = (1 << g.n) - 1
-    changed = True
-    while changed and alive:
-        changed = False
-        for v in iter_bits(alive):
-            if (g.adj[v] & alive).bit_count() < d:
-                alive &= ~(1 << v)
-                changed = True
-    if not alive:
-        return None
-    return tuple(iter_bits(alive))
-
-
-def embed_tree_folklore(g: Graph, h: AcyclicPattern, chi_lower: int) -> tuple[int, ...]:
-    """Embed a tree on at most chi_lower vertices, greedily, into the peeled core.
-
-    Any graph with chi >= k keeps a non-empty subgraph of minimum degree
-    k-1, and a greedy parent-by-parent placement inside it can never get
-    stuck. chi_lower must be a true lower bound on chi(g); an empty core
-    refutes it and raises InternalInconsistencyError.
-    """
-    if not h.is_tree:
-        raise ValueError("pattern must be a tree")
-    k = h.graph.n
-    if k > chi_lower:
-        raise ValueError(f"tree has {k} vertices, above chi_lower={chi_lower}")
-    core = peel_core_vertices(g, k - 1)
-    if core is None:
-        raise InternalInconsistencyError(
-            f"no subgraph of minimum degree {k - 1} exists, so chi(g) < {k} "
-            f"<= chi_lower={chi_lower}; the supplied bound cannot be correct"
-        )
-    core_mask = 0
-    for v in core:
-        core_mask |= 1 << v
-    order = _embedding_order(h.graph)
-    images = [-1] * k
-    used = 0
-    for pv, parent in order:
-        if parent < 0:
-            cand = core_mask & ~used
-        else:
-            cand = g.adj[images[parent]] & core_mask & ~used
-        if not cand:
-            raise InternalInconsistencyError(
-                "greedy tree embedding stalled inside a core of sufficient degree"
-            )
-        w = (cand & -cand).bit_length() - 1
-        images[pv] = w
-        used |= 1 << w
-    for u, v in h.graph.edges():
-        if not g.has_edge(images[u], images[v]):
-            raise InternalInconsistencyError("embedding failed to preserve an edge")
-    return tuple(images)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +395,7 @@ def generate_candidates(spec: str, seed: int = 0, chi_budget: int = chromatic.DE
     of stdin. ``random:n=..,p=..,count=..[,chi_min=..]`` gives count seeded
     G(n,p) draws; with chi_min, only draws whose chi settles within
     chi_budget at chi_min or more count, and at most 200 draws are made per
-    graph asked for. The keys ``seed`` and ``chi_budget`` override the
-    arguments.
+    graph asked for. The key ``seed`` overrides the argument.
     """
     kind, _, arg = spec.partition(":")
     if kind == "mycielski":
@@ -480,9 +413,9 @@ def generate_candidates(spec: str, seed: int = 0, chi_budget: int = chromatic.DE
     elif kind == "multipartite":
         yield complete_multipartite([int(x) for x in arg.split(",")])
     elif kind == "random":
-        params = {"seed": seed, "chi_budget": chi_budget}
+        params = {"seed": seed}
         for key, _, val in (item.partition("=") for item in arg.split(",")):
-            if key not in ("n", "p", "count", "chi_min", "seed", "chi_budget"):
+            if key not in ("n", "p", "count", "chi_min", "seed"):
                 raise ValueError(f"unknown key {key!r} in {spec!r}")
             params[key] = val
         for key in ("n", "p", "count"):
@@ -490,14 +423,13 @@ def generate_candidates(spec: str, seed: int = 0, chi_budget: int = chromatic.DE
                 raise ValueError(f"{spec!r} lacks {key}")
         n, p, count = int(params["n"]), float(params["p"]), int(params["count"])
         chi_min = int(params["chi_min"]) if "chi_min" in params else None
-        budget = int(params["chi_budget"])
         rng = random.Random(int(params["seed"]))
         produced = attempts = 0
         while produced < count and attempts < 200 * max(count, 1):
             attempts += 1
             g = random_graph(n, p, rng)
             if chi_min is not None:
-                r = chi_exact(g, budget=budget)
+                r = chi_exact(g, budget=chi_budget)
                 if not r.exact or r.lower < chi_min:
                     continue
             produced += 1

@@ -93,11 +93,21 @@ def check_tree_certificate(
     return problems
 
 
-def check_matching_certificate(ec: EdgeColoring, cert: MatchingCertificate) -> list[str]:
+def check_matching_certificate(
+    ec: EdgeColoring, cert: MatchingCertificate, targets: MatchingTargets
+) -> list[str]:
+    """A hit holds up when its color is one of targets' and its edges are a
+    matching of that color's target size; the certificate's own target must
+    be that size, not a smaller one."""
     g = ec.graph
     problems = []
-    if cert.target < 1:
-        problems.append("target must be at least 1")
+    if not 1 <= cert.color <= targets.t:
+        problems.append(f"color {cert.color} is outside 1..{targets.t}")
+    elif cert.target != targets.targets[cert.color - 1]:
+        problems.append(
+            f"target {cert.target} is not color {cert.color}'s target "
+            f"{targets.targets[cert.color - 1]}"
+        )
     if len(cert.edges) < cert.target:
         problems.append(f"{len(cert.edges)} edges, below target {cert.target}")
     seen: set[int] = set()

@@ -4,10 +4,12 @@ import pytest
 
 import monocert as mc
 
+from helpers import cycle_graph
+
 
 @pytest.fixture(scope="session")
 def c5():
-    return mc.cycle_graph(5)
+    return cycle_graph(5)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
 import pytest
 
 import monocert as mc
-from monocert.chromatic import clique_lower, greedy_upper, verify_proper
+from monocert.chromatic import _greedy_clique, greedy_upper, verify_proper
 from monocert.graphs import Graph
 from monocert.hunter import mycielskian, random_graph
 
+from helpers import cycle_graph
 from oracles import chromatic_number_dp
 
 
@@ -23,6 +24,10 @@ def test_greedy_upper_orders(petersen):
 
 
 def test_clique_lower_examples(c5, k4, petersen, grotzsch):
+    # chi_exact starts its search from this clique as its lower bound
+    def clique_lower(g):
+        return len(_greedy_clique(g))
+
     assert clique_lower(mc.complete_graph(6)) == 6
     assert clique_lower(c5) == 2
     assert clique_lower(k4) == 4
@@ -42,7 +47,7 @@ def test_exact_on_named_graphs(c5, k4, petersen, grotzsch):
         (petersen, 3),
         (grotzsch, 4),
         (mc.complete_multipartite([3, 3, 3]), 3),
-        (mc.cycle_graph(6), 2),
+        (cycle_graph(6), 2),
     ]
     for g, want in cases:
         r = mc.chi_exact(g)

@@ -6,6 +6,8 @@ import pytest
 import monocert as mc
 from monocert.cli import main
 
+from helpers import coloring_text, cycle_graph
+
 
 def write_graph_file(tmp_path, g, name="graph.txt", fmt="edges"):
     path = tmp_path / name
@@ -15,7 +17,7 @@ def write_graph_file(tmp_path, g, name="graph.txt", fmt="edges"):
 
 def write_coloring_file(tmp_path, ec, name="coloring.txt"):
     path = tmp_path / name
-    path.write_text(mc.write_edge_coloring(ec))
+    path.write_text(coloring_text(ec))
     return str(path)
 
 
@@ -140,7 +142,7 @@ def test_tree_cert_coloring_mismatch_exit_two(tmp_path, capsys, c5, k4):
     assert main(["tree-cert", write_graph_file(tmp_path, k4), "--coloring", cf]) == 2
     assert "line 2" in capsys.readouterr().err  # (0, 4) names vertex 4 of K4
     gf = write_graph_file(tmp_path, c5)
-    text = mc.write_edge_coloring(ec)
+    text = coloring_text(ec)
     for bad, named in ((text + "0 2 1\n", "line 6"),  # not an edge of C5
                        ("0 7 1\n" + text, "line 1"),  # vertex beyond n
                        (text.replace("0 1 1\n", ""), "(0, 1)")):  # edge left uncolored
@@ -232,6 +234,27 @@ def test_verify_catches_tampered_matching(tmp_path, capsys, rng):
     bad.write_text(json.dumps(doc))
     rc, vdoc = run(capsys, ["verify", str(bad), gf, "--coloring", cf])
     assert rc == 2 and not vdoc["ok"]
+
+
+def test_verify_holds_a_matching_to_the_output_targets(tmp_path, capsys):
+    # C4 colored 1,2,1,2 around the cycle: color 1 is the matching {01, 23}
+    c4 = cycle_graph(4)
+    gf = write_graph_file(tmp_path, c4)
+    cf = write_coloring_file(tmp_path, mc.EdgeColoring.of(
+        c4, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}, 2))
+    doc = {"kind": "matching", "ramsey_value": 5, "route": "direct", "targets": [2, 2],
+           "certificate": {"color": 1, "target": 2, "edges": [[0, 1], [2, 3]]}}
+    cert = tmp_path / "m.json"
+    cert.write_text(json.dumps(doc))
+    rc, vdoc = run(capsys, ["verify", str(cert), gf, "--coloring", cf])
+    assert rc == 0 and vdoc["ok"]
+    # a certificate may not lower its color's target, nor name a color past t
+    for forged, named in (({"color": 1, "target": 1, "edges": [[0, 1]]}, "target 1"),
+                          ({"color": 3, "target": 1, "edges": [[0, 1]]}, "color 3")):
+        cert.write_text(json.dumps({**doc, "certificate": forged}))
+        rc, vdoc = run(capsys, ["verify", str(cert), gf, "--coloring", cf])
+        assert rc == 2 and not vdoc["ok"]
+        assert named in vdoc["problems"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +411,7 @@ def test_hunt_bad_specs_exit_two(capsys):
                  "--ramsey-value", "3", "--candidates", "weird:2"]) == 2
     capsys.readouterr()
     for spec, named in (("random:n=6,p=0.5,count=1,bogus=3", "bogus"),
+                        ("random:n=8,p=0.5,count=1,chi_budget=5", "unknown key"),
                         ("random:n=6,p=0.5", "count")):
         assert main(["hunt", "--pattern", "path:4", "--t", "2",
                      "--ramsey-value", "3", "--candidates", spec]) == 2
@@ -462,10 +486,12 @@ def test_verify_unknown_shape_exit_two(tmp_path, capsys):
 
 
 MALFORMED = {
-    "matching-edge-not-a-pair": ({"kind": "matching", "certificate": {
+    "matching-edge-not-a-pair": ({"kind": "matching", "targets": [1, 1], "certificate": {
         "color": 1, "target": 1, "edges": [1]}}, True),
-    "matching-vertex-out-of-range": ({"kind": "matching", "certificate": {
+    "matching-vertex-out-of-range": ({"kind": "matching", "targets": [1, 1], "certificate": {
         "color": 1, "target": 1, "edges": [[7, 9]]}}, True),
+    "matching-hit-without-targets": ({"kind": "matching", "certificate": {
+        "color": 1, "target": 1, "edges": [[0, 1]]}}, True),
     "matching-miss-without-targets": ({"kind": "matching", "certificate": None,
                                        "coloring": [[0, 2], [1, 3], [4]]}, True),
     "tree-without-derived-classes": ({"kind": "tree", "certificate": {

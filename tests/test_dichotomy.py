@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import monocert as mc
 from monocert.cli import main
 
+from helpers import coloring_text
 from oracles import chromatic_number_dp
 
 
@@ -43,7 +44,7 @@ def cli(argv) -> tuple[int, dict]:
 def run_and_verify(tmp: Path, g, ec, argv) -> tuple[int, dict]:
     gf, cf, out = tmp / "g.txt", tmp / "c.txt", tmp / "out.json"
     gf.write_text(mc.write_graph(g, "edges"))
-    cf.write_text(mc.write_edge_coloring(ec))
+    cf.write_text(coloring_text(ec))
     code, doc = cli([argv[0], str(gf), "--coloring", str(cf), "--json-out", str(out),
                      *argv[1:]])
     vcode, vdoc = cli(["verify", str(out), str(gf), "--coloring", str(cf)])

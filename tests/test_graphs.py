@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 import monocert as mc
 from monocert.graphs import Graph, GraphParseError, canonical_edge, iter_bits
 
+from helpers import coloring_text
 from oracles import components_union_find
 
 
@@ -102,7 +103,7 @@ def test_edge_coloring_cover(c5):
     with pytest.raises(ValueError):
         mc.EdgeColoring.of(c5, {**{e: 1 for e in c5.edges()}, (0, 2): 2}, 2)
     # a coloring file is read against its graph; a bad line is named
-    text = mc.write_edge_coloring(ec)
+    text = coloring_text(ec)
     for bad, line in ((text + "0 2 2\n", 6), ("0 9 1\n" + text, 1)):
         with pytest.raises(GraphParseError) as err:
             mc.parse_edge_coloring(bad, c5)
@@ -129,7 +130,7 @@ def test_edge_coloring_classes(case):
     assert sum(cls.m for cls in ec.classes) == g.m
     assert {e: c for c, cls in enumerate(ec.classes, 1) for e in cls.edges()} == colors
     assert all(ec.color_of(v, u) == c for (u, v), c in colors.items())
-    text = mc.write_edge_coloring(ec)
+    text = coloring_text(ec)
     assert mc.parse_edge_coloring(text, g, t) == ec
     assert mc.parse_edge_coloring(text, g).t == max(colors.values(), default=1)
     if colors:
@@ -234,7 +235,7 @@ def test_edge_coloring_files():
     p3 = mc.path_graph(3)
     ec = mc.parse_edge_coloring("0 1 1\n1 2 2\n", p3)
     assert ec.t == 2 and ec.color_of(1, 0) == 1
-    text = mc.write_edge_coloring(ec)
+    text = coloring_text(ec)
     assert mc.parse_edge_coloring(text, p3) == ec
     with pytest.raises(GraphParseError):
         mc.parse_edge_coloring("0 1 0\n1 2 1\n", p3)  # colors start at 1

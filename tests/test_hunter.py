@@ -3,37 +3,32 @@ import io
 import pytest
 
 import monocert as mc
-from monocert.graphs import Graph, InternalInconsistencyError
+from monocert.graphs import Graph
 from monocert.hunter import (
     AcyclicPattern,
     HuntReport,
     check_hunt_counterexample,
     contains_forest,
-    embed_tree_folklore,
     generate_candidates,
     hunt,
     kneser_graph,
     matching_pattern,
     mycielskian,
     path_pattern,
-    peel_core_vertices,
     ramsey_bruteforce,
     random_graph,
     star_pattern,
 )
 
+from helpers import cycle_graph
 from oracles import GOODNESS_REGRESSIONS, contains_injection
 
 
 def test_pattern_validation():
     with pytest.raises(ValueError):
-        AcyclicPattern(mc.cycle_graph(3))
+        AcyclicPattern(cycle_graph(3))
     with pytest.raises(ValueError):
         AcyclicPattern(mc.complete_graph(4))
-    assert path_pattern(4).is_tree
-    assert star_pattern(3).is_tree
-    assert not matching_pattern(2).is_tree
-    assert matching_pattern(1).is_tree
     with pytest.raises(ValueError):
         matching_pattern(0)
 
@@ -70,33 +65,6 @@ def test_contains_forest_matches_injection_oracle(rng):
             got = contains_forest(g, p) is not None
             want = contains_injection(g, p.graph)
             assert got == want
-
-
-def test_peeling(k4, c5):
-    assert peel_core_vertices(k4, 3) == (0, 1, 2, 3)
-    assert peel_core_vertices(k4, 4) is None
-    assert peel_core_vertices(c5, 2) == (0, 1, 2, 3, 4)
-    assert peel_core_vertices(mc.path_graph(5), 2) is None
-    lollipop = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
-    assert peel_core_vertices(lollipop, 2) == (0, 1, 2)
-
-
-def test_embed_tree_folklore(grotzsch):
-    for p in (path_pattern(4), star_pattern(3), AcyclicPattern(
-            Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]))):
-        images = embed_tree_folklore(grotzsch, p, chi_lower=4)
-        assert len(set(images)) == p.graph.n
-        for u, v in p.graph.edges():
-            assert grotzsch.has_edge(images[u], images[v])
-
-
-def test_embed_tree_folklore_rejections(c5):
-    with pytest.raises(ValueError):
-        embed_tree_folklore(c5, matching_pattern(2), chi_lower=4)
-    with pytest.raises(ValueError):
-        embed_tree_folklore(c5, path_pattern(4), chi_lower=3)
-    with pytest.raises(InternalInconsistencyError):
-        embed_tree_folklore(mc.path_graph(6), path_pattern(3), chi_lower=3)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +188,7 @@ def test_hunt_finds_planted_counterexample(c5, k4):
 
 
 def test_hunt_skips_low_chromatic_candidates(c5):
-    bipartite = mc.cycle_graph(6)
+    bipartite = cycle_graph(6)
     report = hunt(path_pattern(4), 2, 3, [bipartite, c5])
     assert report.candidates[0].skipped_reason is not None
     assert not report.candidates[0].searched
@@ -282,5 +250,5 @@ def test_goodness_regression_table():
     names = [name for name, *_ in GOODNESS_REGRESSIONS]
     assert names == ["star-2", "star-3", "path-4", "path-4-t3"]
     for _, pattern, t, rv in GOODNESS_REGRESSIONS:
-        assert pattern.is_tree or pattern.graph.m == 1
+        assert pattern.graph.m == pattern.graph.n - 1
         assert t >= 2 and rv >= 3

@@ -1,6 +1,8 @@
-"""The package imports only the standard library and itself."""
+"""The package imports only the standard library and itself, and every
+name it exports has a caller outside the tests."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -23,3 +25,30 @@ def test_src_imports_only_stdlib():
                     foreign.append(f"{path.name}:{node.lineno} imports {name}")
     assert len(list(SRC.glob("*.py"))) > 1
     assert foreign == []
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Every name a file reads or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # a name the package exports must be used by the package itself or by
+    # the benchmark; a name only the tests reach belongs in tests/
+    import monocert
+
+    callers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    callers += (SRC.parent.parent / "perfbench").glob("*.py")
+    used = set().union(*map(_referenced_names, callers))
+    exported = [
+        name for name in monocert.__all__
+        if not inspect.ismodule(getattr(monocert, name))
+    ]
+    assert exported
+    assert [name for name in exported if name not in used] == []

@@ -84,7 +84,7 @@ def test_find_mono_matching_exhaustive_k5():
         cert = find_mono_matching(ec, targets)
         assert cert is not None
         assert len(cert.edges) == cert.target == 2
-        assert check_matching_certificate(ec, cert) == []
+        assert check_matching_certificate(ec, cert, targets) == []
 
 
 def test_find_mono_matching_none_when_avoidable():
@@ -118,12 +118,18 @@ def test_certificate_json_round_trip():
 
 def test_check_matching_certificate_catches_tampering(c5):
     ec = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2)
+    targets = MatchingTargets((2, 2))
     good = mc.MatchingCertificate(1, 2, ((0, 1), (2, 3)))
-    assert check_matching_certificate(ec, good) == []
-    assert check_matching_certificate(ec, mc.MatchingCertificate(2, 2, ((0, 1), (2, 3))))
-    assert check_matching_certificate(ec, mc.MatchingCertificate(1, 2, ((0, 1), (1, 2))))
-    assert check_matching_certificate(ec, mc.MatchingCertificate(1, 2, ((0, 1),)))
-    assert check_matching_certificate(ec, mc.MatchingCertificate(1, 1, ((0, 2),)))
+    assert check_matching_certificate(ec, good, targets) == []
+    for bad in (
+        mc.MatchingCertificate(2, 2, ((0, 1), (2, 3))),  # wrong color
+        mc.MatchingCertificate(1, 2, ((0, 1), (1, 2))),  # shared endpoint
+        mc.MatchingCertificate(1, 2, ((0, 1),)),  # too few edges
+        mc.MatchingCertificate(1, 1, ((0, 1),)),  # target below the color's
+        mc.MatchingCertificate(3, 2, ((0, 1), (2, 3))),  # color past t
+        mc.MatchingCertificate(1, 2, ((0, 2), (1, 3))),  # not edges of C5
+    ):
+        assert check_matching_certificate(ec, bad, targets), bad
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +242,10 @@ def test_reduction_route_end_to_end(rng, random_coloring):
         vc = mc.greedy_upper(g).witness
         cert = find_mono_matching_kiraly(kiraly_reduce(ec, vc), targets)
         assert cert is not None
-        assert check_matching_certificate(ec, cert) == []
+        assert check_matching_certificate(ec, cert, targets) == []
         direct = find_mono_matching(ec, targets)
         assert direct is not None
-        assert check_matching_certificate(ec, direct) == []
+        assert check_matching_certificate(ec, direct, targets) == []
 
 
 def test_reduction_route_agrees_with_direct(rng, random_coloring):
@@ -254,4 +260,4 @@ def test_reduction_route_agrees_with_direct(rng, random_coloring):
         ec = random_coloring(g, 2, rng)
         cert = find_mono_matching_kiraly(kiraly_reduce(ec, r.witness), targets)
         if cert is not None:
-            assert check_matching_certificate(ec, cert) == []
+            assert check_matching_certificate(ec, cert, targets) == []
