@@ -13,7 +13,7 @@ from .graphs import (
     Graph,
     GraphParseError,
     InternalInconsistencyError,
-    VertexColoring,
+    check_partition,
     complete_graph,
     complete_multipartite,
     connected_components,
@@ -23,7 +23,7 @@ from .graphs import (
     star_graph,
     write_graph,
 )
-from .chromatic import ChiResult, chi_exact, greedy_upper, verify_proper
+from .chromatic import ChiResult, chi_exact, greedy_upper
 from .tree_cert import (
     DualMultigraph,
     TreeCertificate,

@@ -13,44 +13,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexColoring, iter_bits
+from .graphs import Graph, iter_bits
 
 DEFAULT_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
 class ChiResult:
-    """Bounds plus a proper coloring witnessing the upper bound."""
+    """A lower bound plus a proper coloring, as classes, of upper colors."""
 
     lower: int
-    upper: int
-    witness: VertexColoring
-    exact: bool
+    witness: tuple[tuple[int, ...], ...]
+
+    @property
+    def upper(self) -> int:
+        return len(self.witness)
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     def to_json(self) -> dict:
         return {
             "lower": self.lower,
             "upper": self.upper,
             "exact": self.exact,
-            "classes": self.witness.classes(),
+            "classes": [list(c) for c in self.witness],
         }
 
 
-def verify_proper(g: Graph, vc: VertexColoring) -> bool:
-    """True iff vc covers all vertices and no edge is monochromatic."""
-    if len(vc.class_of) != g.n:
-        raise ValueError("coloring does not cover every vertex")
-    masks = [0] * vc.k
-    for v, c in enumerate(vc.class_of):
-        masks[c] |= 1 << v
-    return all((g.adj[v] & masks[c]) == 0 for v, c in enumerate(vc.class_of))
+def _classes(assign) -> tuple[tuple[int, ...], ...]:
+    """Group a class id per vertex into classes, in order of first vertex."""
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(assign):
+        groups.setdefault(c, []).append(v)
+    return tuple(map(tuple, groups.values()))
 
 
-def greedy_upper(g: Graph) -> ChiResult:
-    """DSATUR greedy coloring: an upper bound with its proper witness."""
+def _dsatur(g: Graph) -> list[int]:
+    """DSATUR greedy coloring: a color 0..k-1 per vertex, all k used."""
     n = g.n
-    if n == 0:
-        return ChiResult(0, 0, VertexColoring(0, ()), True)
     deg = [g.adj[v].bit_count() for v in range(n)]
     assign = [-1] * n
     neigh = [0] * n  # bitmask of colors seen on colored neighbors
@@ -67,9 +69,12 @@ def greedy_upper(g: Graph) -> ChiResult:
         assign[pick] = c
         for u in iter_bits(g.adj[pick]):
             neigh[u] |= 1 << c
-    witness = VertexColoring.normalized(assign)
-    lower = 2 if any(g.adj) else 1
-    return ChiResult(lower, witness.k, witness, witness.k == lower)
+    return assign
+
+
+def greedy_upper(g: Graph) -> ChiResult:
+    """DSATUR greedy coloring: an upper bound with its proper witness."""
+    return ChiResult(2 if any(g.adj) else min(g.n, 1), _classes(_dsatur(g)))
 
 
 def _greedy_clique(g: Graph) -> list[int]:
@@ -111,16 +116,15 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
     """
     n = g.n
     if n == 0:
-        return ChiResult(0, 0, VertexColoring(0, ()), True)
+        return ChiResult(0, ())
     adj = g.adj
     deg = [adj[v].bit_count() for v in range(n)]
     clique = _greedy_clique(g)
     lb = max(1, len(clique))
-    seed = greedy_upper(g)
-    best_k = seed.upper
-    best_assign = list(seed.witness.class_of)
+    best_assign = _dsatur(g)
+    best_k = max(best_assign) + 1
     if lb >= best_k:
-        return ChiResult(best_k, best_k, seed.witness, True)
+        return ChiResult(best_k, _classes(best_assign))
 
     colors = [-1] * n
     neigh = [0] * n
@@ -175,7 +179,4 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
         # The search recurses once per vertex; a stack too shallow for the
         # graph is reported like an exhausted budget, never as an answer.
         exact = False
-    witness = VertexColoring.normalized(best_assign)
-    if exact:
-        return ChiResult(best_k, best_k, witness, True)
-    return ChiResult(lb, best_k, witness, False)
+    return ChiResult(best_k if exact else lb, _classes(best_assign))

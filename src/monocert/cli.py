@@ -102,7 +102,7 @@ def _cmd_tree_cert(args) -> int:
     dual = tree_cert.build_dual(ec)
     cert = tree_cert.mono_tree_certificate(ec, dual)
     link_colors = tree_cert.edge_color_dual(dual)
-    vc = tree_cert.vertex_coloring_from_dual(g, dual, link_colors)
+    derived = tree_cert.vertex_coloring_from_dual(g, dual, link_colors)
     _emit(args, {
         "kind": "tree",
         "certificate": cert.to_json(),
@@ -113,11 +113,11 @@ def _cmd_tree_cert(args) -> int:
             "max_degree": dual.max_degree(),
             "link_colors": [[v, c] for v, c in enumerate(link_colors)],
         },
-        "derived_classes": vc.classes(),
+        "derived_classes": derived,
     })
     _note(
         f"color {cert.color} tree on {len(cert.vertices)} vertices; "
-        f"derived proper coloring with {vc.k} classes"
+        f"derived proper coloring with {len(derived)} classes"
     )
     return 0
 

@@ -10,6 +10,8 @@ it was given plus one spanning class graph per color, edge-disjoint, whose
 union is the host. The constructor is the one place that checks a coloring
 fits its graph, row by row, so consumers read a color class as
 ``ec.classes[c - 1]`` and the host as ``ec.graph`` without re-checking it.
+A vertex coloring is a tuple of classes, each an ascending tuple of
+vertices, and ``check_partition`` is the one check that it is proper.
 
 Supported text formats: edge list ("u v" per line, 0-indexed, ``#``
 comments, optional ``# n <count>`` directive for isolated vertices), DIMACS
@@ -231,38 +233,30 @@ class EdgeColoring:
         return [[u, v, self.color_of(u, v)] for u, v in self.graph.edges()]
 
 
-@dataclass(frozen=True)
-class VertexColoring:
-    """Assignment of vertices to classes 0..k-1; every class non-empty."""
-
-    k: int
-    class_of: tuple[int, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for v, c in enumerate(self.class_of):
-            if not 0 <= c < self.k:
-                raise ValueError(f"vertex {v} has class {c} outside 0..{self.k - 1}")
-            seen.add(c)
-        if len(seen) != self.k:
-            raise ValueError("every class must be non-empty")
-
-    @staticmethod
-    def normalized(assign) -> "VertexColoring":
-        """Relabel arbitrary class ids to 0..k-1 by first occurrence."""
-        remap: dict[int, int] = {}
-        out = []
-        for c in assign:
-            if c not in remap:
-                remap[c] = len(remap)
-            out.append(remap[c])
-        return VertexColoring(len(remap), tuple(out))
-
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for v, c in enumerate(self.class_of):
-            out[c].append(v)
-        return out
+def check_partition(g: Graph, classes) -> list[str]:
+    """Problems with classes, a vertex coloring, as a proper coloring of g:
+    each class non-empty and independent, every vertex 0..n-1 in exactly one."""
+    problems = []
+    class_of: dict[int, int] = {}
+    for i, cls in enumerate(classes):
+        if not cls:
+            problems.append(f"class {i} is empty")
+        for v in cls:
+            if v in class_of:
+                problems.append(f"vertex {v} appears in two classes")
+            class_of[v] = i
+    if class_of.keys() != set(range(g.n)):
+        problems.append("classes do not cover vertices 0..n-1 exactly")
+        return problems
+    masks = [0] * len(classes)
+    for v, i in class_of.items():
+        masks[i] |= 1 << v
+    for u in range(g.n):
+        i = class_of[u]
+        if g.adj[u] & masks[i]:
+            problems += [f"edge ({u},{v}) lies inside class {i}"
+                         for v in iter_bits(g.adj[u] & masks[i]) if v > u]
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import random
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, log2
 
@@ -386,6 +387,13 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+@lru_cache(maxsize=1)
+def _chi_once(g: Graph, budget: int):
+    """chi_exact, remembering the latest answer: generate_candidates settles
+    a chi_min draw, and hunt asks again as soon as it is yielded."""
+    return chi_exact(g, budget=budget)
+
+
 def generate_candidates(spec: str, seed: int = 0, chi_budget: int = chromatic.DEFAULT_BUDGET):
     """Stream the candidate hosts a spec names; the spec is read on the first draw.
 
@@ -429,7 +437,7 @@ def generate_candidates(spec: str, seed: int = 0, chi_budget: int = chromatic.DE
             attempts += 1
             g = random_graph(n, p, rng)
             if chi_min is not None:
-                r = chi_exact(g, budget=chi_budget)
+                r = _chi_once(g, chi_budget)
                 if not r.exact or r.lower < chi_min:
                     continue
             produced += 1
@@ -560,7 +568,7 @@ def hunt(
     counterexample = None
     for g in candidates:
         ident = write_graph(g, "g6").strip()
-        r = chi_exact(g, budget=chi_budget)
+        r = _chi_once(g, chi_budget)
         if not r.exact:
             outcomes.append(CandidateOutcome(
                 ident, r.lower, r.upper, False, False,

@@ -25,8 +25,8 @@ from .graphs import (
     EdgeColoring,
     Graph,
     InternalInconsistencyError,
-    VertexColoring,
     canonical_edge,
+    check_partition,
     complete_graph,
     iter_bits,
     json_classes,
@@ -36,7 +36,6 @@ from .graphs import (
     json_ints,
     json_list,
 )
-from .chromatic import verify_proper
 
 
 @dataclass(frozen=True)
@@ -245,8 +244,8 @@ class ReducedInstance:
         return ReducedInstance(json_int(t), classes, edge_color, provenance)
 
 
-def kiraly_reduce(ec: EdgeColoring, vc: VertexColoring) -> ReducedInstance:
-    """Contract a properly colored host onto its color classes.
+def kiraly_reduce(ec: EdgeColoring, coloring) -> ReducedInstance:
+    """Contract a properly colored host onto the classes of coloring.
 
     Classes with no crossing edge are merged first, in one pass over index
     pairs (smallest first), so every remaining pair carries at least one
@@ -256,10 +255,10 @@ def kiraly_reduce(ec: EdgeColoring, vc: VertexColoring) -> ReducedInstance:
     recorded as provenance.
     """
     g = ec.graph
-    if not verify_proper(g, vc):
+    if check_partition(g, coloring):
         raise ValueError("vertex coloring is not proper")
-    classes = [sorted(cls) for cls in vc.classes()]
-    masks = [_mask(cls) for cls in classes]
+    classes = [sorted(cls) for cls in coloring]
+    masks = [sum(1 << v for v in cls) for cls in classes]
 
     def crossing(i: int, j: int) -> bool:
         return any(g.adj[u] & masks[j] for u in classes[i])
@@ -306,13 +305,6 @@ def _first_crossing_edge(g: Graph, a: int, b: int) -> tuple[int, int] | None:
         if across:
             return canonical_edge(u, (across & -across).bit_length() - 1)
     return None
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def lift_matching(

@@ -20,8 +20,8 @@ from .graphs import (
     EdgeColoring,
     Graph,
     InternalInconsistencyError,
-    VertexColoring,
     canonical_edge,
+    check_partition,
     connected_components,
     iter_bits,
     json_edges,
@@ -29,7 +29,6 @@ from .graphs import (
     json_int,
     json_ints,
 )
-from .chromatic import verify_proper
 
 RED, BLUE = 1, 2
 
@@ -165,9 +164,9 @@ def edge_color_dual(b: DualMultigraph) -> tuple[int, ...]:
 
 def vertex_coloring_from_dual(
     g: Graph, b: DualMultigraph, link_colors: tuple[int, ...]
-) -> VertexColoring:
+) -> tuple[tuple[int, ...], ...]:
     """Turn a proper link coloring, one color per vertex, into a proper
-    vertex coloring of g."""
+    vertex coloring of g: one class per link color, in color order."""
     if len(link_colors) != len(b.links):
         raise ValueError(f"{len(link_colors)} link colors for {len(b.links)} links")
     seen_l: list[set[int]] = [set() for _ in b.left]
@@ -177,12 +176,13 @@ def vertex_coloring_from_dual(
             raise ValueError("link coloring is not proper on the dual")
         seen_l[li].add(c)
         seen_r[ri].add(c)
-    order = sorted(set(link_colors))
-    remap = {c: i for i, c in enumerate(order)}
-    vc = VertexColoring(len(order), tuple(remap[c] for c in link_colors))
-    if not verify_proper(g, vc):
+    by_color: dict[int, list[int]] = {c: [] for c in sorted(set(link_colors))}
+    for v, c in enumerate(link_colors):
+        by_color[c].append(v)
+    classes = tuple(map(tuple, by_color.values()))
+    if check_partition(g, classes):
         raise ValueError("link coloring does not come from this graph's dual")
-    return vc
+    return classes
 
 
 def mono_tree_certificate(ec: EdgeColoring, dual: DualMultigraph) -> TreeCertificate:

@@ -4,12 +4,13 @@ Each checker returns a list of problem strings (empty means the certificate
 holds) and avoids the code paths that built the object: tree shape is
 checked with union-find rather than BFS, matchings by direct endpoint
 bookkeeping, and every vertex coloring (a chi witness, a tree's derived
-classes, a matching miss, reduced classes) by one proper-partition check.
+classes, a matching miss, reduced classes) by ``graphs.check_partition``,
+the package's one proper-partition check.
 """
 
 from __future__ import annotations
 
-from .graphs import EdgeColoring, Graph, json_classes, json_int
+from .graphs import EdgeColoring, Graph, check_partition, json_classes, json_int
 from .matching import (
     MatchingCertificate,
     MatchingTargets,
@@ -17,27 +18,6 @@ from .matching import (
     ramsey_matching_number,
 )
 from .tree_cert import TreeCertificate
-
-
-def check_partition(g: Graph, classes) -> list[str]:
-    """Problems with classes as a proper coloring of g: each class
-    non-empty and independent, every vertex 0..n-1 in exactly one."""
-    problems = []
-    class_of: dict[int, int] = {}
-    for i, cls in enumerate(classes):
-        if not cls:
-            problems.append(f"class {i} is empty")
-        for v in cls:
-            if v in class_of:
-                problems.append(f"vertex {v} appears in two classes")
-            class_of[v] = i
-    if set(class_of) != set(range(g.n)):
-        problems.append("classes do not cover vertices 0..n-1 exactly")
-        return problems
-    for u, v in g.edges():
-        if class_of[u] == class_of[v]:
-            problems.append(f"edge ({u},{v}) lies inside class {class_of[u]}")
-    return problems
 
 
 def check_tree_certificate(
@@ -52,6 +32,11 @@ def check_tree_certificate(
     if not verts:
         problems.append("certificate has no vertices")
         return problems
+    if not 1 <= cert.color <= ec.t:
+        problems.append(f"color {cert.color} is outside 1..{ec.t}")
+    problems += [
+        f"vertex {v} is outside 0..{g.n - 1}" for v in sorted(verts) if not 0 <= v < g.n
+    ]
     if len(cert.vertices) != len(verts):
         problems.append("vertex list has duplicates")
     if len(cert.edges) != len(verts) - 1:
@@ -165,6 +150,8 @@ def check_chi_witness(g: Graph, data: dict) -> list[str]:
 def check_reduced_instance(ec: EdgeColoring, ri: ReducedInstance) -> list[str]:
     g = ec.graph
     problems = check_partition(g, ri.classes)
+    if ri.t != ec.t:
+        problems.append(f"instance has t = {ri.t}, but the coloring has t = {ec.t}")
     class_of = {v: i for i, cls in enumerate(ri.classes) for v in cls}
     missing = ri.k * (ri.k - 1) // 2 - len(ri.edge_color)
     if missing:

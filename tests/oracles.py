@@ -3,8 +3,9 @@
 Each oracle favors transparency over speed and shares no code path with the
 implementation it checks: chromatic number by subset DP over independent
 sets, matching number by memoized take-or-skip recursion (with a literal
-edge-subset variant for tiny graphs), components by union-find, and forest
-containment by trying every injection. The goodness table below is the one
+edge-subset variant for tiny graphs), components by union-find, forest
+containment by trying every injection, and a coloring's problems by looking
+at every vertex pair. The goodness table below is the one
 list of hunts whose verdict a theorem settles.
 """
 
@@ -98,6 +99,28 @@ def matching_number_subsets(g: Graph) -> int:
                 best = size
                 break
     return best
+
+
+def partition_problems(g: Graph, classes) -> list[str]:
+    """The problems graphs.check_partition should report, worked out
+    naively: the cover by counting, then every vertex pair in turn. A vertex
+    listed twice counts in the last class that lists it."""
+    problems = []
+    for i, cls in enumerate(classes):
+        if not cls:
+            problems.append(f"class {i} is empty")
+        for k, v in enumerate(cls):
+            if any(v in c for c in classes[:i]) or v in cls[:k]:
+                problems.append(f"vertex {v} appears in two classes")
+    listed = [v for cls in classes for v in cls]
+    if sorted(set(listed)) != list(range(g.n)):
+        problems.append("classes do not cover vertices 0..n-1 exactly")
+        return problems
+    last = {v: max(i for i, cls in enumerate(classes) if v in cls) for v in range(g.n)}
+    for u, v in combinations(range(g.n), 2):
+        if g.has_edge(u, v) and last[u] == last[v]:
+            problems.append(f"edge ({u},{v}) lies inside class {last[u]}")
+    return problems
 
 
 def components_union_find(g: Graph) -> list[tuple[int, ...]]:

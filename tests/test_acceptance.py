@@ -8,8 +8,7 @@ import random
 from itertools import product
 
 import monocert as mc
-from monocert.chromatic import verify_proper
-from monocert.graphs import Graph
+from monocert.graphs import Graph, check_partition
 from monocert.hunter import (
     contains_forest,
     generate_candidates,
@@ -99,7 +98,7 @@ def test_criterion_2_tree_theorem_exhaustive():
                 continue
             dual = build_dual(ec)
             cert = mono_tree_certificate(ec, dual)
-            derived = vertex_coloring_from_dual(g, dual, edge_color_dual(dual)).classes()
+            derived = vertex_coloring_from_dual(g, dual, edge_color_dual(dual))
             bad = check_tree_certificate(ec, cert, derived)
             if bad:
                 problems.append(f"{g.n}-vertex host: {bad[0]}")
@@ -119,11 +118,11 @@ def test_criterion_3_dual_witness(petersen, grotzsch):
             problems.append(f"dual degree {delta} != component size {oracle}")
             return
         link_colors = edge_color_dual(dual)
-        vc = vertex_coloring_from_dual(g, dual, link_colors)
-        if not verify_proper(g, vc):
+        derived = vertex_coloring_from_dual(g, dual, link_colors)
+        if check_partition(g, derived) != []:
             problems.append("derived vertex coloring is not proper")
-        if vc.k != delta:
-            problems.append(f"derived coloring uses {vc.k} classes, not {delta}")
+        if len(derived) != delta:
+            problems.append(f"derived coloring uses {len(derived)} classes, not {delta}")
         if delta < chi:
             problems.append(f"max component {delta} below chi {chi}")
 
@@ -209,7 +208,7 @@ def test_criterion_6_chromatic_oracle(c5, petersen, grotzsch):
             problems.append(
                 f"{g.n}-vertex graph: exact={r.exact}, got {r.lower}, oracle {want}"
             )
-        elif want and not verify_proper(g, r.witness):
+        elif check_partition(g, r.witness) != []:
             problems.append(f"{g.n}-vertex graph: witness is improper")
     _finish(6, "chi_exact equals the subset-DP oracle on 204 graphs", problems)
 

@@ -1,8 +1,6 @@
-import pytest
-
 import monocert as mc
-from monocert.chromatic import _greedy_clique, greedy_upper, verify_proper
-from monocert.graphs import Graph
+from monocert.chromatic import _greedy_clique, greedy_upper
+from monocert.graphs import Graph, check_partition
 from monocert.hunter import mycielskian, random_graph
 
 from helpers import cycle_graph
@@ -10,15 +8,16 @@ from oracles import chromatic_number_dp
 
 
 def test_verify_proper(c5):
-    assert verify_proper(c5, mc.VertexColoring(3, (0, 1, 0, 1, 2)))
-    assert not verify_proper(c5, mc.VertexColoring(2, (0, 1, 0, 1, 1)))
-    with pytest.raises(ValueError):
-        verify_proper(c5, mc.VertexColoring(2, (0, 1)))
+    assert check_partition(c5, ((0, 2), (1, 3), (4,))) == []
+    assert check_partition(c5, ((0, 2), (1, 3, 4))) == ["edge (3,4) lies inside class 1"]
+    assert check_partition(c5, ((0,), (1,))) == [
+        "classes do not cover vertices 0..n-1 exactly"
+    ]
 
 
 def test_greedy_upper_orders(petersen):
     r = greedy_upper(petersen)
-    assert verify_proper(petersen, r.witness)
+    assert check_partition(petersen, r.witness) == []
     assert r.lower <= 3 <= r.upper
     assert not r.exact or r.lower == r.upper
 
@@ -54,7 +53,7 @@ def test_exact_on_named_graphs(c5, k4, petersen, grotzsch):
         assert r.exact
         assert r.lower == r.upper == want
         if want:
-            assert verify_proper(g, r.witness) and r.witness.k == want
+            assert check_partition(g, r.witness) == [] and len(r.witness) == want
 
 
 def test_exact_matches_subset_dp(rng):
@@ -63,7 +62,7 @@ def test_exact_matches_subset_dp(rng):
         r = mc.chi_exact(g)
         assert r.exact
         assert r.upper == chromatic_number_dp(g)
-        assert verify_proper(g, r.witness)
+        assert check_partition(g, r.witness) == []
 
 
 def test_mycielski_chain():
@@ -78,7 +77,7 @@ def test_budget_honesty(grotzsch):
     r = mc.chi_exact(grotzsch, budget=1)
     assert not r.exact
     assert r.lower <= 4 <= r.upper
-    assert verify_proper(grotzsch, r.witness)
+    assert check_partition(grotzsch, r.witness) == []
     # the inexact answer still brackets the truth
     full = mc.chi_exact(grotzsch)
     assert r.lower <= full.upper <= r.upper

@@ -169,6 +169,27 @@ def test_verify_catches_tampered_tree_cert(tmp_path, capsys, grotzsch, rng):
         assert any("derived coloring" in p for p in vdoc["problems"]), name
 
 
+def test_verify_holds_a_tree_to_the_graph_and_t(tmp_path, capsys):
+    # the edgeless graph on two vertices, with its empty coloring (t = 1)
+    gf = tmp_path / "g.txt"
+    gf.write_text("# n 2\n")
+    cf = tmp_path / "c.txt"
+    cf.write_text("")
+    doc = {"kind": "tree", "derived_classes": [[0, 1]],
+           "certificate": {"color": 1, "edges": [], "vertices": [0]}}
+    cert = tmp_path / "t.json"
+    cert.write_text(json.dumps(doc))
+    rc, vdoc = run(capsys, ["verify", str(cert), str(gf), "--coloring", str(cf)])
+    assert rc == 0 and vdoc["ok"]
+    # a tree's color runs 1..t, and its vertices are the graph's
+    for forged, named in (({"color": 7, "edges": [], "vertices": [0]}, "color 7"),
+                          ({"color": 1, "edges": [], "vertices": [99]}, "vertex 99")):
+        cert.write_text(json.dumps({**doc, "certificate": forged}))
+        rc, vdoc = run(capsys, ["verify", str(cert), str(gf), "--coloring", str(cf)])
+        assert rc == 2 and not vdoc["ok"]
+        assert named in vdoc["problems"][0]
+
+
 # ---------------------------------------------------------------------------
 # match-cert
 
@@ -303,6 +324,10 @@ def test_reduce_end_to_end(tmp_path, capsys, rng):
     assert len(inst["pairs"]) == 15
     rc2, vdoc = run(capsys, ["verify", str(out), gf, "--coloring", cf])
     assert rc2 == 0 and vdoc["kind"] == "reduced"
+    # the instance must keep the coloring's t
+    out.write_text(json.dumps({**doc, "instance": {**inst, "t": 99}}))
+    rc2, vdoc = run(capsys, ["verify", str(out), gf, "--coloring", cf])
+    assert rc2 == 2 and vdoc["problems"] == ["instance has t = 99, but the coloring has t = 3"]
     # forged instances: an edge inside a class, and a class pair left out
     path = mc.path_graph(3)
     pf = write_graph_file(tmp_path, path, "path.txt")

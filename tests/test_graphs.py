@@ -5,7 +5,7 @@ import monocert as mc
 from monocert.graphs import Graph, GraphParseError, canonical_edge, iter_bits
 
 from helpers import coloring_text
-from oracles import components_union_find
+from oracles import components_union_find, partition_problems
 
 
 @st.composite
@@ -150,14 +150,30 @@ def test_edge_coloring_classes(case):
         assert (ri.edge_color[pair], ri.provenance[pair]) == min(options)
 
 
-def test_vertex_coloring():
-    vc = mc.VertexColoring.normalized([5, 5, 7, 5])
-    assert vc.k == 2 and vc.class_of == (0, 0, 1, 0)
-    assert vc.classes() == [[0, 1, 3], [2]]
-    with pytest.raises(ValueError):
-        mc.VertexColoring(2, (0, 0))  # class 1 empty
-    with pytest.raises(ValueError):
-        mc.VertexColoring(1, (0, 1))
+@st.composite
+def graphs_with_classes(draw):
+    """A graph on at most 10 vertices and a class list for it: a random
+    grouping of its vertices, then a few vertices added to or dropped from
+    classes, so that classes may be improper, overlap, leave a vertex out,
+    name a vertex outside the graph, or be empty."""
+    g = draw(graphs(max_n=10))
+    k = draw(st.integers(min_value=1, max_value=max(g.n, 1)))
+    assign = draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n))
+    classes = [[v for v in range(g.n) if assign[v] == c] for c in range(k)]
+    edits = st.tuples(st.integers(0, k - 1), st.integers(-1, g.n), st.booleans())
+    for i, v, add in draw(st.lists(edits, max_size=3)):
+        if add:
+            classes[i].append(v)
+        elif v in classes[i]:
+            classes[i].remove(v)
+    return g, classes
+
+
+@given(graphs_with_classes())
+@settings(max_examples=300, deadline=None)
+def test_check_partition_matches_oracle(case):
+    g, classes = case
+    assert mc.check_partition(g, classes) == partition_problems(g, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import pytest
 
 import monocert as mc
+from monocert import hunter
 from monocert.graphs import Graph
 from monocert.hunter import (
     AcyclicPattern,
@@ -158,6 +159,25 @@ def test_generate_random_with_chi_filter():
     assert list(generate_candidates("random:n=8,p=0.5,count=5,chi_min=3", seed=7)) == got
     # a seed in the spec overrides the argument
     assert list(generate_candidates("random:n=8,p=0.5,count=5,seed=7,chi_min=3", seed=1)) == got
+
+
+@pytest.mark.parametrize("pattern, spec", [
+    (path_pattern(4), "random:n=8,p=0.5,count=2,chi_min=3,seed=7"),
+    (matching_pattern(2), "random:n=9,p=0.7,count=2,chi_min=5,seed=3"),
+])
+def test_chi_min_draws_are_searched_once(pattern, spec, monkeypatch):
+    # generate_candidates settles chi for its filter; hunt must not redo it
+    searched = []
+
+    def counting_chi_exact(g, budget):
+        searched.append(g)
+        return mc.chi_exact(g, budget=budget)
+
+    monkeypatch.setattr(hunter, "chi_exact", counting_chi_exact)
+    hunter._chi_once.cache_clear()
+    report = hunt(pattern, 2, 5, generate_candidates(spec))
+    assert report.counterexample is None and len(report.candidates) == 2
+    assert len(searched) == len(set(searched)) >= 2
 
 
 def test_generate_graph6_stream(tmp_path, monkeypatch, c5):

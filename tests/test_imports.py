@@ -1,5 +1,5 @@
-"""The package imports only the standard library and itself, and every
-name it exports has a caller outside the tests."""
+"""The package imports only the standard library and itself, every name it
+exports has a caller outside the tests, and the checker imports no builder."""
 
 import ast
 import inspect
@@ -52,3 +52,32 @@ def test_every_export_has_a_caller():
     ]
     assert exported
     assert [name for name in exported if name not in used] == []
+
+
+def test_verify_imports_no_builder():
+    # the checker may share JSON readers, certificate and target types and
+    # graph helpers with what it checks, never a routine that builds or
+    # searches: moving the partition check into graphs must stay the only
+    # shared piece of logic
+    path = SRC / "verify.py"
+    imported = {}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update((alias.name, node.module) for alias in node.names)
+    allowed = {
+        "matching": {"MatchingCertificate", "MatchingTargets", "ReducedInstance",
+                     "ramsey_matching_number"},
+        "tree_cert": {"TreeCertificate"},
+    }
+    assert "check_partition" in imported
+    assert [
+        f"{module}.{name}" for name, module in imported.items()
+        if module != "graphs" and name not in allowed.get(module, ())
+    ] == []
+    builders = {
+        "chromatic", "chi_exact", "greedy_upper", "maximum_matching", "kiraly_reduce",
+        "find_mono_matching", "find_mono_matching_kiraly", "lift_matching",
+        "miss_witness", "build_dual", "edge_color_dual", "vertex_coloring_from_dual",
+        "mono_tree_certificate", "hunt", "contains_forest",
+    }
+    assert builders & (_referenced_names(path) | set(imported)) == set()

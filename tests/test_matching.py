@@ -137,8 +137,7 @@ def test_check_matching_certificate_catches_tampering(c5):
 
 def test_kiraly_reduce_c5(c5):
     ec = mc.EdgeColoring.of(c5, {e: 1 if e[0] == 0 else 2 for e in c5.edges()}, 2)
-    vc = mc.VertexColoring(3, (0, 1, 0, 1, 2))
-    ri = kiraly_reduce(ec, vc)
+    ri = kiraly_reduce(ec, ((0, 2), (1, 3), (4,)))
     assert ri.k == 3 and ri.t == 2
     assert set(ri.edge_color) == {(0, 1), (0, 2), (1, 2)}
     for pair, (u, v) in ri.provenance.items():
@@ -158,21 +157,18 @@ def test_kiraly_reduce_merges_disconnected_classes():
     # case where classes {0,2} and {1,3} cross, but {0,1} vs {2,3} do not
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     ec = mc.EdgeColoring.of(g, {(0, 1): 1, (2, 3): 1}, 1)
-    vc = mc.VertexColoring(2, (0, 1, 0, 1))
-    ri = kiraly_reduce(ec, vc)
+    ri = kiraly_reduce(ec, ((0, 2), (1, 3)))
     assert ri.k == 2
     assert ri.edge_color == {(0, 1): 1}
     # now a coloring whose classes have no crossing edges at all
-    vc2 = mc.VertexColoring(2, (0, 0, 1, 1))
     with pytest.raises(ValueError):
-        kiraly_reduce(ec, vc2)  # not proper: (0,1) inside class 0
+        kiraly_reduce(ec, ((0, 1), (2, 3)))  # not proper: (0,1) inside class 0
 
 
 def test_kiraly_reduce_merge_to_single_class():
     g = Graph.from_edges(2, [])
     ec = mc.EdgeColoring.of(g, {}, 1)
-    vc = mc.VertexColoring(2, (0, 1))
-    ri = kiraly_reduce(ec, vc)
+    ri = kiraly_reduce(ec, ((0,), (1,)))
     assert ri.k == 1 and ri.edge_color == {}
 
 
@@ -180,8 +176,7 @@ def test_kiraly_reduce_picks_smallest_color():
     # both edges of P3 cross the same class pair; the smaller color wins
     p3 = mc.path_graph(3)
     ec = mc.EdgeColoring.of(p3, {(0, 1): 2, (1, 2): 1}, 2)
-    vc = mc.VertexColoring(2, (0, 1, 0))
-    ri = kiraly_reduce(ec, vc)
+    ri = kiraly_reduce(ec, ((0, 2), (1,)))
     assert ri.k == 2
     assert ri.edge_color == {(0, 1): 1}
     assert ri.provenance == {(0, 1): (1, 2)}
@@ -215,15 +210,14 @@ def merge_with_restart(g, classes):
 def test_kiraly_reduce_merges_like_restart(g):
     # singleton classes on a sparse graph leave many pairs to merge
     ec = mc.EdgeColoring.of(g, {e: 1 for e in g.edges()}, 1)
-    vc = mc.VertexColoring(g.n, tuple(range(g.n)))
-    assert kiraly_reduce(ec, vc).classes == merge_with_restart(g, vc.classes())
+    singletons = tuple((v,) for v in range(g.n))
+    assert kiraly_reduce(ec, singletons).classes == merge_with_restart(g, singletons)
 
 
 def test_lift_matching_validation():
     g = mc.complete_graph(4)
     ec = mc.EdgeColoring.of(g, {e: 1 for e in g.edges()}, 2)
-    vc = mc.VertexColoring(4, (0, 1, 2, 3))
-    ri = kiraly_reduce(ec, vc)
+    ri = kiraly_reduce(ec, ((0,), (1,), (2,), (3,)))
     assert lift_matching(ri, [(0, 1), (2, 3)], 1) == [(0, 1), (2, 3)]
     assert lift_matching(ri, [(1, 0)], 1) == [(0, 1)]
     with pytest.raises(ValueError):

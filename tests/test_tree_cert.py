@@ -3,8 +3,7 @@ from itertools import product
 import pytest
 
 import monocert as mc
-from monocert.graphs import Graph
-from monocert.chromatic import verify_proper
+from monocert.graphs import Graph, check_partition
 from monocert.tree_cert import (
     BLUE,
     RED,
@@ -27,7 +26,7 @@ def oracle_max_comp(g, ec):
 def certify(ec):
     """The tree certificate of ec and its derived classes."""
     dual = build_dual(ec)
-    derived = vertex_coloring_from_dual(ec.graph, dual, edge_color_dual(dual)).classes()
+    derived = vertex_coloring_from_dual(ec.graph, dual, edge_color_dual(dual))
     return mono_tree_certificate(ec, dual), derived
 
 
@@ -80,8 +79,7 @@ def test_edge_color_dual_parallel_links():
     assert len(dual.links) != len(set(dual.links))
     colors = edge_color_dual(dual)
     assert set(colors) == set(range(1, dual.max_degree() + 1))
-    vc = vertex_coloring_from_dual(g, dual, colors)
-    assert verify_proper(g, vc)
+    assert check_partition(g, vertex_coloring_from_dual(g, dual, colors)) == []
 
 
 def test_edge_color_dual_requires_two_colors(c5):
@@ -108,9 +106,9 @@ def test_pipeline_exhaustive_small(c5, k4):
             assert delta == oracle_max_comp(g, ec)
             colors = edge_color_dual(dual)
             assert set(colors) == set(range(1, delta + 1))
-            vc = vertex_coloring_from_dual(g, dual, colors)
-            assert verify_proper(g, vc)
-            assert vc.k == delta
+            derived = vertex_coloring_from_dual(g, dual, colors)
+            assert check_partition(g, derived) == []
+            assert len(derived) == delta
 
 
 def test_max_mono_component_matches_oracle(petersen, rng, random_coloring):
