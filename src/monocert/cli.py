@@ -240,7 +240,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"a {kind} certificate needs the graph it talks about")
     elif kind == "chi":
         problems = verify.check_chi_witness(_load_graph(args), data)
-        if not problems and data.get("lower", 0) > 2:
+        # no problem means check_chi_witness read lower as an integer
+        if not problems and data["lower"] > 2:
             unchecked.append("chi lower bound")
     elif args.coloring is None:
         raise ValueError(f"a {kind} certificate needs --coloring")

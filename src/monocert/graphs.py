@@ -12,6 +12,8 @@ fits its graph, row by row, so consumers read a color class as
 ``ec.classes[c - 1]`` and the host as ``ec.graph`` without re-checking it.
 A vertex coloring is a tuple of classes, each an ascending tuple of
 vertices, and ``check_partition`` is the one check that it is proper.
+``bfs_forest`` is the one breadth-first search: components, spanning trees
+and the hunter's orders are read off its (vertex, parent) pairs.
 
 Supported text formats: edge list ("u v" per line, 0-indexed, ``#``
 comments, optional ``# n <count>`` directive for isolated vertices), DIMACS
@@ -144,29 +146,39 @@ def complete_multipartite(sizes) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def component_masks(g: Graph) -> list[int]:
-    """Connected components as vertex bitmasks, ordered by minimum vertex."""
-    comps = []
-    seen = 0
-    for v in range(g.n):
-        if (seen >> v) & 1:
+def bfs_forest(g: Graph, roots) -> list[tuple[int, int]]:
+    """(vertex, parent) pairs of a breadth-first forest of g, in visiting order.
+
+    Each root that no earlier tree reached starts a new tree, with parent -1;
+    a vertex's unseen neighbours are entered in ascending order.
+    """
+    adj = g.adj
+    unseen = (1 << g.n) - 1
+    order: list[tuple[int, int]] = []
+    i = 0
+    for root in roots:
+        if not (unseen >> root) & 1:
             continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(comp)
-    return comps
+        unseen ^= 1 << root
+        order.append((root, -1))
+        while i < len(order):
+            u = order[i][0]
+            i += 1
+            new = adj[u] & unseen
+            if new:
+                unseen ^= new
+                order.extend((w, u) for w in iter_bits(new))
+    return order
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, ordered by minimum vertex."""
-    return [tuple(iter_bits(mask)) for mask in component_masks(g)]
+    comps: list[list[int]] = []
+    for v, parent in bfs_forest(g, range(g.n)):
+        if parent < 0:
+            comps.append([])
+        comps[-1].append(v)
+    return [tuple(sorted(comp)) for comp in comps]
 
 
 @dataclass(frozen=True)

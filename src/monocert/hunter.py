@@ -29,10 +29,11 @@ from .graphs import (
     EdgeColoring,
     Graph,
     InternalInconsistencyError,
+    bfs_forest,
     canonical_edge,
     complete_graph,
     complete_multipartite,
-    component_masks,
+    connected_components,
     iter_bits,
     json_edges,
     json_fields,
@@ -54,7 +55,7 @@ class AcyclicPattern:
 
     def __post_init__(self):
         g = self.graph
-        if g.m != g.n - len(component_masks(g)):
+        if g.m != g.n - len(connected_components(g)):
             raise ValueError("pattern contains a cycle")
 
 
@@ -83,36 +84,17 @@ def matching_pattern(k: int) -> AcyclicPattern:
 def _embedding_order(p: Graph, seed: tuple[int, int] | None = None):
     """(vertex, parent) placement order; parent -1 means free placement.
 
-    Components are taken largest first; within a component placement follows
-    BFS, so every non-root vertex has exactly one already-placed neighbor
-    (patterns are forests). With a seed edge its component comes first and
-    both endpoints are assumed placed.
+    Components are taken largest first, each from a vertex of largest
+    degree; within a component placement follows BFS, so every non-root
+    vertex has exactly one already-placed neighbor (patterns are forests).
+    With a seed edge its component comes first, both endpoints are assumed
+    placed and neither is listed.
     """
-    placed = set()
-    order: list[tuple[int, int]] = []
-
-    def bfs(queue: list[int]) -> None:
-        while queue:
-            x = queue.pop(0)
-            for y in p.neighbors(x):
-                if y not in placed:
-                    placed.add(y)
-                    order.append((y, x))
-                    queue.append(y)
-
-    if seed is not None:
-        placed.update(seed)
-        bfs(list(seed))
-    comps = [tuple(iter_bits(m)) for m in component_masks(p)]
-    deg = [p.adj[v].bit_count() for v in range(p.n)]
-    for comp in sorted(comps, key=lambda c: (-len(c), c)):
-        if comp[0] in placed:
-            continue
-        root = max(comp, key=lambda z: (deg[z], -z))
-        placed.add(root)
-        order.append((root, -1))
-        bfs([root])
-    return tuple(order)
+    deg = [row.bit_count() for row in p.adj]
+    comps = sorted(connected_components(p), key=lambda c: (-len(c), c))
+    roots = [max(comp, key=lambda z: (deg[z], -z)) for comp in comps]
+    seed = seed or ()
+    return tuple(x for x in bfs_forest(p, [*seed, *roots]) if x[0] not in seed)
 
 
 def _dfs_embed(rows, n: int, pdeg, order, i: int, used: int, images) -> bool:
@@ -231,23 +213,9 @@ def _exists_matching(rows, excl: int, k: int, n: int) -> bool:
 
 def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
     """Edges sorted so each BFS-discovered vertex brings its back edges."""
-    pos = [-1] * g.n
-    nxt = 0
-    for start in range(g.n):
-        if pos[start] >= 0:
-            continue
-        pos[start] = nxt
-        nxt += 1
-        frontier = [start]
-        while frontier:
-            new = []
-            for u in frontier:
-                for w in iter_bits(g.adj[u]):
-                    if pos[w] < 0:
-                        pos[w] = nxt
-                        nxt += 1
-                        new.append(w)
-            frontier = new
+    pos = [0] * g.n
+    for i, (v, _) in enumerate(bfs_forest(g, range(g.n))):
+        pos[v] = i
     return sorted(
         g.edges(),
         key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]])),
@@ -570,21 +538,21 @@ def hunt(
         ident = write_graph(g, "g6").strip()
         r = _chi_once(g, chi_budget)
         if not r.exact:
-            outcomes.append(CandidateOutcome(
-                ident, r.lower, r.upper, False, False,
-                "chromatic number unresolved within budget", 0, False, False,
-            ))
-            continue
-        if r.lower < ramsey_value:
-            outcomes.append(CandidateOutcome(
-                ident, r.lower, r.upper, True, False,
-                f"chi={r.lower} below ramsey_value={ramsey_value}", 0, False, False,
-            ))
-            continue
-        coloring, exhausted, nodes = _search_avoiding(
-            g, [pattern] * t, colorings_budget
-        )
-        total += nodes
+            skipped = "chromatic number unresolved within budget"
+        elif r.lower < ramsey_value:
+            skipped = f"chi={r.lower} below ramsey_value={ramsey_value}"
+        else:
+            skipped = None
+        coloring, exhausted, nodes = None, False, 0
+        if skipped is None:
+            coloring, exhausted, nodes = _search_avoiding(
+                g, [pattern] * t, colorings_budget
+            )
+            total += nodes
+        outcomes.append(CandidateOutcome(
+            ident, r.lower, r.upper, r.exact, skipped is None, skipped, nodes,
+            exhausted, coloring is not None,
+        ))
         if coloring is not None:
             problems = check_hunt_counterexample(pattern, ramsey_value, coloring, chi_budget)
             if problems:
@@ -592,14 +560,8 @@ def hunt(
                     "search produced a coloring that failed re-verification: "
                     + "; ".join(problems)
                 )
-            outcomes.append(CandidateOutcome(
-                ident, r.lower, r.upper, True, True, None, nodes, False, True,
-            ))
             counterexample = coloring
             break
-        outcomes.append(CandidateOutcome(
-            ident, r.lower, r.upper, True, True, None, nodes, exhausted, False,
-        ))
     return HuntReport(
         pattern=pattern.graph,
         t=t,

@@ -255,8 +255,8 @@ def kiraly_reduce(ec: EdgeColoring, coloring) -> ReducedInstance:
     recorded as provenance.
     """
     g = ec.graph
-    if check_partition(g, coloring):
-        raise ValueError("vertex coloring is not proper")
+    if problems := check_partition(g, coloring):
+        raise ValueError(f"vertex coloring is not proper: {problems[0]}")
     classes = [sorted(cls) for cls in coloring]
     masks = [sum(1 << v for v in cls) for cls in classes]
 

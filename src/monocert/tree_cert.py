@@ -20,10 +20,10 @@ from .graphs import (
     EdgeColoring,
     Graph,
     InternalInconsistencyError,
+    bfs_forest,
     canonical_edge,
     check_partition,
     connected_components,
-    iter_bits,
     json_edges,
     json_fields,
     json_int,
@@ -180,8 +180,8 @@ def vertex_coloring_from_dual(
     for v, c in enumerate(link_colors):
         by_color[c].append(v)
     classes = tuple(map(tuple, by_color.values()))
-    if check_partition(g, classes):
-        raise ValueError("link coloring does not come from this graph's dual")
+    if problems := check_partition(g, classes):
+        raise ValueError(f"link coloring does not come from this graph's dual: {problems[0]}")
     return classes
 
 
@@ -192,19 +192,8 @@ def mono_tree_certificate(ec: EdgeColoring, dual: DualMultigraph) -> TreeCertifi
     if not nodes:
         raise ValueError("the empty graph has no components")
     color, comp = min(nodes, key=lambda node: (-len(node[1]), node[1][0], node[0]))
-    sub = ec.classes[color - 1]
-    root = comp[0]
-    seen = 1 << root
-    frontier = [root]
-    tree_edges = []
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in iter_bits(sub.adj[u] & ~seen):
-                seen |= 1 << w
-                tree_edges.append(canonical_edge(u, w))
-                nxt.append(w)
-        frontier = nxt
-    if tuple(iter_bits(seen)) != comp:
+    tree = bfs_forest(ec.classes[color - 1], comp[:1])
+    if tuple(sorted(v for v, _ in tree)) != comp:
         raise ValueError(f"dual component {comp} is not a component of this coloring")
-    return TreeCertificate(color, tuple(sorted(tree_edges)), comp)
+    edges = sorted(canonical_edge(v, parent) for v, parent in tree[1:])
+    return TreeCertificate(color, tuple(edges), comp)

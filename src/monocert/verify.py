@@ -10,7 +10,7 @@ the package's one proper-partition check.
 
 from __future__ import annotations
 
-from .graphs import EdgeColoring, Graph, check_partition, json_classes, json_int
+from .graphs import EdgeColoring, Graph, check_partition, json_classes, json_fields, json_int
 from .matching import (
     MatchingCertificate,
     MatchingTargets,
@@ -129,8 +129,10 @@ def check_chi_witness(g: Graph, data: dict) -> list[str]:
     classes, and a lower bound of at most 2 holds (1 needs a vertex, 2 an
     edge, and no bound exceeds n). A larger lower bound is not checked."""
     try:
-        classes = json_classes(data.get("classes"))
-        lower, upper = json_int(data.get("lower", 0)), json_int(data.get("upper"))
+        lower, upper, exact, classes = json_fields(data, "lower", "upper", "exact", "classes")
+        lower, upper, classes = json_int(lower), json_int(upper), json_classes(classes)
+        if type(exact) is not bool:
+            raise ValueError(f"expected true or false for exact, got {exact!r:.60}")
     except ValueError as e:
         return [f"malformed chi result: {e}"]
     problems = check_partition(g, classes)
@@ -138,7 +140,7 @@ def check_chi_witness(g: Graph, data: dict) -> list[str]:
         problems.append(f"witness uses {len(classes)} classes but upper is {upper}")
     if lower > upper:
         problems.append("lower bound exceeds upper bound")
-    if data.get("exact") and data.get("lower") != upper:
+    if exact and lower != upper:
         problems.append("exact result with lower != upper")
     if lower > g.n:
         problems.append(f"lower bound {lower} exceeds the {g.n} vertices")

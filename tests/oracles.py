@@ -3,12 +3,14 @@
 Each oracle favors transparency over speed and shares no code path with the
 implementation it checks: chromatic number by subset DP over independent
 sets, matching number by memoized take-or-skip recursion (with a literal
-edge-subset variant for tiny graphs), components by union-find, forest
+edge-subset variant for tiny graphs), components by union-find, a
+breadth-first forest by a FIFO queue over vertex pairs, forest
 containment by trying every injection, and a coloring's problems by looking
 at every vertex pair. The goodness table below is the one
 list of hunts whose verdict a theorem settles.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 
 from monocert.graphs import Graph, iter_bits
@@ -140,6 +142,28 @@ def components_union_find(g: Graph) -> list[tuple[int, ...]]:
     for v in range(g.n):
         groups.setdefault(find(v), []).append(v)
     return sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda c: c[0])
+
+
+def bfs_forest_fifo(g: Graph, roots) -> list[tuple[int, int]]:
+    """(vertex, parent) in visiting order of a textbook queue BFS from each
+    unvisited root in turn; neighbours are found by asking about every
+    vertex in ascending order."""
+    visited = set()
+    order = []
+    for root in roots:
+        if root in visited:
+            continue
+        visited.add(root)
+        order.append((root, -1))
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in range(g.n):
+                if g.has_edge(u, w) and w not in visited:
+                    visited.add(w)
+                    order.append((w, u))
+                    queue.append(w)
+    return order
 
 
 def contains_injection(g: Graph, h: Graph) -> bool:

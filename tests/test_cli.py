@@ -538,6 +538,11 @@ MALFORMED = {
         ]},
     }, False),
     "chi-classes-not-a-list": ({"kind": "chi", "classes": 5, "upper": 1, "lower": 1}, True),
+    "chi-without-lower": ({"kind": "chi", "classes": [[0, 2], [1, 3], [4]], "upper": 3}, True),
+    "chi-without-exact": ({"kind": "chi", "classes": [[0, 2], [1, 3], [4]], "upper": 3,
+                           "lower": 2}, True),
+    "chi-exact-not-a-boolean": ({"kind": "chi", "classes": [[0, 2], [1, 3], [4]], "upper": 3,
+                                 "lower": 2, "exact": 0}, True),
 }
 
 

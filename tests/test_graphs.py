@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import monocert as mc
-from monocert.graphs import Graph, GraphParseError, canonical_edge, iter_bits
+from monocert.graphs import Graph, GraphParseError, bfs_forest, canonical_edge, iter_bits
 
 from helpers import coloring_text
-from oracles import components_union_find, partition_problems
+from oracles import bfs_forest_fifo, components_union_find, partition_problems
 
 
 @st.composite
@@ -63,6 +63,17 @@ def test_components_examples():
 @settings(max_examples=60, deadline=None)
 def test_components_match_union_find(g):
     assert mc.connected_components(g) == components_union_find(g)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_bfs_forest_matches_fifo_oracle(data):
+    # roots may repeat and may name a vertex an earlier tree already holds
+    g = data.draw(graphs())
+    vertex = st.integers(min_value=0, max_value=g.n - 1) if g.n else st.nothing()
+    roots = data.draw(st.lists(vertex, max_size=2 * g.n))
+    assert bfs_forest(g, roots) == bfs_forest_fifo(g, roots)
+    assert bfs_forest(g, range(g.n)) == bfs_forest_fifo(g, range(g.n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import monocert as mc
 from monocert import hunter
-from monocert.graphs import Graph
+from monocert.graphs import Graph, canonical_edge
 from monocert.hunter import (
     AcyclicPattern,
     HuntReport,
@@ -66,6 +67,39 @@ def test_contains_forest_matches_injection_oracle(rng):
             got = contains_forest(g, p) is not None
             want = contains_injection(g, p.graph)
             assert got == want
+
+
+@st.composite
+def forests(draw, max_n=10):
+    """A forest on relabelled vertices: each vertex after the first joins an
+    earlier one or starts a new tree."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for i in range(1, n):
+        j = draw(st.integers(min_value=-1, max_value=i - 1))
+        if j >= 0:
+            edges.append((label[i], label[j]))
+    return Graph.from_edges(n, edges)
+
+
+@given(forests(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_embedding_order_places_every_vertex_once(p, data):
+    seed = data.draw(st.sampled_from(p.edges()) | st.none()) if p.m else None
+    order = hunter._embedding_order(p, seed)
+    placed = list(seed or ())
+    for v, parent in order:
+        assert v not in placed
+        assert parent == -1 or (p.has_edge(v, parent) and parent in placed)
+        placed.append(v)
+    assert sorted(placed) == list(range(p.n))
+    # parent links and the seed edge are all of the pattern's edges, so an
+    # embedding that keeps each link keeps the pattern
+    links = {canonical_edge(v, parent) for v, parent in order if parent >= 0}
+    if seed:
+        links.add(canonical_edge(*seed))
+    assert links == set(p.edges())
 
 
 # ---------------------------------------------------------------------------

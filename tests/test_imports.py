@@ -1,5 +1,6 @@
 """The package imports only the standard library and itself, every name it
-exports has a caller outside the tests, and the checker imports no builder."""
+exports or defines in public has a caller outside the tests, and the checker
+imports no builder."""
 
 import ast
 import inspect
@@ -28,30 +29,39 @@ def test_src_imports_only_stdlib():
 
 
 def _referenced_names(path: Path) -> set[str]:
-    """Every name a file reads or looks up as an attribute."""
+    """Every name a file reads or looks up as an attribute, except where a
+    module-level def or class reads its own name."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+    for top in ast.parse(path.read_text(), str(path)).body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id != own:
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != own:
+                names.add(node.attr)
     return names
 
 
 def test_every_export_has_a_caller():
-    # a name the package exports must be used by the package itself or by
-    # the benchmark; a name only the tests reach belongs in tests/
+    # a name the package exports, and every public module-level function or
+    # class, must be used by the package itself or by the benchmark beyond
+    # its own def; a name only the tests reach belongs in tests/
     import monocert
 
     callers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     callers += (SRC.parent.parent / "perfbench").glob("*.py")
     used = set().union(*map(_referenced_names, callers))
-    exported = [
-        name for name in monocert.__all__
-        if not inspect.ismodule(getattr(monocert, name))
-    ]
-    assert exported
-    assert [name for name in exported if name not in used] == []
+    public = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    public.update(
+        name for name in monocert.__all__ if not inspect.ismodule(getattr(monocert, name))
+    )
+    assert "json_fields" in public  # reached only by the walk over defs
+    assert sorted(public - used) == []
 
 
 def test_verify_imports_no_builder():

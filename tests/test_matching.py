@@ -161,8 +161,8 @@ def test_kiraly_reduce_merges_disconnected_classes():
     assert ri.k == 2
     assert ri.edge_color == {(0, 1): 1}
     # now a coloring whose classes have no crossing edges at all
-    with pytest.raises(ValueError):
-        kiraly_reduce(ec, ((0, 1), (2, 3)))  # not proper: (0,1) inside class 0
+    with pytest.raises(ValueError, match=r"not proper: edge \(0,1\) lies inside class 0$"):
+        kiraly_reduce(ec, ((0, 1), (2, 3)))
 
 
 def test_kiraly_reduce_merge_to_single_class():

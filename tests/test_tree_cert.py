@@ -96,6 +96,11 @@ def test_vertex_coloring_from_dual_rejects_improper(c5):
         vertex_coloring_from_dual(c5, dual, bad)
     with pytest.raises(ValueError):
         vertex_coloring_from_dual(c5, dual, tuple(range(1, 5)))
+    # proper on the dual of the path 0-1-2, but not on the triangle over it
+    p3 = mc.EdgeColoring.of(mc.path_graph(3), {(0, 1): RED, (1, 2): BLUE}, 2)
+    with pytest.raises(ValueError, match=r"not come from this graph's dual: "
+                       r"edge \(0,2\) lies inside class 0$"):
+        vertex_coloring_from_dual(mc.complete_graph(3), build_dual(p3), (1, 2, 1))
 
 
 def test_pipeline_exhaustive_small(c5, k4):
