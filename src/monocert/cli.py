@@ -201,13 +201,14 @@ def _cmd_hunt(args) -> int:
     _emit(args, {"kind": "hunt", **report.to_json()})
     for c in report.candidates:
         # the kernel stops at budget + 1 nodes when the budget runs out;
-        # an unsettled search below that hit Python's stack depth
+        # an unsettled search below that hit Python's stack depth while
+        # embedding the pattern, which recurses once per pattern vertex
         state = (
             "counterexample" if c.counterexample
             else c.skipped_reason if c.skipped_reason
             else "exhausted" if c.exhausted
             else "budget hit" if c.colorings_examined > args.budget
-            else "stack depth reached"
+            else "stack depth reached embedding the pattern"
         )
         _note(f"{c.graph6}  chi>={c.chi_lower}  {state}")
     if report.counterexample is not None:

@@ -4,13 +4,17 @@ Core pieces: forest containment, an exhaustive arrowing check on complete
 graphs, candidate-graph generators, and ``hunt``, which searches candidate
 hosts for an edge coloring avoiding a pattern in every color.
 
-The shared search kernel backtracks over edges in a BFS-derived order and
-assigns one color at a time; a branch dies as soon as every color choice
-would complete a copy of that color's pattern. Containment tests are
-incremental: along a live branch each class was pattern-free before the new
-edge arrived, so only copies through the new edge need to be sought, and
-the memo keyed by the class's edge set stays sound. Work is metered in
-partial colorings visited (one per backtracking node entered), which is the
+The shared search kernel is a backtracking loop (no recursion) over edges
+in a BFS-derived order that assigns one color at a time, in ascending
+order; a branch dies as soon as every color choice would complete a copy
+of that color's pattern. Colors forbidding equal patterns are
+interchangeable, so each may open only after the one before it holds an
+edge, and every coloring is visited once up to relabelling them.
+Containment tests are incremental: along a live branch each class was
+pattern-free before the new edge arrived, so only copies through the new
+edge need to be sought, and the memo keyed by the class's edge set stays
+sound. Work is metered in partial colorings visited (one per search node
+entered, interchangeable colors opened in order), which is the
 deterministic "colorings examined" unit reported everywhere; budgets cap
 that count and exhaustion flags are set honestly.
 """
@@ -195,20 +199,23 @@ class _PatternMatcher:
 
 
 def _exists_matching(rows, excl: int, k: int, n: int) -> bool:
-    """k disjoint edges avoiding excl vertices; every vertex may be skipped."""
+    """k disjoint edges avoiding excl vertices.
+
+    Only matchings through the first vertex v with a free neighbor are
+    tried, which loses nothing: a largest matching that misses v covers
+    every free neighbor x of v (else it would grow by vx), and trading x's
+    edge for vx keeps its size. So the depth is at most k.
+    """
     if k == 0:
         return True
-    v = -1
-    for w in range(n):
-        if not (excl >> w) & 1 and rows[w] & ~excl:
-            v = w
-            break
-    if v < 0:
-        return False
-    for x in iter_bits(rows[v] & ~excl):
-        if _exists_matching(rows, excl | (1 << v) | (1 << x), k - 1, n):
-            return True
-    return _exists_matching(rows, excl | (1 << v), k, n)
+    for v in range(n):
+        free = rows[v] & ~excl
+        if free and not (excl >> v) & 1:
+            return any(
+                _exists_matching(rows, excl | (1 << v) | (1 << x), k - 1, n)
+                for x in iter_bits(free)
+            )
+    return False
 
 
 def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
@@ -222,65 +229,85 @@ def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
     )
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def _search_avoiding(
     g: Graph, patterns, budget: int | None = None
 ) -> tuple[EdgeColoring | None, bool, int]:
     """Find a t-coloring of E(g) with no pattern monochromatic.
 
-    Returns (coloring or None, exhausted, partial colorings visited);
-    exhausted is True only when the whole tree was covered and nothing was
-    found.
+    A backtracking loop over the edges in BFS order: ``held[i]`` is the
+    color edge i holds (-1 for none yet), and colors are tried in ascending
+    order. A color whose pattern equals (``Graph`` equality) an earlier
+    color's is interchangeable with it, and may open on an edge only once
+    the previous such color holds one. The coloring found is still the
+    lexicographically first avoiding one, because that one opens
+    interchangeable colors in order: were it not so, swapping two of them
+    would give a smaller one.
+
+    Returns (coloring or None, exhausted, partial colorings visited). The
+    count is of search nodes entered, each a partial coloring with
+    interchangeable colors opened in order; exhausted is True only when the
+    whole tree was covered and nothing was found.
     """
     n = g.n
     edges = _bfs_edge_order(g)
-    t = len(patterns)
-    matchers: dict[int, _PatternMatcher] = {}
-    per_color = []
-    for p in patterns:
-        key = id(p)
-        if key not in matchers:
-            matchers[key] = _PatternMatcher(p, n)
-        per_color.append(matchers[key])
     E = len(edges)
+    t = len(patterns)
+    matchers: dict[Graph, tuple[_PatternMatcher, int]] = {}
+    per_color = []
+    opener = []  # per color, the previous color with an equal pattern, or -1
+    for c, p in enumerate(patterns):
+        matcher, prev = matchers.get(p.graph, (None, -1))
+        if matcher is None:
+            matcher = _PatternMatcher(p, n)
+        matchers[p.graph] = matcher, c
+        per_color.append(matcher)
+        opener.append(prev)
     rows = [[0] * n for _ in range(t)]
     masks = [0] * t
-    nodes = 0
-    found: EdgeColoring | None = None
-
-    def rec(i: int) -> bool:
-        nonlocal nodes, found
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetHit
-        if i == E:
-            found = EdgeColoring(g, tuple(Graph(n, tuple(rc)) for rc in rows))
-            return True
-        u, v = edges[i]
-        ub, vb, eb = 1 << u, 1 << v, 1 << i
-        for c in range(t):
-            rc = rows[c]
-            rc[u] |= vb
-            rc[v] |= ub
-            masks[c] |= eb
-            if not per_color[c].creates(rc, u, v, masks[c]):
-                if rec(i + 1):
-                    return True
-            rc[u] &= ~vb
-            rc[v] &= ~ub
-            masks[c] &= ~eb
-        return False
-
+    held = [-1] * E
+    limit = float("inf") if budget is None else budget
+    nodes = 1
+    i = 0
     try:
-        rec(0)
-    except (_BudgetHit, RecursionError):
-        # The kernel recurses once per edge; a stack too shallow for the
-        # host leaves the candidate unsettled, like an exhausted budget.
-        return None, False, nodes
-    return found, found is None, nodes
+        while nodes <= limit:
+            if i == E:
+                classes = tuple(Graph(n, tuple(rc)) for rc in rows)
+                return EdgeColoring(g, classes), False, nodes
+            u, v = edges[i]
+            ub, vb, eb = 1 << u, 1 << v, 1 << i
+            c = held[i]
+            if c >= 0:
+                rows[c][u] &= ~vb
+                rows[c][v] &= ~ub
+                masks[c] &= ~eb
+            for c in range(c + 1, t):
+                prev = opener[c]
+                if prev >= 0 and not masks[prev]:
+                    continue
+                rc = rows[c]
+                rc[u] |= vb
+                rc[v] |= ub
+                masks[c] |= eb
+                if not per_color[c].creates(rc, u, v, masks[c]):
+                    held[i] = c
+                    i += 1
+                    nodes += 1
+                    break
+                rc[u] &= ~vb
+                rc[v] &= ~ub
+                masks[c] &= ~eb
+            else:
+                held[i] = -1
+                if i == 0:
+                    return None, True, nodes
+                i -= 1
+    except RecursionError:
+        # The loop itself cannot outgrow the stack; only the pattern tests
+        # recurse, _dfs_embed once per pattern vertex and _exists_matching
+        # once per pattern edge. A pattern too large for the stack leaves
+        # the candidate unsettled, like an exhausted budget.
+        pass
+    return None, False, nodes
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,14 @@ implementation it checks: chromatic number by subset DP over independent
 sets, matching number by memoized take-or-skip recursion (with a literal
 edge-subset variant for tiny graphs), components by union-find, a
 breadth-first forest by a FIFO queue over vertex pairs, forest
-containment by trying every injection, and a coloring's problems by looking
+containment by trying every injection, the first avoiding edge coloring by
+listing every coloring in order, and a coloring's problems by looking
 at every vertex pair. The goodness table below is the one
 list of hunts whose verdict a theorem settles.
 """
 
 from collections import deque
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from monocert.graphs import Graph, iter_bits
 from monocert.hunter import path_pattern, star_pattern
@@ -175,6 +176,31 @@ def contains_injection(g: Graph, h: Graph) -> bool:
         if all(g.has_edge(image[u], image[v]) for u, v in hedges):
             return True
     return False
+
+
+def first_avoiding_coloring(g: Graph, patterns, order):
+    """The first coloring of the edges in ``order`` (colors 1..t, compared
+    lexicographically along ``order``) in which no class contains its
+    color's pattern, as a tuple aligned with ``order``; None if none.
+
+    Lists all t^m colorings; containment answers are remembered per class
+    edge set and pattern, since the same classes recur across colorings.
+    """
+    known: dict = {}
+
+    def contains(edges, h: Graph) -> bool:
+        key = (edges, h)
+        if key not in known:
+            known[key] = contains_injection(Graph.from_edges(g.n, edges), h)
+        return known[key]
+
+    for colors in product(range(1, len(patterns) + 1), repeat=len(order)):
+        if not any(
+            contains(tuple(e for e, c in zip(order, colors) if c == k), p.graph)
+            for k, p in enumerate(patterns, start=1)
+        ):
+            return colors
+    return None
 
 
 def max_mono_component_size(g: Graph, colors: dict, color: int) -> int:

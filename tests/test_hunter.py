@@ -1,7 +1,10 @@
+import inspect
 import io
+import sys
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import monocert as mc
 from monocert import hunter
@@ -23,7 +26,12 @@ from monocert.hunter import (
 )
 
 from helpers import cycle_graph
-from oracles import GOODNESS_REGRESSIONS, contains_injection
+from oracles import (
+    GOODNESS_REGRESSIONS,
+    contains_injection,
+    first_avoiding_coloring,
+    matching_number_recursive,
+)
 
 
 def test_pattern_validation():
@@ -100,6 +108,100 @@ def test_embedding_order_places_every_vertex_once(p, data):
     if seed:
         links.add(canonical_edge(*seed))
     assert links == set(p.edges())
+
+
+# ---------------------------------------------------------------------------
+# search kernel
+
+PATTERN_MAKERS = {
+    "matching:1": lambda: matching_pattern(1),
+    "matching:2": lambda: matching_pattern(2),
+    "path:3": lambda: path_pattern(3),
+    "star:2": lambda: star_pattern(2),
+}
+
+
+@st.composite
+def small_hosts(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def pattern_lists(draw):
+    names = draw(st.lists(st.sampled_from(sorted(PATTERN_MAKERS)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        # one object per name, as hunt's [pattern] * t
+        made = {name: PATTERN_MAKERS[name]() for name in names}
+        return [made[name] for name in names]
+    # equal patterns as distinct objects, as ramsey builds them
+    return [PATTERN_MAKERS[name]() for name in names]
+
+
+@given(small_hosts(), pattern_lists())
+@example(mc.complete_graph(4), [matching_pattern(2) for _ in range(3)])
+@example(mc.complete_graph(4), [matching_pattern(2), matching_pattern(1)])
+@example(mc.complete_graph(4), [path_pattern(3), star_pattern(2), path_pattern(3)])
+@settings(max_examples=200, deadline=None)
+def test_search_avoiding_finds_the_first_avoiding_coloring(g, patterns):
+    order = hunter._bfs_edge_order(g)
+    want = first_avoiding_coloring(g, patterns, order)
+    got, exhausted, nodes = hunter._search_avoiding(g, patterns)
+    assert nodes >= 1
+    if want is None:
+        assert got is None and exhausted
+    else:
+        assert got is not None and not exhausted and got.graph == g
+        assert tuple(got.color_of(u, v) for u, v in order) == want
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_exists_matching_matches_oracle(data):
+    n = data.draw(st.integers(min_value=0, max_value=10))
+    pairs = list(combinations(range(n), 2))
+    g = Graph.from_edges(n, data.draw(st.lists(st.sampled_from(pairs), max_size=20))
+                         if pairs else [])
+    excl = sum(1 << v for v in data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=3)))
+    excl &= (1 << n) - 1
+    rest = Graph.from_edges(n, [(u, v) for u, v in g.edges() if not (excl >> u | excl >> v) & 1])
+    nu = matching_number_recursive(rest)
+    for k in range(n // 2 + 2):
+        assert hunter._exists_matching(g.adj, excl, k, n) == (k <= nu)
+
+
+def test_search_avoiding_work_counts():
+    # interchangeable colors open in order; visiting every relabelling
+    # instead reads 281,458 and 3,334
+    k8 = hunter._search_avoiding(mc.complete_graph(8), [star_pattern(3)] * 3)
+    assert k8 == (None, True, 46_912)
+    k6 = hunter._search_avoiding(mc.complete_graph(6), [path_pattern(4)] * 3)
+    assert k6 == (None, True, 558)
+    # equal patterns are interchangeable whether or not they are one object
+    apart = ramsey_bruteforce([matching_pattern(2) for _ in range(3)], 6)
+    shared = ramsey_bruteforce([matching_pattern(2)] * 3, 6)
+    assert apart.colorings_examined == shared.colorings_examined == 181
+
+
+def test_search_avoiding_pattern_deeper_than_the_stack():
+    # only the pattern embedding recurses, once per pattern vertex: on the
+    # 40th edge of K_{1,40} a star:40 embeds 40 levels deep
+    g = mc.complete_multipartite([1, 40])
+    pattern = [star_pattern(40)]
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack(0))
+    try:
+        sys.setrecursionlimit(depth + 20)
+        shallow = hunter._search_avoiding(g, pattern)
+        sys.setrecursionlimit(depth + 80)
+        deep = hunter._search_avoiding(g, pattern)
+    finally:
+        sys.setrecursionlimit(limit)
+    # too shallow: unsettled below any budget, like an exhausted budget
+    assert shallow == (None, False, 40)
+    assert deep == (None, True, 40)
 
 
 # ---------------------------------------------------------------------------
