@@ -202,7 +202,7 @@ def _cmd_hunt(args) -> int:
     for c in report.candidates:
         # the kernel stops at budget + 1 nodes when the budget runs out;
         # an unsettled search below that hit Python's stack depth while
-        # embedding the pattern, which recurses once per pattern vertex
+        # testing for the pattern, one level per pattern vertex or edge
         state = (
             "counterexample" if c.counterexample
             else c.skipped_reason if c.skipped_reason
