@@ -3,10 +3,10 @@
 The exact solver is DSATUR-ordered branch and bound: a greedy clique pins
 its vertices to distinct colors, a greedy DSATUR coloring seeds the upper
 bound, and the search only ever tries used colors plus one fresh color per
-node, which kills color-permutation symmetry. Work is metered in node
-expansions so results are budget-honest: on exhaustion the result degrades
-to (clique lower bound, best coloring found) with exact=False, never to a
-wrong claim.
+node, which kills color-permutation symmetry. The search is a loop that
+keeps its own per-depth stack. Work is metered in node expansions so results
+are budget-honest: on exhaustion the result degrades to (clique lower bound,
+best coloring found) with exact=False, never to a wrong claim.
 """
 
 from __future__ import annotations
@@ -50,6 +50,17 @@ def _classes(assign) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
+def _most_saturated(assign, neigh, deg) -> int:
+    """The uncolored (-1) vertex seeing the most colors, then of most degree."""
+    pick, psat, pdeg = -1, -1, -1
+    for v, c in enumerate(assign):
+        if c < 0:
+            s = neigh[v].bit_count()
+            if s > psat or (s == psat and deg[v] > pdeg):
+                pick, psat, pdeg = v, s, deg[v]
+    return pick
+
+
 def _dsatur(g: Graph) -> list[int]:
     """DSATUR greedy coloring: a color 0..k-1 per vertex, all k used."""
     n = g.n
@@ -57,12 +68,7 @@ def _dsatur(g: Graph) -> list[int]:
     assign = [-1] * n
     neigh = [0] * n  # bitmask of colors seen on colored neighbors
     for _ in range(n):
-        pick, psat, pdeg = -1, -1, -1
-        for v in range(n):
-            if assign[v] < 0:
-                s = neigh[v].bit_count()
-                if s > psat or (s == psat and deg[v] > pdeg):
-                    pick, psat, pdeg = v, s, deg[v]
+        pick = _most_saturated(assign, neigh, deg)
         c = 0
         while (neigh[pick] >> c) & 1:
             c += 1
@@ -100,14 +106,6 @@ def _greedy_clique(g: Graph) -> list[int]:
     return best
 
 
-class _Budget(Exception):
-    pass
-
-
-class _Done(Exception):
-    pass
-
-
 def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
     """Exact chromatic number within a node-expansion budget.
 
@@ -132,51 +130,52 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
         colors[v] = i
         for u in iter_bits(adj[v]):
             neigh[u] |= 1 << i
-    nodes = 0
-
-    def search(used: int, uncolored: int) -> None:
-        nonlocal nodes, best_k, best_assign
+    # Node d branches on vertex picks[d] with colors 0..used[d]-1 in use; its
+    # current color colors[picks[d]] (-1 at first) newly saturated changed[d].
+    depth = n - len(clique)
+    picks, used, changed = [0] * depth, [0] * depth, [0] * depth
+    nodes, d, u = 0, 0, len(clique)
+    while True:
         nodes += 1
         if nodes > budget:
-            raise _Budget
-        if uncolored == 0:
-            best_k = used
-            best_assign = colors[:]
+            return ChiResult(lb, _classes(best_assign))
+        if d < depth:
+            picks[d], used[d] = _most_saturated(colors, neigh, deg), u
+        else:
+            best_k, best_assign = u, colors[:]
             if best_k <= lb:
-                raise _Done
-            return
-        pick, psat, pdeg = -1, -1, -1
-        for v in range(n):
-            if colors[v] < 0:
-                s = neigh[v].bit_count()
-                if s > psat or (s == psat and deg[v] > pdeg):
-                    pick, psat, pdeg = v, s, deg[v]
-        forbid = neigh[pick]
-        row = adj[pick]
-        for c in range(used + 1):
-            if c >= best_k - 1:
                 break
-            if (forbid >> c) & 1:
-                continue
-            bit = 1 << c
-            colors[pick] = c
-            changed = 0
-            for u in iter_bits(row):
-                if colors[u] < 0 and not (neigh[u] & bit):
-                    neigh[u] |= bit
-                    changed |= 1 << u
-            search(used + (1 if c == used else 0), uncolored - 1)
-            for u in iter_bits(changed):
-                neigh[u] &= ~bit
-        colors[pick] = -1
-
-    exact = True
-    try:
-        search(len(clique), n - len(clique))
-    except _Done:
-        pass
-    except (_Budget, RecursionError):
-        # The search recurses once per vertex; a stack too shallow for the
-        # graph is reported like an exhausted budget, never as an answer.
-        exact = False
-    return ChiResult(best_k if exact else lb, _classes(best_assign))
+            d -= 1
+        # move node d to its next color, backing up past nodes with none left
+        while d >= 0:
+            v = picks[d]
+            c = colors[v]
+            if c >= 0:
+                keep = ~(1 << c)
+                for w in iter_bits(changed[d]):
+                    neigh[w] &= keep
+            last = used[d] if used[d] < best_k - 1 else best_k - 2
+            c += 1
+            while c <= last and (neigh[v] >> c) & 1:
+                c += 1
+            if c <= last:
+                break
+            colors[v] = -1
+            d -= 1
+        else:
+            break  # the whole tree is covered: best_k is optimal
+        colors[v] = c
+        bit = 1 << c
+        new = 0
+        row = adj[v]
+        while row:
+            low = row & -row
+            row ^= low
+            w = low.bit_length() - 1
+            if colors[w] < 0 and not (neigh[w] & bit):
+                neigh[w] |= bit
+                new |= low
+        changed[d] = new
+        u = used[d] + (c == used[d])
+        d += 1
+    return ChiResult(best_k, _classes(best_assign))

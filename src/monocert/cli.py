@@ -200,15 +200,10 @@ def _cmd_hunt(args) -> int:
     )
     _emit(args, {"kind": "hunt", **report.to_json()})
     for c in report.candidates:
-        # the kernel stops at budget + 1 nodes when the budget runs out;
-        # an unsettled search below that hit Python's stack depth while
-        # testing for the pattern, one level per pattern vertex or edge
-        state = (
+        state = c.skipped_reason or (
             "counterexample" if c.counterexample
-            else c.skipped_reason if c.skipped_reason
             else "exhausted" if c.exhausted
-            else "budget hit" if c.colorings_examined > args.budget
-            else "stack depth reached embedding the pattern"
+            else "budget hit"
         )
         _note(f"{c.graph6}  chi>={c.chi_lower}  {state}")
     if report.counterexample is not None:

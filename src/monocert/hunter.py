@@ -4,8 +4,8 @@ Core pieces: forest containment, an exhaustive arrowing check on complete
 graphs, candidate-graph generators, and ``hunt``, which searches candidate
 hosts for an edge coloring avoiding a pattern in every color.
 
-The shared search kernel is a backtracking loop (no recursion) over edges
-in a BFS-derived order that assigns one color at a time, in ascending
+Every search here is a loop with its own stack. The shared kernel backtracks
+over edges in a BFS-derived order, assigning one color at a time in ascending
 order; a branch dies as soon as every color choice would complete a copy
 of that color's pattern. Colors forbidding equal patterns are
 interchangeable, so each may open only after the one before it holds an
@@ -38,7 +38,6 @@ from .graphs import (
     complete_graph,
     complete_multipartite,
     connected_components,
-    iter_bits,
     json_edges,
     json_fields,
     json_int,
@@ -101,21 +100,31 @@ def _embedding_order(p: Graph, seed: tuple[int, int] | None = None):
     return tuple(x for x in bfs_forest(p, [*seed, *roots]) if x[0] not in seed)
 
 
-def _dfs_embed(rows, n: int, pdeg, order, i: int, used: int, images) -> bool:
-    if i == len(order):
-        return True
-    pv, parent = order[i]
-    need = pdeg[pv]
-    if parent >= 0:
-        cand = rows[images[parent]] & ~used
-    else:
-        cand = ((1 << n) - 1) & ~used
-    for w in iter_bits(cand):
-        if rows[w].bit_count() >= need:
-            images[pv] = w
-            if _dfs_embed(rows, n, pdeg, order, i + 1, used | (1 << w), images):
-                return True
-    return False
+def _dfs_embed(rows, n: int, pdeg, order, used: int, images) -> bool:
+    """Extend images to order, each vertex beside its parent's image on an unused
+    host vertex of its degree or more; untried[i] is what order[i] has left."""
+    untried = [0] * len(order)
+    i, fresh = 0, True
+    while 0 <= i < len(order):
+        pv, parent = order[i]
+        if fresh:
+            untried[i] = (rows[images[parent]] if parent >= 0 else (1 << n) - 1) & ~used
+        else:
+            used ^= 1 << images[pv]
+        cand = untried[i]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if rows[low.bit_length() - 1].bit_count() >= pdeg[pv]:
+                break
+        else:
+            i, fresh = i - 1, False
+            continue
+        untried[i] = cand
+        images[pv] = low.bit_length() - 1
+        used |= low
+        i, fresh = i + 1, True
+    return i == len(order)
 
 
 def contains_forest(g: Graph, h: AcyclicPattern) -> tuple[int, ...] | None:
@@ -123,12 +132,10 @@ def contains_forest(g: Graph, h: AcyclicPattern) -> tuple[int, ...] | None:
     p = h.graph
     if p.n > g.n:
         return None
-    if p.n == 0:
-        return ()
     pdeg = [p.adj[v].bit_count() for v in range(p.n)]
     order = _embedding_order(p)
     images = [-1] * p.n
-    if _dfs_embed(g.adj, g.n, pdeg, order, 0, 0, images):
+    if _dfs_embed(g.adj, g.n, pdeg, order, 0, images):
         return tuple(images)
     return None
 
@@ -170,10 +177,7 @@ class _PatternMatcher:
 
     def creates(self, rows, u: int, v: int, mask: int) -> bool:
         if self.match_size is not None:
-            k = self.match_size
-            if k == 1:
-                return True
-            return _exists_matching(rows, (1 << u) | (1 << v), k - 1, self.n)
+            return _exists_matching(rows, (1 << u) | (1 << v), self.match_size - 1, self.n)
         hit = self.cache.get(mask)
         if hit is not None:
             return hit
@@ -193,7 +197,7 @@ class _PatternMatcher:
                 continue
             images[a] = u
             images[b] = v
-            if _dfs_embed(rows, self.n, pdeg, order, 0, (1 << u) | (1 << v), images):
+            if _dfs_embed(rows, self.n, pdeg, order, (1 << u) | (1 << v), images):
                 return True
         return False
 
@@ -204,18 +208,26 @@ def _exists_matching(rows, excl: int, k: int, n: int) -> bool:
     Only matchings through the first vertex v with a free neighbor are
     tried, which loses nothing: a largest matching that misses v covers
     every free neighbor x of v (else it would grow by vx), and trading x's
-    edge for vx keeps its size. So the depth is at most k.
+    edge for vx keeps its size. So at most k levels are kept, each [excl
+    above it, v, v's free neighbors left]. A level's v comes after its
+    parent's, since excl only grows.
     """
-    if k == 0:
-        return True
-    for v in range(n):
-        free = rows[v] & ~excl
-        if free and not (excl >> v) & 1:
-            return any(
-                _exists_matching(rows, excl | (1 << v) | (1 << x), k - 1, n)
-                for x in iter_bits(free)
-            )
-    return False
+    levels = []
+    while len(levels) < k:
+        for v in range(levels[-1][1] + 1 if levels else 0, n):
+            free = rows[v] & ~excl
+            if free and not (excl >> v) & 1:
+                levels.append([excl, v, free])
+                break
+        while levels and not levels[-1][2]:
+            levels.pop()
+        if not levels:
+            return False
+        level = levels[-1]
+        low = level[2] & -level[2]
+        level[2] ^= low
+        excl = level[0] | (1 << level[1]) | low
+    return True
 
 
 def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
@@ -268,45 +280,38 @@ def _search_avoiding(
     limit = float("inf") if budget is None else budget
     nodes = 1
     i = 0
-    try:
-        while nodes <= limit:
-            if i == E:
-                classes = tuple(Graph(n, tuple(rc)) for rc in rows)
-                return EdgeColoring(g, classes), False, nodes
-            u, v = edges[i]
-            ub, vb, eb = 1 << u, 1 << v, 1 << i
-            c = held[i]
-            if c >= 0:
-                rows[c][u] &= ~vb
-                rows[c][v] &= ~ub
-                masks[c] &= ~eb
-            for c in range(c + 1, t):
-                prev = opener[c]
-                if prev >= 0 and not masks[prev]:
-                    continue
-                rc = rows[c]
-                rc[u] |= vb
-                rc[v] |= ub
-                masks[c] |= eb
-                if not per_color[c].creates(rc, u, v, masks[c]):
-                    held[i] = c
-                    i += 1
-                    nodes += 1
-                    break
-                rc[u] &= ~vb
-                rc[v] &= ~ub
-                masks[c] &= ~eb
-            else:
-                held[i] = -1
-                if i == 0:
-                    return None, True, nodes
-                i -= 1
-    except RecursionError:
-        # The loop itself cannot outgrow the stack; only the pattern tests
-        # recurse, _dfs_embed once per pattern vertex and _exists_matching
-        # once per pattern edge. A pattern too large for the stack leaves
-        # the candidate unsettled, like an exhausted budget.
-        pass
+    while nodes <= limit:
+        if i == E:
+            classes = tuple(Graph(n, tuple(rc)) for rc in rows)
+            return EdgeColoring(g, classes), False, nodes
+        u, v = edges[i]
+        ub, vb, eb = 1 << u, 1 << v, 1 << i
+        c = held[i]
+        if c >= 0:
+            rows[c][u] &= ~vb
+            rows[c][v] &= ~ub
+            masks[c] &= ~eb
+        for c in range(c + 1, t):
+            prev = opener[c]
+            if prev >= 0 and not masks[prev]:
+                continue
+            rc = rows[c]
+            rc[u] |= vb
+            rc[v] |= ub
+            masks[c] |= eb
+            if not per_color[c].creates(rc, u, v, masks[c]):
+                held[i] = c
+                i += 1
+                nodes += 1
+                break
+            rc[u] &= ~vb
+            rc[v] &= ~ub
+            masks[c] &= ~eb
+        else:
+            held[i] = -1
+            if i == 0:
+                return None, True, nodes
+            i -= 1
     return None, False, nodes
 
 

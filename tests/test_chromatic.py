@@ -1,3 +1,5 @@
+import random
+
 import monocert as mc
 from monocert.chromatic import _greedy_clique, greedy_upper
 from monocert.graphs import Graph, check_partition
@@ -81,6 +83,25 @@ def test_budget_honesty(grotzsch):
     # the inexact answer still brackets the truth
     full = mc.chi_exact(grotzsch)
     assert r.lower <= full.upper <= r.upper
+
+
+def test_budget_cuts_at_the_same_node():
+    # (lower, upper) at budgets 1, 10, 100, 1,000 and 10,000, recorded from
+    # the recursive search the loop replaced: a search that counts nodes
+    # differently, or branches in another order, stops elsewhere
+    m5 = mc.complete_graph(2)
+    for _ in range(4):
+        m5 = mycielskian(m5)
+    cases = [
+        (m5, [(2, 6)] * 5),
+        (random_graph(30, 0.5, random.Random(9)),
+         [(6, 8), (6, 8), (6, 7), (7, 7), (7, 7)]),
+        (random_graph(30, 0.5, random.Random(12)),
+         [(6, 8), (6, 8), (6, 8), (7, 7), (7, 7)]),
+    ]
+    for g, want in cases:
+        got = [mc.chi_exact(g, budget=b) for b in (1, 10, 100, 1_000, 10_000)]
+        assert [(r.lower, r.upper) for r in got] == want
 
 
 def test_chi_result_json(c5):

@@ -66,15 +66,18 @@ def test_chi_parse_error_exit_two(tmp_path, capsys):
     assert main(["chi", str(tmp_path / "missing.txt")]) == 2
 
 
-def test_chi_deep_recursion_exit_three(tmp_path, capsys):
-    # P1200 plus a disjoint C5: the search recurses deeper than the stack
-    # allows, which must read as inexact, never as a crash
+def test_chi_long_path_exact(tmp_path, capsys):
+    # P1200 plus a disjoint C5: the search keeps one level per vertex on
+    # its own stack, so it settles chi = 3 whatever Python's stack depth
     path = [(i, i + 1) for i in range(1199)]
     cycle = [(1200 + i, 1200 + (i + 1) % 5) for i in range(5)]
     gf = write_graph_file(tmp_path, mc.Graph.from_edges(1205, path + cycle))
-    rc, doc = run(capsys, ["chi", gf])
-    assert rc == 3
-    assert (doc["lower"], doc["upper"], doc["exact"]) == (2, 3, False)
+    out = tmp_path / "chi.json"
+    rc, doc = run(capsys, ["chi", gf, "--json-out", str(out)])
+    assert rc == 0
+    assert (doc["lower"], doc["upper"], doc["exact"]) == (3, 3, True)
+    rc, vdoc = run(capsys, ["verify", str(out), gf])
+    assert rc == 0 and vdoc["ok"] is True
 
 
 def test_json_out_matches_stdout(tmp_path, capsys, c5):

@@ -185,23 +185,24 @@ def test_search_avoiding_work_counts():
     assert apart.colorings_examined == shared.colorings_examined == 181
 
 
-def test_search_avoiding_pattern_deeper_than_the_stack():
-    # only the pattern embedding recurses, once per pattern vertex: on the
-    # 40th edge of K_{1,40} a star:40 embeds 40 levels deep
+def test_pattern_tests_deeper_than_the_stack():
+    # the pattern tests keep their own stacks: on the 40th edge of K_{1,40}
+    # a star:40 embeds 40 levels deep, and a 3,000-edge matching is sought
+    # 3,000 levels deep, both under a stack 20 frames deep
     g = mc.complete_multipartite([1, 40])
-    pattern = [star_pattern(40)]
+    n = 6000
+    rows = [1 << (v ^ 1) for v in range(n)]
     limit = sys.getrecursionlimit()
     depth = len(inspect.stack(0))
     try:
         sys.setrecursionlimit(depth + 20)
-        shallow = hunter._search_avoiding(g, pattern)
-        sys.setrecursionlimit(depth + 80)
-        deep = hunter._search_avoiding(g, pattern)
+        star = hunter._search_avoiding(g, [star_pattern(40)])
+        whole = hunter._exists_matching(rows, 0, n // 2, n)
+        beyond = hunter._exists_matching(rows, 0, n // 2 + 1, n)
     finally:
         sys.setrecursionlimit(limit)
-    # too shallow: unsettled below any budget, like an exhausted budget
-    assert shallow == (None, False, 40)
-    assert deep == (None, True, 40)
+    assert star == (None, True, 40)
+    assert whole is True and beyond is False
 
 
 # ---------------------------------------------------------------------------

@@ -91,3 +91,24 @@ def test_verify_imports_no_builder():
         "mono_tree_certificate", "hunt", "contains_forest",
     }
     assert builders & (_referenced_names(path) | set(imported)) == set()
+
+
+def test_no_function_calls_itself():
+    # every search keeps its own stack, so no input size can outgrow
+    # Python's; a call to a def's own name, or to self.<name> or
+    # cls.<name> in a method, is recursion
+    recursive = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Name) and f.id == node.name) or (
+                    isinstance(f, ast.Attribute) and f.attr == node.name
+                    and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")
+                ):
+                    recursive.append(f"{path.name}:{call.lineno} {node.name}")
+    assert recursive == []
