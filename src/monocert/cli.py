@@ -5,7 +5,7 @@ Batch semantics: every subcommand writes exactly one JSON object to stdout
 0 success or definitive positive, 1 legitimate negative (avoiding coloring
 exists, no matching reaches its target, counterexample found), 2 input
 error, 3 budget-inconclusive. Every output that ``verify`` reads names its
-kind under ``"kind"``: chi, tree, matching, reduced or hunt.
+kind under ``"kind"``: chi, tree, matching, reduced, hunt or arrowing.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .graphs import (
     InternalInconsistencyError,
     json_classes,
     json_fields,
+    json_int,
     json_ints,
     parse_edge_coloring,
     parse_graph,
@@ -106,13 +107,7 @@ def _cmd_tree_cert(args) -> int:
     _emit(args, {
         "kind": "tree",
         "certificate": cert.to_json(),
-        "dual": {
-            "left": [list(c) for c in dual.left],
-            "right": [list(c) for c in dual.right],
-            "links": [[li, ri, v] for v, (li, ri) in enumerate(dual.links)],
-            "max_degree": dual.max_degree(),
-            "link_colors": [[v, c] for v, c in enumerate(link_colors)],
-        },
+        "dual": {"max_degree": dual.max_degree()},
         "derived_classes": derived,
     })
     _note(
@@ -164,6 +159,7 @@ def _cmd_ramsey(args) -> int:
     if args.n is not None:
         patterns = [hunter.matching_pattern(k) for k in targets.targets]
         res = hunter.ramsey_bruteforce(patterns, args.n, guard_bits=args.guard_bits)
+        payload["kind"] = "arrowing"
         payload["n"] = args.n
         payload["arrowing"] = res.arrowing
         payload["colorings_examined"] = res.colorings_examined
@@ -222,13 +218,26 @@ def _cmd_hunt(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.certificate) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("certificate JSON nests too deeply") from None
     (kind,) = json_fields(data, "kind")
     unchecked: list[str] = []
     if kind == "hunt":
         claim = hunter.HuntReport.counterexample_from_json(data)
         problems = [] if claim is None else hunter.check_hunt_counterexample(
             *claim, chi_budget=args.budget
+        )
+        unchecked = hunter.HuntReport.unchecked_from_json(data)
+    elif kind == "arrowing":
+        # the exhaustive search is not repeated; its verdict is taken on trust
+        n, arrowing = json_fields(data, "n", "arrowing")
+        if type(arrowing) is not bool:
+            raise ValueError(f"expected true or false for arrowing, got {arrowing!r:.60}")
+        problems = []
+        unchecked.append(
+            f"K_{json_int(n)} {'forces' if arrowing else 'does not force'} the targets"
         )
     elif kind not in ("chi", "tree", "matching", "reduced"):
         raise ValueError(f"unknown certificate kind {kind!r}")

@@ -522,6 +522,23 @@ class HuntReport:
         pat = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
         return pat, json_int(ramsey_value), ec
 
+    @staticmethod
+    def unchecked_from_json(data) -> list[str]:
+        """The report's claims that verify does not re-derive: the chromatic
+        bounds of each candidate but a counterexample, whose chi verify
+        computes again, and each exhausted candidate's refutation."""
+        (candidates,) = json_fields(data, "candidates")
+        unchecked = []
+        for c in json_list(candidates):
+            graph6, exhausted, found = json_fields(c, "graph6", "exhausted", "counterexample")
+            if not isinstance(graph6, str) or {type(exhausted), type(found)} != {bool}:
+                raise ValueError(f"malformed candidate {c!r:.60}")
+            if not found:
+                unchecked.append(f"chi of {graph6}")
+            if exhausted:
+                unchecked.append(f"no avoiding coloring of {graph6}")
+        return unchecked
+
 
 def check_hunt_counterexample(
     pattern: AcyclicPattern,

@@ -81,6 +81,7 @@ CASES = {
     "verify-reduce": ["verify", "%reduce", "@k7.txt", "--coloring", "@k7-3.col"],
     "verify-hunt-counterexample": ["verify", "%hunt-g6-file"],
     "verify-hunt-settled": ["verify", "%hunt-kneser"],
+    "verify-ramsey-n5": ["verify", "%ramsey-n5"],
 }
 STDIN = {"hunt-g6-dash": "hosts.g6", "hunt-stdin": "hosts.g6"}
 
