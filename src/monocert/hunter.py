@@ -101,8 +101,9 @@ def _embedding_order(p: Graph, seed: tuple[int, int] | None = None):
 
 
 def _dfs_embed(rows, n: int, pdeg, order, used: int, images) -> bool:
-    """Extend images to order, each vertex beside its parent's image on an unused
-    host vertex of its degree or more; untried[i] is what order[i] has left."""
+    """Extend images to order: each vertex on an unused host vertex of its degree
+    or more, beside its parent's image if it has a parent. True on success.
+    untried[i] holds the host vertices order[i] has yet to try."""
     untried = [0] * len(order)
     i, fresh = 0, True
     while 0 <= i < len(order):

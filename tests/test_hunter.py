@@ -185,7 +185,7 @@ def test_search_avoiding_work_counts():
     assert apart.colorings_examined == shared.colorings_examined == 181
 
 
-def test_pattern_tests_deeper_than_the_stack():
+def test_search_avoiding_pattern_deeper_than_the_stack():
     # the pattern tests keep their own stacks: on the 40th edge of K_{1,40}
     # a star:40 embeds 40 levels deep, and a 3,000-edge matching is sought
     # 3,000 levels deep, both under a stack 20 frames deep
