@@ -1,6 +1,6 @@
 """The package imports only the standard library and itself, every name it
-exports or defines in public has a caller outside the tests, and the checker
-imports no builder."""
+exports or defines in public has a caller outside the tests, the checker
+imports no builder, and no function calls itself."""
 
 import ast
 import inspect
