@@ -4,16 +4,21 @@ The exact solver is DSATUR-ordered branch and bound: a greedy clique pins
 its vertices to distinct colors, a greedy DSATUR coloring seeds the upper
 bound, and the search only ever tries used colors plus one fresh color per
 node, which kills color-permutation symmetry. The search is a loop that
-keeps its own per-depth stack. Work is metered in node expansions so results
-are budget-honest: on exhaustion the result degrades to (clique lower bound,
-best coloring found) with exact=False, never to a wrong claim.
+keeps its own per-depth stack. Both DSATUR passes pick from a saturation
+queue: one bitmask per saturation level over the vertices' ranks by
+(-degree, index), so a pick is the lowest bit of the highest non-empty
+level, and a vertex moves one level when a neighbor's color newly
+saturates it or that color is undone. Work is metered in node expansions
+so results are budget-honest: on exhaustion the result degrades to
+(clique lower bound, best coloring found) with exact=False, never to a
+wrong claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, lowest_zero_bit
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -50,31 +55,47 @@ def _classes(assign) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
-def _most_saturated(assign, neigh, deg) -> int:
-    """The uncolored (-1) vertex seeing the most colors, then of most degree."""
-    pick, psat, pdeg = -1, -1, -1
-    for v, c in enumerate(assign):
-        if c < 0:
-            s = neigh[v].bit_count()
-            if s > psat or (s == psat and deg[v] > pdeg):
-                pick, psat, pdeg = v, s, deg[v]
-    return pick
+def _ranks(g: Graph) -> tuple[list[int], list[int]]:
+    """order[r] is the r-th vertex by (-degree, index); rank[order[r]] == r."""
+    order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
+    rank = [0] * g.n
+    for r, v in enumerate(order):
+        rank[v] = r
+    return order, rank
 
 
 def _dsatur(g: Graph) -> list[int]:
     """DSATUR greedy coloring: a color 0..k-1 per vertex, all k used."""
     n = g.n
-    deg = [g.adj[v].bit_count() for v in range(n)]
+    order, rank = _ranks(g)
     assign = [-1] * n
     neigh = [0] * n  # bitmask of colors seen on colored neighbors
+    # levels[s]: ranks of the uncolored vertices seeing s colors; none above hi
+    levels = [0] * (n + 1)
+    levels[0], hi = (1 << n) - 1, 0
     for _ in range(n):
-        pick = _most_saturated(assign, neigh, deg)
-        c = 0
-        while (neigh[pick] >> c) & 1:
-            c += 1
-        assign[pick] = c
-        for u in iter_bits(g.adj[pick]):
-            neigh[u] |= 1 << c
+        while not levels[hi]:
+            hi -= 1
+        q = levels[hi]
+        low = q & -q
+        levels[hi] = q ^ low
+        v = order[low.bit_length() - 1]
+        c = lowest_zero_bit(neigh[v])
+        assign[v] = c
+        bit = 1 << c
+        row = g.adj[v]
+        while row:
+            low = row & -row
+            row ^= low
+            w = low.bit_length() - 1
+            if assign[w] < 0 and not (neigh[w] & bit):
+                s = neigh[w].bit_count()
+                neigh[w] |= bit
+                rb = 1 << rank[w]
+                levels[s] ^= rb
+                levels[s + 1] |= rb
+                if s == hi:
+                    hi += 1
     return assign
 
 
@@ -115,8 +136,6 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
     n = g.n
     if n == 0:
         return ChiResult(0, ())
-    adj = g.adj
-    deg = [adj[v].bit_count() for v in range(n)]
     clique = _greedy_clique(g)
     lb = max(1, len(clique))
     best_assign = _dsatur(g)
@@ -124,13 +143,25 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
     if lb >= best_k:
         return ChiResult(best_k, _classes(best_assign))
 
+    # the search runs on vertices renamed by rank, so a pick is the lowest
+    # bit of the highest non-empty saturation level
+    rank = _ranks(g)[1]
+    adj = [0] * n
+    for v in range(n):
+        adj[rank[v]] = sum(1 << rank[w] for w in iter_bits(g.adj[v]))
     colors = [-1] * n
     neigh = [0] * n
     for i, v in enumerate(clique):
-        colors[v] = i
-        for u in iter_bits(adj[v]):
-            neigh[u] |= 1 << i
-    # Node d branches on vertex picks[d] with colors 0..used[d]-1 in use; its
+        colors[rank[v]] = i
+        for w in iter_bits(adj[rank[v]]):
+            neigh[w] |= 1 << i
+    # levels[s]: ranks of the uncolored vertices seeing s colors; none above hi
+    levels = [0] * (n + 1)
+    for w in range(n):
+        if colors[w] < 0:
+            levels[neigh[w].bit_count()] |= 1 << w
+    hi = len(clique)
+    # Node d branches on vertex (rank) picks[d] with colors 0..used[d]-1 in use; its
     # current color colors[picks[d]] (-1 at first) newly saturated changed[d].
     depth = n - len(clique)
     picks, used, changed = [0] * depth, [0] * depth, [0] * depth
@@ -140,9 +171,14 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
         if nodes > budget:
             return ChiResult(lb, _classes(best_assign))
         if d < depth:
-            picks[d], used[d] = _most_saturated(colors, neigh, deg), u
+            while not levels[hi]:
+                hi -= 1
+            q = levels[hi]
+            low = q & -q
+            levels[hi] = q ^ low
+            picks[d], used[d] = low.bit_length() - 1, u
         else:
-            best_k, best_assign = u, colors[:]
+            best_k, best_assign = u, [colors[r] for r in rank]
             if best_k <= lb:
                 break
             d -= 1
@@ -152,8 +188,15 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
             c = colors[v]
             if c >= 0:
                 keep = ~(1 << c)
-                for w in iter_bits(changed[d]):
+                new = changed[d]
+                while new:
+                    low = new & -new
+                    new ^= low
+                    w = low.bit_length() - 1
                     neigh[w] &= keep
+                    s = neigh[w].bit_count()
+                    levels[s + 1] ^= low
+                    levels[s] |= low
             last = used[d] if used[d] < best_k - 1 else best_k - 2
             c += 1
             while c <= last and (neigh[v] >> c) & 1:
@@ -161,6 +204,10 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
             if c <= last:
                 break
             colors[v] = -1
+            s = neigh[v].bit_count()
+            levels[s] |= 1 << v
+            if s > hi:
+                hi = s
             d -= 1
         else:
             break  # the whole tree is covered: best_k is optimal
@@ -173,7 +220,12 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
             row ^= low
             w = low.bit_length() - 1
             if colors[w] < 0 and not (neigh[w] & bit):
+                s = neigh[w].bit_count()
                 neigh[w] |= bit
+                levels[s] ^= low
+                levels[s + 1] |= low
+                if s == hi:
+                    hi += 1
                 new |= low
         changed[d] = new
         u = used[d] + (c == used[d])

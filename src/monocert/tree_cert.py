@@ -28,6 +28,7 @@ from .graphs import (
     json_fields,
     json_int,
     json_ints,
+    lowest_zero_bit,
 )
 
 RED, BLUE = 1, 2
@@ -119,20 +120,17 @@ def edge_color_dual(b: DualMultigraph) -> tuple[int, ...]:
     nl = len(b.left)
     # node id: left i -> i, right j -> nl + j
     color_at: list[dict[int, int]] = [dict() for _ in range(nl + len(b.right))]
+    taken = [1] * len(color_at)  # bitmask of colors at the node; color 0 is never free
     ends: list[tuple[int, int]] = []
     link_color: list[int] = []
     for li, ri in b.links:
         p, q = li, nl + ri
         ends.append((p, q))
         idx = len(link_color)
-        common = 0
-        for c in range(1, delta + 1):
-            if c not in color_at[p] and c not in color_at[q]:
-                common = c
-                break
-        if not common:
-            alpha = next(c for c in range(1, delta + 1) if c not in color_at[p])
-            beta = next(c for c in range(1, delta + 1) if c not in color_at[q])
+        common = lowest_zero_bit(taken[p] | taken[q])
+        if common > delta:
+            alpha = lowest_zero_bit(taken[p])
+            beta = lowest_zero_bit(taken[q])
             # walk the alpha/beta alternating path from q, then flip it
             path = []
             node, want = q, alpha
@@ -146,15 +144,19 @@ def edge_color_dual(b: DualMultigraph) -> tuple[int, ...]:
                 old = link_color[e2]
                 for nd in ends[e2]:
                     del color_at[nd][old]
+                    taken[nd] ^= 1 << old
             for e2 in path:
                 new = beta if link_color[e2] == alpha else alpha
                 link_color[e2] = new
                 for nd in ends[e2]:
                     color_at[nd][new] = e2
+                    taken[nd] |= 1 << new
             common = alpha
         link_color.append(common)
         color_at[p][common] = idx
         color_at[q][common] = idx
+        taken[p] |= 1 << common
+        taken[q] |= 1 << common
     if link_color and len(set(link_color)) != delta:
         raise InternalInconsistencyError(
             "edge coloring of the dual did not use exactly max_degree colors"
