@@ -161,8 +161,9 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
         if colors[w] < 0:
             levels[neigh[w].bit_count()] |= 1 << w
     hi = len(clique)
-    # Node d branches on vertex (rank) picks[d] with colors 0..used[d]-1 in use; its
-    # current color colors[picks[d]] (-1 at first) newly saturated changed[d].
+    # Node d branches on (renamed) vertex picks[d] with colors 0..used[d]-1 in
+    # use; its current color colors[picks[d]] (-1 at first) newly saturated
+    # changed[d].
     depth = n - len(clique)
     picks, used, changed = [0] * depth, [0] * depth, [0] * depth
     nodes, d, u = 0, 0, len(clique)

@@ -108,11 +108,12 @@ def build_dual(ec: EdgeColoring) -> DualMultigraph:
 def edge_color_dual(b: DualMultigraph) -> tuple[int, ...]:
     """Properly edge-color the dual with exactly max_degree colors.
 
-    Links are inserted one at a time. If no color is free at both endpoints,
-    take a color free on the left and one free on the right and flip the
-    alternating two-color path starting at the right endpoint; in a
-    bipartite multigraph that path can never reach the left endpoint (it
-    would have to close with the wrong parity), so afterwards the left
+    Links are inserted one at a time, each with the lowest color of 1..Delta
+    free at both endpoints, read off a bitmask of each node's colors. If
+    there is none, take a color free on the left and one free on the right
+    and flip the alternating two-color path starting at the right endpoint;
+    in a bipartite multigraph that path can never reach the left endpoint
+    (it would have to close with the wrong parity), so afterwards the left
     color is free at both ends. Returns the color in 1..Delta of each
     vertex's link, in vertex order.
     """
@@ -120,7 +121,8 @@ def edge_color_dual(b: DualMultigraph) -> tuple[int, ...]:
     nl = len(b.left)
     # node id: left i -> i, right j -> nl + j
     color_at: list[dict[int, int]] = [dict() for _ in range(nl + len(b.right))]
-    taken = [1] * len(color_at)  # bitmask of colors at the node; color 0 is never free
+    # bitmask of the colors at each node; bit 0 stays set, so colors start at 1
+    taken = [1] * len(color_at)
     ends: list[tuple[int, int]] = []
     link_color: list[int] = []
     for li, ri in b.links:

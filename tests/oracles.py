@@ -2,7 +2,8 @@
 
 Each oracle favors transparency over speed and shares no code path with the
 implementation it checks: chromatic number by subset DP over independent
-sets, matching number by memoized take-or-skip recursion (with a literal
+sets, the DSATUR greedy coloring by scanning every vertex for each pick,
+matching number by memoized take-or-skip recursion (with a literal
 edge-subset variant for tiny graphs), components by union-find, a
 breadth-first forest by a FIFO queue over vertex pairs, forest
 containment by trying every injection, the first avoiding edge coloring by
@@ -57,6 +58,26 @@ def chromatic_number_dp(g: Graph) -> int:
         grow(1 << v, mask & ~(1 << v) & ~adj[v])
         dp[mask] = best
     return dp[size - 1]
+
+
+def dsatur_reference(g: Graph) -> list[int]:
+    """DSATUR by a full scan per pick: the uncolored vertex whose colored
+    neighbors show the most colors, then of highest degree, then of lowest
+    index, takes the lowest color none of them has."""
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    assign = [-1] * n
+    for _ in range(n):
+        seen = [{assign[u] for u in nbrs[v] if assign[u] >= 0} for v in range(n)]
+        pick = min(
+            (v for v in range(n) if assign[v] < 0),
+            key=lambda v: (-len(seen[v]), -len(nbrs[v]), v),
+        )
+        c = 0
+        while c in seen[pick]:
+            c += 1
+        assign[pick] = c
+    return assign
 
 
 def matching_number_recursive(g: Graph) -> int:

@@ -1,12 +1,27 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 import monocert as mc
-from monocert.chromatic import _greedy_clique, greedy_upper
+from monocert.chromatic import DEFAULT_BUDGET, _dsatur, _greedy_clique, greedy_upper
 from monocert.graphs import Graph, check_partition
 from monocert.hunter import mycielskian, random_graph
 
 from helpers import cycle_graph
-from oracles import chromatic_number_dp
+from oracles import chromatic_number_dp, dsatur_reference, partition_problems
+
+
+@st.composite
+def hosts(draw, max_n):
+    """G(m, p) on m of n vertices, the rest isolated, labels shuffled."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    m = draw(st.integers(min_value=0, max_value=n))
+    p = draw(st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+    rng = draw(st.randoms(use_true_random=False))
+    label = list(range(n))
+    rng.shuffle(label)
+    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in pairs if rng.random() < p])
 
 
 def test_verify_proper(c5):
@@ -22,6 +37,25 @@ def test_greedy_upper_orders(petersen):
     assert check_partition(petersen, r.witness) == []
     assert r.lower <= 3 <= r.upper
     assert not r.exact or r.lower == r.upper
+
+
+@given(hosts(max_n=40))
+@settings(max_examples=100, deadline=None)
+def test_dsatur_matches_the_scan(g):
+    # the saturation queue picks what a scan over all vertices would: most
+    # colors seen, then highest degree, then lowest index
+    assert _dsatur(g) == dsatur_reference(g)
+
+
+def test_greedy_upper_on_a_large_sparse_host():
+    # G(10^4, 4*10^4): a pick costs O(1) amortized, not a scan of 10^4 vertices
+    n, rng, edges = 10_000, random.Random(1), set()
+    while len(edges) < 4 * n:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    g = Graph.from_edges(n, edges)
+    r = greedy_upper(g)
+    assert check_partition(g, r.witness) == []
 
 
 def test_clique_lower_examples(c5, k4, petersen, grotzsch):
@@ -83,6 +117,28 @@ def test_budget_honesty(grotzsch):
     # the inexact answer still brackets the truth
     full = mc.chi_exact(grotzsch)
     assert r.lower <= full.upper <= r.upper
+
+
+@given(hosts(max_n=12))
+@settings(max_examples=60, deadline=None)
+def test_budget_brackets_chi(g):
+    chi = chromatic_number_dp(g)
+    for budget in (1, 10, 100, DEFAULT_BUDGET):
+        r = mc.chi_exact(g, budget=budget)
+        assert r.lower <= chi <= r.upper
+        assert partition_problems(g, r.witness) == []
+        assert not r.exact or r.upper == chi
+
+
+def test_exact_on_a_long_path_plus_c5():
+    # P10000 plus a disjoint C5: the search goes 10^4 levels deep
+    n = 10_000
+    path = [(i, i + 1) for i in range(n - 1)]
+    cycle = [(n + i, n + (i + 1) % 5) for i in range(5)]
+    g = Graph.from_edges(n + 5, path + cycle)
+    r = mc.chi_exact(g)
+    assert (r.lower, r.upper, r.exact) == (3, 3, True)
+    assert check_partition(g, r.witness) == []
 
 
 def test_budget_cuts_at_the_same_node():
