@@ -24,14 +24,7 @@ from .graphs import (
     write_graph,
 )
 from .chromatic import ChiResult, chi_exact, greedy_upper
-from .tree_cert import (
-    DualMultigraph,
-    TreeCertificate,
-    build_dual,
-    edge_color_dual,
-    mono_tree_certificate,
-    vertex_coloring_from_dual,
-)
+from .tree_cert import TreeCertificate, edge_color_dual, mono_tree_certificate
 from .matching import (
     MatchingCertificate,
     MatchingTargets,

@@ -99,15 +99,11 @@ def _cmd_chi(args) -> int:
 
 def _cmd_tree_cert(args) -> int:
     g = _load_graph(args)
-    ec = _load_coloring(args, g, t=2)
-    dual = tree_cert.build_dual(ec)
-    cert = tree_cert.mono_tree_certificate(ec, dual)
-    link_colors = tree_cert.edge_color_dual(dual)
-    derived = tree_cert.vertex_coloring_from_dual(g, dual, link_colors)
+    cert, derived = tree_cert.mono_tree_certificate(_load_coloring(args, g, t=2))
     _emit(args, {
         "kind": "tree",
         "certificate": cert.to_json(),
-        "dual": {"max_degree": dual.max_degree()},
+        "dual": {"max_degree": len(derived)},
         "derived_classes": derived,
     })
     _note(

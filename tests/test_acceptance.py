@@ -25,12 +25,7 @@ from monocert.matching import (
     maximum_matching,
     ramsey_matching_number,
 )
-from monocert.tree_cert import (
-    build_dual,
-    edge_color_dual,
-    mono_tree_certificate,
-    vertex_coloring_from_dual,
-)
+from monocert.tree_cert import mono_tree_certificate
 from monocert.verify import check_matching_certificate, check_tree_certificate
 
 from helpers import cycle_graph
@@ -96,9 +91,7 @@ def test_criterion_2_tree_theorem_exhaustive():
             if biggest < chi:
                 problems.append(f"{g.n}-vertex host: component {biggest} < chi {chi}")
                 continue
-            dual = build_dual(ec)
-            cert = mono_tree_certificate(ec, dual)
-            derived = vertex_coloring_from_dual(g, dual, edge_color_dual(dual))
+            cert, derived = mono_tree_certificate(ec)
             bad = check_tree_certificate(ec, cert, derived)
             if bad:
                 problems.append(f"{g.n}-vertex host: {bad[0]}")
@@ -111,18 +104,16 @@ def test_criterion_3_dual_witness(petersen, grotzsch):
     problems = []
 
     def check(g, ec, chi):
-        dual = build_dual(ec)
-        delta = dual.max_degree()
+        cert, derived = mono_tree_certificate(ec)
+        delta = len(derived)  # one class per link color of the dual
         oracle = max(max_mono_component_size(g, _color_dict(ec), c) for c in (1, 2))
         if delta != oracle:
-            problems.append(f"dual degree {delta} != component size {oracle}")
+            problems.append(f"{delta} link colors != component size {oracle}")
             return
-        link_colors = edge_color_dual(dual)
-        derived = vertex_coloring_from_dual(g, dual, link_colors)
         if check_partition(g, derived) != []:
             problems.append("derived vertex coloring is not proper")
-        if len(derived) != delta:
-            problems.append(f"derived coloring uses {len(derived)} classes, not {delta}")
+        if len(cert.vertices) != delta:
+            problems.append(f"tree spans {len(cert.vertices)} vertices, not {delta}")
         if delta < chi:
             problems.append(f"max component {delta} below chi {chi}")
 

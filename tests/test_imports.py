@@ -87,8 +87,8 @@ def test_verify_imports_no_builder():
     builders = {
         "chromatic", "chi_exact", "greedy_upper", "maximum_matching", "kiraly_reduce",
         "find_mono_matching", "find_mono_matching_kiraly", "lift_matching",
-        "miss_witness", "build_dual", "edge_color_dual", "vertex_coloring_from_dual",
-        "mono_tree_certificate", "hunt", "contains_forest",
+        "miss_witness", "edge_color_dual", "mono_tree_certificate", "hunt",
+        "contains_forest", "connected_components", "bfs_forest",
     }
     assert builders & (_referenced_names(path) | set(imported)) == set()
 

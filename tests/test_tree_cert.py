@@ -3,18 +3,13 @@ from itertools import product
 import pytest
 
 import monocert as mc
-from monocert.graphs import Graph, check_partition
-from monocert.tree_cert import (
-    BLUE,
-    RED,
-    DualMultigraph,
-    build_dual,
-    edge_color_dual,
-    mono_tree_certificate,
-    vertex_coloring_from_dual,
-)
+from monocert import tree_cert
+from monocert.cli import main
+from monocert.graphs import Graph, InternalInconsistencyError, check_partition
+from monocert.tree_cert import BLUE, RED, edge_color_dual, mono_tree_certificate
 from monocert.verify import check_tree_certificate
 
+from helpers import coloring_text
 from oracles import max_mono_component_size
 
 
@@ -23,11 +18,28 @@ def oracle_max_comp(g, ec):
     return max(max_mono_component_size(g, colors, c) for c in (RED, BLUE))
 
 
-def certify(ec):
-    """The tree certificate of ec and its derived classes."""
-    dual = build_dual(ec)
-    derived = vertex_coloring_from_dual(ec.graph, dual, edge_color_dual(dual))
-    return mono_tree_certificate(ec, dual), derived
+def dual_links(ec, monkeypatch):
+    """The links mono_tree_certificate hands to edge_color_dual for ec."""
+    seen = []
+
+    def spy(links):
+        seen.append([tuple(link) for link in links])
+        return edge_color_dual(links)
+
+    monkeypatch.setattr(tree_cert, "edge_color_dual", spy)
+    mono_tree_certificate(ec)
+    (links,) = seen
+    return links
+
+
+def node_degrees(links):
+    """Link counts of the left and of the right nodes of the dual."""
+    left = [0] * (1 + max(li for li, _ in links))
+    right = [0] * (1 + max(ri for _, ri in links))
+    for li, ri in links:
+        left[li] += 1
+        right[ri] += 1
+    return left, right
 
 
 def all_two_colorings(g):
@@ -36,90 +48,85 @@ def all_two_colorings(g):
         yield mc.EdgeColoring.of(g, dict(zip(edges, bits)), 2)
 
 
-def test_build_dual_all_red(c5):
+def test_build_dual_all_red(c5, monkeypatch):
     ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
-    dual = build_dual(ec)
-    assert len(dual.left) == 1 and len(dual.right) == 5
-    assert dual.max_degree() == 5
+    assert node_degrees(dual_links(ec, monkeypatch)) == ([5], [1] * 5)
+    cert, derived = mono_tree_certificate(ec)
+    assert cert.vertices == (0, 1, 2, 3, 4) and len(derived) == 5
 
 
-def test_build_dual_k4_split(k4):
+def test_build_dual_k4_split(k4, monkeypatch):
     # red perfect matching, blue 4-cycle on the rest
     ec = mc.EdgeColoring.of(k4, {
         (0, 1): RED, (2, 3): RED,
         (0, 2): BLUE, (0, 3): BLUE, (1, 2): BLUE, (1, 3): BLUE,
     }, 2)
-    dual = build_dual(ec)
-    assert [len(c) for c in dual.left] == [2, 2]
-    assert [len(c) for c in dual.right] == [4]
-    assert dual.max_degree() == 4
+    links = dual_links(ec, monkeypatch)
+    assert links == [(0, 0), (0, 0), (1, 0), (1, 0)]
+    assert node_degrees(links) == ([2, 2], [4])
 
 
-def test_dual_validation():
-    DualMultigraph(((0, 1),), ((0,), (1,)), ((0, 0), (0, 1)))
-    # vertex 1's link names blue component 0, which lacks vertex 1
-    with pytest.raises(ValueError, match="not containing it"):
-        DualMultigraph(((0, 1),), ((0,), (1,)), ((0, 0), (0, 0)))
-    with pytest.raises(ValueError, match="not containing it"):
-        DualMultigraph(((0,), (1,)), ((0, 1),), ((0, 0), (0, 0)))
-    # components out of order by minimum vertex
-    with pytest.raises(ValueError, match="ordered"):
-        DualMultigraph(((1,), (0,)), ((0, 1),), ((1, 0), (0, 0)))
-    # a component holding a vertex no link names: degree below its size
-    with pytest.raises(ValueError, match="degree"):
-        DualMultigraph(((0, 1),), ((0, 1),), ((0, 0),))
-
-
-def test_edge_color_dual_parallel_links():
+def test_edge_color_dual_parallel_links(monkeypatch):
     # triangle, edges 01 and 12 red, 02 blue: vertices 0 and 2 share both
     # their red and their blue component, giving two parallel links
     g = mc.complete_graph(3)
     ec = mc.EdgeColoring.of(g, {(0, 1): RED, (1, 2): RED, (0, 2): BLUE}, 2)
-    dual = build_dual(ec)
-    assert len(dual.links) != len(set(dual.links))
-    colors = edge_color_dual(dual)
-    assert set(colors) == set(range(1, dual.max_degree() + 1))
-    assert check_partition(g, vertex_coloring_from_dual(g, dual, colors)) == []
+    links = dual_links(ec, monkeypatch)
+    assert links == [(0, 0), (0, 1), (0, 0)]
+    assert sorted(edge_color_dual(links)) == [1, 2, 3]
+
+
+def test_edge_color_dual_proper_with_max_degree_colors(rng):
+    # random bipartite multigraphs, parallel links included: every node
+    # sees each color at most once, and exactly the colors 1..Delta occur
+    for _ in range(300):
+        nl, nr = rng.randint(1, 6), rng.randint(1, 6)
+        links = [(rng.randrange(nl), rng.randrange(nr)) for _ in range(rng.randint(1, 30))]
+        colors = edge_color_dual(links)
+        left, right = node_degrees(links)
+        assert set(colors) == set(range(1, max(left + right) + 1))
+        at_left = {(li, c) for (li, _), c in zip(links, colors)}
+        at_right = {(ri, c) for (_, ri), c in zip(links, colors)}
+        assert len(at_left) == len(at_right) == len(links)
 
 
 def test_edge_color_dual_requires_two_colors(c5):
     ec3 = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 3)
     with pytest.raises(ValueError):
-        build_dual(ec3)
+        mono_tree_certificate(ec3)
 
 
-def test_vertex_coloring_from_dual_rejects_improper(c5):
-    ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
-    dual = build_dual(ec)
-    bad = (1,) * 5  # one color at a degree-5 left node
-    with pytest.raises(ValueError):
-        vertex_coloring_from_dual(c5, dual, bad)
-    with pytest.raises(ValueError):
-        vertex_coloring_from_dual(c5, dual, tuple(range(1, 5)))
-    # proper on the dual of the path 0-1-2, but not on the triangle over it
-    p3 = mc.EdgeColoring.of(mc.path_graph(3), {(0, 1): RED, (1, 2): BLUE}, 2)
-    with pytest.raises(ValueError, match=r"not come from this graph's dual: "
-                       r"edge \(0,2\) lies inside class 0$"):
-        vertex_coloring_from_dual(mc.complete_graph(3), build_dual(p3), (1, 2, 1))
+def test_improper_link_colors_are_an_internal_inconsistency(tmp_path, monkeypatch, capsys):
+    # the path 0-1-2-3 in red beside an isolated vertex 4: the largest
+    # component has 4 vertices, so the dual needs exactly 4 link colors
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+    ec = mc.EdgeColoring.of(g, {e: RED for e in g.edges()}, 2)
+    gf, cf = tmp_path / "g.txt", tmp_path / "c.txt"
+    gf.write_text(mc.write_graph(g, "edges"))
+    cf.write_text(coloring_text(ec))
+    for forged, named in (((1, 1, 1, 1, 1), "exactly max_degree colors"),
+                          ((1, 1, 2, 3, 4), r"edge \(0,1\) lies inside class 0")):
+        monkeypatch.setattr(tree_cert, "edge_color_dual", lambda links, c=forged: c)
+        with pytest.raises(InternalInconsistencyError, match=named):
+            mono_tree_certificate(ec)
+        assert main(["tree-cert", str(gf), "--coloring", str(cf)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "internal inconsistency" in err
 
 
 def test_pipeline_exhaustive_small(c5, k4):
     for g in (c5, k4):
         for ec in all_two_colorings(g):
-            dual = build_dual(ec)
-            delta = dual.max_degree()
-            assert delta == oracle_max_comp(g, ec)
-            colors = edge_color_dual(dual)
-            assert set(colors) == set(range(1, delta + 1))
-            derived = vertex_coloring_from_dual(g, dual, colors)
+            cert, derived = mono_tree_certificate(ec)
+            assert len(cert.vertices) == len(derived) == oracle_max_comp(g, ec)
             assert check_partition(g, derived) == []
-            assert len(derived) == delta
+            assert check_tree_certificate(ec, cert, derived) == []
 
 
 def test_max_mono_component_matches_oracle(petersen, rng, random_coloring):
     for _ in range(200):
         ec = random_coloring(petersen, 2, rng)
-        cert = mono_tree_certificate(ec, build_dual(ec))
+        cert, _ = mono_tree_certificate(ec)
         assert cert.color in (RED, BLUE)
         assert len(cert.vertices) == oracle_max_comp(petersen, ec)
 
@@ -131,44 +138,37 @@ def test_max_mono_component_tie_break(k4):
         (0, 1): RED, (1, 2): RED, (2, 3): RED,
         (0, 2): BLUE, (0, 3): BLUE, (1, 3): BLUE,
     }, 2)
-    cert = mono_tree_certificate(ec, build_dual(ec))
+    cert, _ = mono_tree_certificate(ec)
     assert cert.color == RED and cert.vertices == (0, 1, 2, 3)
 
 
 def test_mono_tree_certificate_valid(grotzsch, rng, random_coloring):
     for _ in range(50):
         ec = random_coloring(grotzsch, 2, rng)
-        cert, derived = certify(ec)
+        cert, derived = mono_tree_certificate(ec)
         assert check_tree_certificate(ec, cert, derived) == []
         assert len(derived) == len(cert.vertices)
         assert len(cert.vertices) >= 4
         assert len(cert.edges) == len(cert.vertices) - 1
-
-
-def test_mono_tree_certificate_rejects_foreign_dual():
     # a path is 2-chromatic; alternate its colors so every monochromatic
     # component has 2 vertices
     g = mc.path_graph(6)
     ec = mc.EdgeColoring.of(g, {e: RED if e[0] % 2 == 0 else BLUE for e in g.edges()}, 2)
-    cert, derived = certify(ec)
+    cert, derived = mono_tree_certificate(ec)
     assert len(cert.vertices) == len(derived) == 2
     assert check_tree_certificate(ec, cert, derived) == []
-    # the dual of another coloring names a component this one lacks
-    all_red = mc.EdgeColoring.of(g, {e: RED for e in g.edges()}, 2)
-    with pytest.raises(ValueError, match="not a component"):
-        mono_tree_certificate(ec, build_dual(all_red))
 
 
 def test_tree_certificate_json_round_trip(c5):
     ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
-    cert = mono_tree_certificate(ec, build_dual(ec))
+    cert, _ = mono_tree_certificate(ec)
     again = mc.TreeCertificate.from_json(cert.to_json())
     assert again == cert
 
 
 def test_check_tree_certificate_catches_tampering(c5):
     ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
-    cert, derived = certify(ec)
+    cert, derived = mono_tree_certificate(ec)
     assert check_tree_certificate(ec, cert, derived) == []
 
     wrong_color = mc.TreeCertificate(BLUE, cert.edges, cert.vertices)
