@@ -84,18 +84,23 @@ def matching_pattern(k: int) -> AcyclicPattern:
 # ---------------------------------------------------------------------------
 # containment
 
-def _embedding_order(p: Graph, seed: tuple[int, int] | None = None):
-    """(vertex, parent) placement order; parent -1 means free placement.
-
-    Components are taken largest first, each from a vertex of largest
-    degree; within a component placement follows BFS, so every non-root
-    vertex has exactly one already-placed neighbor (patterns are forests).
-    With a seed edge its component comes first, both endpoints are assumed
-    placed and neither is listed.
-    """
+def _embedding_roots(p: Graph) -> list[int]:
+    """One root per component of p, largest component first, each a vertex
+    of largest degree (the lowest on ties)."""
     deg = [row.bit_count() for row in p.adj]
     comps = sorted(connected_components(p), key=lambda c: (-len(c), c))
-    roots = [max(comp, key=lambda z: (deg[z], -z)) for comp in comps]
+    return [max(comp, key=lambda z: (deg[z], -z)) for comp in comps]
+
+
+def _embedding_order(p: Graph, roots, seed: tuple[int, int] | None = None):
+    """(vertex, parent) placement order; parent -1 means free placement.
+
+    Components are taken in the order of roots, from _embedding_roots(p);
+    within a component placement follows BFS, so every non-root vertex has
+    exactly one already-placed neighbor (patterns are forests). With a seed
+    edge its component comes first, both endpoints are assumed placed and
+    neither is listed.
+    """
     seed = seed or ()
     return tuple(x for x in bfs_forest(p, [*seed, *roots]) if x[0] not in seed)
 
@@ -134,7 +139,7 @@ def contains_forest(g: Graph, h: AcyclicPattern) -> tuple[int, ...] | None:
     if p.n > g.n:
         return None
     pdeg = [p.adj[v].bit_count() for v in range(p.n)]
-    order = _embedding_order(p)
+    order = _embedding_order(p, _embedding_roots(p))
     images = [-1] * p.n
     if _dfs_embed(g.adj, g.n, pdeg, order, 0, images):
         return tuple(images)
@@ -169,8 +174,9 @@ class _PatternMatcher:
         else:
             self.match_size = None
             plans = []
+            roots = _embedding_roots(p)
             for a, b in p.edges():
-                order = _embedding_order(p, seed=(a, b))
+                order = _embedding_order(p, roots, seed=(a, b))
                 plans.append((a, b, order))
                 plans.append((b, a, order))
             self.plans = tuple(plans)

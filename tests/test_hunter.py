@@ -95,7 +95,7 @@ def forests(draw, max_n=10):
 @settings(max_examples=200, deadline=None)
 def test_embedding_order_places_every_vertex_once(p, data):
     seed = data.draw(st.sampled_from(p.edges()) | st.none()) if p.m else None
-    order = hunter._embedding_order(p, seed)
+    order = hunter._embedding_order(p, hunter._embedding_roots(p), seed)
     placed = list(seed or ())
     for v, parent in order:
         assert v not in placed
