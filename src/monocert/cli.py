@@ -212,6 +212,13 @@ def _cmd_hunt(args) -> int:
     return 0
 
 
+def _check_stated_ramsey(data: dict, key: str, targets) -> list[str]:
+    """Problems with the matching Ramsey number data states under key, if any."""
+    if key not in data:
+        return []
+    return verify.check_ramsey_value(json_int(data[key]), targets)
+
+
 def _cmd_verify(args) -> int:
     with open(args.certificate) as fh:
         try:
@@ -228,10 +235,12 @@ def _cmd_verify(args) -> int:
         unchecked = hunter.HuntReport.unchecked_from_json(data)
     elif kind == "arrowing":
         # the exhaustive search is not repeated; its verdict is taken on trust
-        n, arrowing = json_fields(data, "n", "arrowing")
+        n, arrowing, targets = json_fields(data, "n", "arrowing", "targets")
         if type(arrowing) is not bool:
             raise ValueError(f"expected true or false for arrowing, got {arrowing!r:.60}")
-        problems = []
+        problems = _check_stated_ramsey(
+            data, "R", matching.MatchingTargets.of(json_ints(targets))
+        )
         unchecked.append(
             f"K_{json_int(n)} {'forces' if arrowing else 'does not force'} the targets"
         )
@@ -253,6 +262,9 @@ def _cmd_verify(args) -> int:
             problems = verify.check_tree_certificate(
                 ec, tree_cert.TreeCertificate.from_json(cert), json_classes(derived)
             )
+            if "dual" in data:
+                (max_degree,) = json_fields(data["dual"], "max_degree")
+                problems += verify.check_dual_degree(ec, json_int(max_degree))
         elif kind == "matching":
             cert, targets = json_fields(data, "certificate", "targets")
             targets = matching.MatchingTargets.of(json_ints(targets))
@@ -266,6 +278,7 @@ def _cmd_verify(args) -> int:
                     ec.graph, json_classes(coloring), targets
                 )
                 unchecked.append("no color reaches its target")
+            problems += _check_stated_ramsey(data, "ramsey_value", targets)
         else:
             (instance,) = json_fields(data, "instance")
             problems = verify.check_reduced_instance(

@@ -239,6 +239,8 @@ class ReducedInstance:
             i, j = json_int(i), json_int(j)
             if not i < j < len(classes):
                 raise ValueError(f"pair ({i},{j}) is not two of the {len(classes)} classes")
+            if (i, j) in edge_color:
+                raise ValueError(f"pair ({i},{j}) appears twice")
             edge_color[(i, j)] = json_int(color)
             provenance[(i, j)] = json_ints(prov, 2)
         return ReducedInstance(json_int(t), classes, edge_color, provenance)

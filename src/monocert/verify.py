@@ -1,14 +1,17 @@
 """Independent re-checkers for emitted certificates.
 
 Each checker returns a list of problem strings (empty means the certificate
-holds) and avoids the code paths that built the object: tree shape is
-checked with union-find rather than BFS, matchings by direct endpoint
+holds) and avoids the code paths that built the object: tree shape and
+the largest monochromatic component are found with union-find rather than
+BFS, the matching Ramsey number from its formula, matchings by direct endpoint
 bookkeeping, and every vertex coloring (a chi witness, a tree's derived
 classes, a matching miss, reduced classes) by ``graphs.check_partition``,
 the package's one proper-partition check.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .graphs import EdgeColoring, Graph, check_partition, json_classes, json_fields, json_int
 from .matching import (
@@ -18,6 +21,14 @@ from .matching import (
     ramsey_matching_number,
 )
 from .tree_cert import TreeCertificate
+
+
+def _root(parent, x):
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def check_tree_certificate(
@@ -44,13 +55,6 @@ def check_tree_certificate(
             f"{len(cert.edges)} edges for {len(verts)} vertices; a tree needs |V|-1"
         )
     parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in cert.edges:
         if u not in verts or v not in verts:
             problems.append(f"edge ({u},{v}) leaves the vertex set")
@@ -62,12 +66,12 @@ def check_tree_certificate(
             problems.append(
                 f"edge ({u},{v}) has color {ec.color_of(u, v)}, not {cert.color}"
             )
-        ru, rv = find(u), find(v)
+        ru, rv = _root(parent, u), _root(parent, v)
         if ru == rv:
             problems.append(f"edge ({u},{v}) closes a cycle")
         else:
             parent[ru] = rv
-    if not problems and len({find(v) for v in verts}) != 1:
+    if not problems and len({_root(parent, v) for v in verts}) != 1:
         problems.append("edges do not connect the vertex set")
     problems += [f"derived coloring: {p}" for p in check_partition(g, derived_classes)]
     if len(derived_classes) > len(verts):
@@ -76,6 +80,32 @@ def check_tree_certificate(
             f"the {len(verts)} vertices of the tree"
         )
     return problems
+
+
+def check_dual_degree(ec: EdgeColoring, max_degree: int) -> list[str]:
+    """A stated dual degree is the order of a largest monochromatic
+    component of ec, found by union-find over each color's edges."""
+    largest = 0
+    for cls in ec.classes:
+        parent = list(range(cls.n))
+        for u, v in cls.edges():
+            ru, rv = _root(parent, u), _root(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+        sizes = Counter(_root(parent, v) for v in range(cls.n))
+        largest = max([largest, *sizes.values()])
+    if max_degree != largest:
+        return [f"dual max_degree {max_degree} is not {largest}, the order of a "
+                "largest monochromatic component"]
+    return []
+
+
+def check_ramsey_value(value: int, targets: MatchingTargets) -> list[str]:
+    """A stated matching Ramsey number is n_1 + 1 + sum(n_i - 1) of targets."""
+    need = ramsey_matching_number(targets)
+    if value != need:
+        return [f"R = {value} is stated, but targets {list(targets.targets)} give R = {need}"]
+    return []
 
 
 def check_matching_certificate(

@@ -499,6 +499,55 @@ def test_verify_needs_coloring_exit_two(tmp_path, capsys, grotzsch, rng):
     capsys.readouterr()
 
 
+def test_verify_rederives_stated_numbers(tmp_path, capsys):
+    # every document is the honest output of its command with one number
+    # or one entry forged; verify must refuse each
+    def forged(argv, forge):
+        out = tmp_path / "doc.json"
+        run(capsys, [*argv, "--json-out", str(out)])
+        doc = json.loads(out.read_text())
+        forge(doc)
+        out.write_text(json.dumps(doc))
+        return str(out)
+
+    def refused(argv, named):
+        rc, vdoc = run(capsys, argv)
+        assert rc == 2 and vdoc["ok"] is False
+        assert any(named in p for p in vdoc["problems"]), vdoc["problems"]
+
+    k3 = mc.complete_graph(3)
+    kf = write_graph_file(tmp_path, k3, "k3.txt")
+    kcf = write_coloring_file(
+        tmp_path, mc.EdgeColoring.of(k3, {(0, 1): 1, (1, 2): 2, (0, 2): 3}, 3), "k3.col")
+    k5 = mc.complete_graph(5)
+    k5f = write_graph_file(tmp_path, k5, "k5.txt")
+    k5cf = write_coloring_file(
+        tmp_path, mc.EdgeColoring.of(k5, {e: 1 + e[0] % 2 for e in k5.edges()}, 2), "k5.col")
+    chorded = mc.Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+    cf = write_graph_file(tmp_path, chorded, "c5chord.txt")
+    ccf = write_coloring_file(tmp_path, mc.EdgeColoring.of(
+        chorded, {e: 1 + (e[0] + e[1]) % 2 for e in chorded.edges()}, 2), "c5chord.col")
+
+    # a reduced instance naming the class pair (0, 1) twice, the first time
+    # with a color its provenance edge does not have
+    def pair_twice(doc):
+        pairs = doc["instance"]["pairs"]
+        pairs.insert(0, {**pairs[0], "color": 3})
+    doc = forged(["reduce", kf, "--coloring", kcf], pair_twice)
+    assert main(["verify", doc, kf, "--coloring", kcf]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "pair (0,1) appears twice" in err
+
+    doc = forged(["match-cert", k5f, "--coloring", k5cf, "--targets", "2,2"],
+                 lambda d: d.update(ramsey_value=99))
+    refused(["verify", doc, k5f, "--coloring", k5cf], "R = 99 is stated")
+    doc = forged(["tree-cert", cf, "--coloring", ccf],
+                 lambda d: d.update(dual={"max_degree": 99}))
+    refused(["verify", doc, cf, "--coloring", ccf], "dual max_degree 99 is not 5")
+    doc = forged(["ramsey", "--targets", "2,2", "--n", "5"], lambda d: d.update(R=3))
+    refused(["verify", doc], "targets [2, 2] give R = 5")
+
+
 def test_verify_unknown_shape_exit_two(tmp_path, capsys):
     blob = tmp_path / "blob.json"
     blob.write_text(json.dumps({"hello": 1}))
@@ -548,6 +597,11 @@ MALFORMED = {
         "candidates": [{"exhausted": True, "counterexample": False}],
     }, False),
     "arrowing-verdict-not-a-boolean": ({"kind": "arrowing", "n": 5, "arrowing": 1}, False),
+    "reduced-pair-twice": ({"kind": "reduced", "instance": {
+        "t": 2, "classes": [[0, 2], [1, 3], [4]], "pairs": [
+            {"i": 0, "j": 1, "color": 1, "provenance": [0, 1]},
+            {"i": 0, "j": 1, "color": 1, "provenance": [0, 1]},
+        ]}}, True),
     # raw text, not an object to dump: nested deeper than the decoder's stack
     "deeply-nested": ("[" * 200_000 + "]" * 200_000, False),
 }
