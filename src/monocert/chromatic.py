@@ -3,15 +3,15 @@
 The exact solver is DSATUR-ordered branch and bound: a greedy clique pins
 its vertices to distinct colors, a greedy DSATUR coloring seeds the upper
 bound, and the search only ever tries used colors plus one fresh color per
-node, which kills color-permutation symmetry. The search is a loop that
-keeps its own per-depth stack. Both DSATUR passes pick from a saturation
-queue: one bitmask per saturation level over the vertices' ranks by
-(-degree, index), so a pick is the lowest bit of the highest non-empty
-level, and a vertex moves one level when a neighbor's color newly
-saturates it or that color is undone. Work is metered in node expansions
-so results are budget-honest: on exhaustion the result degrades to
-(clique lower bound, best coloring found) with exact=False, never to a
-wrong claim.
+node, which kills color-permutation symmetry. One loop, ``_search``, with
+its own per-depth stack, does both: the greedy coloring is the search's
+first leaf. It picks from a saturation queue: one bitmask per saturation
+level over the vertices' ranks by (-degree, index), so a pick is the lowest
+bit of the highest non-empty level, and a vertex moves one level when a
+neighbor's color newly saturates it or that color is undone. Work is
+metered in node expansions so results are budget-honest: on exhaustion the
+result degrades to (clique lower bound, best coloring found) with
+exact=False, never to a wrong claim.
 """
 
 from __future__ import annotations
@@ -65,38 +65,11 @@ def _ranks(g: Graph) -> tuple[list[int], list[int]]:
 
 
 def _dsatur(g: Graph) -> list[int]:
-    """DSATUR greedy coloring: a color 0..k-1 per vertex, all k used."""
-    n = g.n
-    order, rank = _ranks(g)
-    assign = [-1] * n
-    neigh = [0] * n  # bitmask of colors seen on colored neighbors
-    # levels[s]: ranks of the uncolored vertices seeing s colors; none above hi
-    levels = [0] * (n + 1)
-    levels[0], hi = (1 << n) - 1, 0
-    for _ in range(n):
-        while not levels[hi]:
-            hi -= 1
-        q = levels[hi]
-        low = q & -q
-        levels[hi] = q ^ low
-        v = order[low.bit_length() - 1]
-        c = lowest_zero_bit(neigh[v])
-        assign[v] = c
-        bit = 1 << c
-        row = g.adj[v]
-        while row:
-            low = row & -row
-            row ^= low
-            w = low.bit_length() - 1
-            if assign[w] < 0 and not (neigh[w] & bit):
-                s = neigh[w].bit_count()
-                neigh[w] |= bit
-                rb = 1 << rank[w]
-                levels[s] ^= rb
-                levels[s + 1] |= rb
-                if s == hi:
-                    hi += 1
-    return assign
+    """DSATUR greedy coloring: a color 0..k-1 per vertex, all k used.
+
+    It is the search's first leaf: with lower bound n the search stops there.
+    """
+    return _search(g, (), g.n, g.n + 1, None, g.n + 1)[0]
 
 
 def greedy_upper(g: Graph) -> ChiResult:
@@ -106,10 +79,8 @@ def greedy_upper(g: Graph) -> ChiResult:
 
 def _greedy_clique(g: Graph) -> list[int]:
     """Grow a clique greedily from every seed vertex; keep the largest."""
-    n = g.n
     best: list[int] = []
-    order = sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v))
-    for v in order:
+    for v in _ranks(g)[0]:
         if g.adj[v].bit_count() + 1 <= len(best):
             continue
         clique = [v]
@@ -133,8 +104,7 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
     Returns exact bounds when the search finishes; on budget exhaustion the
     lower bound falls back to the greedy clique and exact is False.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return ChiResult(0, ())
     clique = _greedy_clique(g)
     lb = max(1, len(clique))
@@ -142,44 +112,54 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
     best_k = max(best_assign) + 1
     if lb >= best_k:
         return ChiResult(best_k, _classes(best_assign))
+    best_assign, done = _search(g, clique, lb, best_k, best_assign, budget)
+    witness = _classes(best_assign)
+    return ChiResult(len(witness) if done else lb, witness)
 
-    # the search runs on vertices renamed by rank, so a pick is the lowest
-    # bit of the highest non-empty saturation level
-    rank = _ranks(g)[1]
-    adj = [0] * n
-    for v in range(n):
-        adj[rank[v]] = sum(1 << rank[w] for w in iter_bits(g.adj[v]))
+
+def _search(
+    g: Graph, clique, lb: int, best_k: int, best_assign, budget: int
+) -> tuple[list[int], bool]:
+    """DSATUR branch and bound for a coloring with fewer than best_k colors.
+
+    The clique's vertices are pinned to colors 0, 1, ...; the search stops at
+    a leaf with at most lb colors, when the tree is covered, or after budget
+    node expansions. Returns the best coloring found (a color per vertex)
+    and whether the search stopped before the budget ran out.
+    """
+    n, adj = g.n, g.adj
+    order, rank = _ranks(g)
     colors = [-1] * n
-    neigh = [0] * n
+    neigh = [0] * n  # bitmask of colors seen on colored neighbors
     for i, v in enumerate(clique):
-        colors[rank[v]] = i
-        for w in iter_bits(adj[rank[v]]):
+        colors[v] = i
+        for w in iter_bits(adj[v]):
             neigh[w] |= 1 << i
     # levels[s]: ranks of the uncolored vertices seeing s colors; none above hi
     levels = [0] * (n + 1)
     for w in range(n):
         if colors[w] < 0:
-            levels[neigh[w].bit_count()] |= 1 << w
+            levels[neigh[w].bit_count()] |= 1 << rank[w]
     hi = len(clique)
-    # Node d branches on (renamed) vertex picks[d] with colors 0..used[d]-1 in
-    # use; its current color colors[picks[d]] (-1 at first) newly saturated
-    # changed[d].
+    # Node d branches on vertex picks[d] with colors 0..used[d]-1 in use; its
+    # current color colors[picks[d]] (-1 at first) newly saturated the
+    # vertices listed in changed[d].
     depth = n - len(clique)
-    picks, used, changed = [0] * depth, [0] * depth, [0] * depth
+    picks, used, changed = [0] * depth, [0] * depth, [None] * depth
     nodes, d, u = 0, 0, len(clique)
     while True:
         nodes += 1
         if nodes > budget:
-            return ChiResult(lb, _classes(best_assign))
+            return best_assign, False
         if d < depth:
             while not levels[hi]:
                 hi -= 1
             q = levels[hi]
             low = q & -q
             levels[hi] = q ^ low
-            picks[d], used[d] = low.bit_length() - 1, u
+            picks[d], used[d] = order[low.bit_length() - 1], u
         else:
-            best_k, best_assign = u, [colors[r] for r in rank]
+            best_k, best_assign = u, colors[:]
             if best_k <= lb:
                 break
             d -= 1
@@ -189,24 +169,20 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
             c = colors[v]
             if c >= 0:
                 keep = ~(1 << c)
-                new = changed[d]
-                while new:
-                    low = new & -new
-                    new ^= low
-                    w = low.bit_length() - 1
+                for w in changed[d]:
                     neigh[w] &= keep
                     s = neigh[w].bit_count()
-                    levels[s + 1] ^= low
-                    levels[s] |= low
+                    rb = 1 << rank[w]
+                    levels[s + 1] ^= rb
+                    levels[s] |= rb
             last = used[d] if used[d] < best_k - 1 else best_k - 2
-            c += 1
-            while c <= last and (neigh[v] >> c) & 1:
-                c += 1
+            # the lowest color above c that no colored neighbor has
+            c = lowest_zero_bit(neigh[v] | ((1 << (c + 1)) - 1))
             if c <= last:
                 break
             colors[v] = -1
             s = neigh[v].bit_count()
-            levels[s] |= 1 << v
+            levels[s] |= 1 << rank[v]
             if s > hi:
                 hi = s
             d -= 1
@@ -214,7 +190,7 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
             break  # the whole tree is covered: best_k is optimal
         colors[v] = c
         bit = 1 << c
-        new = 0
+        new = []
         row = adj[v]
         while row:
             low = row & -row
@@ -223,12 +199,13 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
             if colors[w] < 0 and not (neigh[w] & bit):
                 s = neigh[w].bit_count()
                 neigh[w] |= bit
-                levels[s] ^= low
-                levels[s + 1] |= low
+                rb = 1 << rank[w]
+                levels[s] ^= rb
+                levels[s + 1] |= rb
                 if s == hi:
                     hi += 1
-                new |= low
+                new.append(w)
         changed[d] = new
         u = used[d] + (c == used[d])
         d += 1
-    return ChiResult(best_k, _classes(best_assign))
+    return best_assign, True

@@ -249,6 +249,19 @@ class EdgeColoring:
         """[[u, v, c], ...] with u < v, sorted by edge."""
         return [[u, v, self.color_of(u, v)] for u, v in self.graph.edges()]
 
+    @staticmethod
+    def from_json(g: Graph, rows, t: int) -> "EdgeColoring":
+        """Color g with 1..t from to_json's rows; ValueError on an edge colored
+        twice, a color outside 1..t, a non-edge or an edge left uncolored."""
+        colors = {}
+        for row in json_list(rows):
+            u, v, c = json_ints(row, 3)
+            e = canonical_edge(u, v)
+            if e in colors:
+                raise ValueError(f"edge {e} colored twice")
+            colors[e] = c
+        return EdgeColoring.of(g, colors, t)
+
 
 def check_partition(g: Graph, classes) -> list[str]:
     """Problems with classes, a vertex coloring, as a proper coloring of g:

@@ -34,16 +34,16 @@ from .graphs import (
     Graph,
     InternalInconsistencyError,
     bfs_forest,
-    canonical_edge,
     complete_graph,
     complete_multipartite,
     connected_components,
     json_edges,
     json_fields,
     json_int,
-    json_ints,
     json_list,
     parse_graph,
+    path_graph,
+    star_graph,
     write_graph,
 )
 from . import chromatic
@@ -63,14 +63,10 @@ class AcyclicPattern:
 
 
 def path_pattern(k: int) -> AcyclicPattern:
-    from .graphs import path_graph
-
     return AcyclicPattern(path_graph(k))
 
 
 def star_pattern(leaves: int) -> AcyclicPattern:
-    from .graphs import star_graph
-
     return AcyclicPattern(star_graph(leaves))
 
 
@@ -518,14 +514,7 @@ class HuntReport:
         graph6, coloring = json_fields(cex, "graph6", "coloring")
         if not isinstance(graph6, str):
             raise ValueError(f"expected a graph6 string, got {graph6!r:.60}")
-        colors = {}
-        for row in json_list(coloring):
-            u, v, c = json_ints(row, 3)
-            e = canonical_edge(u, v)
-            if e in colors:
-                raise ValueError(f"edge {e} colored twice")
-            colors[e] = c
-        ec = EdgeColoring.of(parse_graph(graph6, "g6"), colors, json_int(t))
+        ec = EdgeColoring.from_json(parse_graph(graph6, "g6"), coloring, json_int(t))
         pat = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
         return pat, json_int(ramsey_value), ec
 

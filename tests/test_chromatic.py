@@ -144,20 +144,38 @@ def test_exact_on_a_long_path_plus_c5():
 def test_budget_cuts_at_the_same_node():
     # (lower, upper) at budgets 1, 10, 100, 1,000 and 10,000, recorded from
     # the recursive search the loop replaced: a search that counts nodes
-    # differently, or branches in another order, stops elsewhere
+    # differently, or branches in another order, stops elsewhere. The
+    # witness classes at each budget were recorded before the greedy
+    # coloring became the search's first leaf.
     m5 = mc.complete_graph(2)
     for _ in range(4):
         m5 = mycielskian(m5)
+    m5_greedy = ((0, 2, 11, 13, 16, 18, 39, 41), (1, 3, 12, 14, 17, 19, 21, 46),
+                 (4, 15, 20, 40, 43), (5, 6, 7, 8, 9, 22, 28, 29, 30, 31, 32, 45),
+                 (10, 23, 24, 25, 26, 27, 33, 34, 35, 36, 37, 38, 44), (42,))
+    g9_greedy = ((0, 13, 15, 27), (1, 8, 17, 19, 20), (2, 9, 12), (3, 10, 22, 29),
+                 (4, 18, 23, 24), (5, 6, 7, 11, 16), (14, 21, 25, 28), (26,))
+    g9_at_100 = ((0, 13, 15, 28), (1, 8, 17, 19, 20), (2, 24, 25), (3, 10, 21, 26),
+                 (4, 16, 18, 23, 27), (5, 6, 7, 11), (9, 12, 14, 22, 29))
+    g9_optimal = ((0, 13, 15, 28), (1, 8, 19, 20), (2, 24, 25), (3, 10, 21, 26),
+                  (4, 17, 18, 23, 27), (5, 6, 7, 11, 16), (9, 12, 14, 22, 29))
+    g12_greedy = ((0, 8, 16, 29), (1, 22, 26), (2, 13, 15, 27), (3, 19, 23, 25),
+                  (4, 14, 20, 28), (5, 6, 7, 12, 21, 24), (9, 11), (10, 17, 18))
+    g12_optimal = ((0, 3, 18, 20), (1, 12, 19, 25, 26), (2, 4, 13, 15, 27),
+                   (5, 16, 22, 29), (6, 9, 11, 21, 23), (7, 24, 28), (8, 10, 14, 17))
     cases = [
-        (m5, [(2, 6)] * 5),
+        (m5, [(2, 6)] * 5, [m5_greedy] * 5),
         (random_graph(30, 0.5, random.Random(9)),
-         [(6, 8), (6, 8), (6, 7), (7, 7), (7, 7)]),
+         [(6, 8), (6, 8), (6, 7), (7, 7), (7, 7)],
+         [g9_greedy, g9_greedy, g9_at_100, g9_optimal, g9_optimal]),
         (random_graph(30, 0.5, random.Random(12)),
-         [(6, 8), (6, 8), (6, 8), (7, 7), (7, 7)]),
+         [(6, 8), (6, 8), (6, 8), (7, 7), (7, 7)],
+         [g12_greedy] * 3 + [g12_optimal] * 2),
     ]
-    for g, want in cases:
+    for g, want, witnesses in cases:
         got = [mc.chi_exact(g, budget=b) for b in (1, 10, 100, 1_000, 10_000)]
         assert [(r.lower, r.upper) for r in got] == want
+        assert [r.witness for r in got] == witnesses
 
 
 def test_chi_result_json(c5):

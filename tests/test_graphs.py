@@ -123,6 +123,22 @@ def test_edge_coloring_cover(c5):
         mc.parse_edge_coloring("0 1 1\n", c5)
 
 
+def test_edge_coloring_json_round_trip(c5):
+    ec = mc.EdgeColoring.of(c5, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (3, 4): 2, (0, 4): 3}, 3)
+    rows = ec.to_json()
+    assert rows == [[0, 1, 1], [0, 4, 3], [1, 2, 2], [2, 3, 1], [3, 4, 2]]
+    assert mc.EdgeColoring.from_json(c5, rows, 3) == ec
+    refused = [
+        (rows + [[1, 0, 2]], r"edge \(0, 1\) colored twice"),
+        ([[0, 1, 4]] + rows[1:], r"color 4 on edge \(0,1\) outside 1..3"),
+        (rows + [[0, 2, 1]], r"colored edge \(0, 2\) is not an edge of the graph"),
+        (rows[:-1], r"edge \(3, 4\) of the graph has no color"),
+    ]
+    for bad, message in refused:
+        with pytest.raises(ValueError, match=message):
+            mc.EdgeColoring.from_json(c5, bad, 3)
+
+
 @st.composite
 def colored_graphs(draw, max_n=8, max_t=3):
     g = draw(graphs(max_n))
@@ -144,6 +160,7 @@ def test_edge_coloring_classes(case):
     text = coloring_text(ec)
     assert mc.parse_edge_coloring(text, g, t) == ec
     assert mc.parse_edge_coloring(text, g).t == max(colors.values(), default=1)
+    assert mc.EdgeColoring.from_json(g, ec.to_json(), t) == ec
     if colors:
         e = g.edges()[0]
         for bad in (0, t + 1):  # colors run 1..t

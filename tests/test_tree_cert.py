@@ -48,14 +48,14 @@ def all_two_colorings(g):
         yield mc.EdgeColoring.of(g, dict(zip(edges, bits)), 2)
 
 
-def test_build_dual_all_red(c5, monkeypatch):
+def test_dual_links_all_red(c5, monkeypatch):
     ec = mc.EdgeColoring.of(c5, {e: RED for e in c5.edges()}, 2)
     assert node_degrees(dual_links(ec, monkeypatch)) == ([5], [1] * 5)
     cert, derived = mono_tree_certificate(ec)
     assert cert.vertices == (0, 1, 2, 3, 4) and len(derived) == 5
 
 
-def test_build_dual_k4_split(k4, monkeypatch):
+def test_dual_links_k4_split(k4, monkeypatch):
     # red perfect matching, blue 4-cycle on the rest
     ec = mc.EdgeColoring.of(k4, {
         (0, 1): RED, (2, 3): RED,
