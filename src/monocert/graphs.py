@@ -5,6 +5,15 @@ bitset row per vertex; arbitrary-width ints make dense instances up to a few
 hundred vertices cheap without a sparse fallback, and bit tricks (``&``,
 ``bit_count``) do the heavy lifting everywhere else in the package.
 
+Where validation happens: a direct ``Graph(n, adj)`` checks every row it
+is handed (one row per vertex, bits in range, no loop bit) and walks the
+set bits to check symmetry. The builders check each edge as they take it
+and set both ends themselves, so their rows are symmetric by construction;
+they construct through the private ``Graph._from_rows``, which checks
+nothing again. These are ``Graph.from_edges``, ``complete_graph``,
+``EdgeColoring.of``, the three graph readers, ``parse_edge_coloring`` and
+the hunter's class rows. Each text reader makes one pass over its lines.
+
 An edge-colored graph is one object, an ``EdgeColoring``: the host graph
 it was given plus one spanning class graph per color, edge-disjoint, whose
 union is the host. The constructor is the one place that checks a coloring
@@ -93,16 +102,29 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency at ({u},{v})")
 
     @staticmethod
+    def _from_rows(n: int, rows) -> "Graph":
+        """A Graph on n vertices from rows that are symmetric by construction.
+
+        The caller guarantees one row per vertex, bits in 0..n-1, no loop
+        bit, and both ends of every edge set; none of it is checked again.
+        """
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(rows))
+        return g
+
+    @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         """Build from an iterable of pairs; duplicates collapse, loops raise."""
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
-            u, v = canonical_edge(u, v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        return Graph._from_rows(n, rows)
 
     @property
     def m(self) -> int:
@@ -121,7 +143,7 @@ class Graph:
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph._from_rows(n, [full ^ (1 << v) for v in range(n)])
 
 
 def path_graph(n: int) -> Graph:
@@ -236,7 +258,7 @@ class EdgeColoring:
                 raise ValueError(f"color {c} on edge ({u},{v}) outside 1..{t}")
             rows[c - 1][u] |= 1 << v
             rows[c - 1][v] |= 1 << u
-        return EdgeColoring(g, tuple(Graph(g.n, tuple(r)) for r in rows))
+        return EdgeColoring(g, tuple(Graph._from_rows(g.n, r) for r in rows))
 
     def color_of(self, u: int, v: int) -> int:
         e = canonical_edge(u, v)
@@ -317,39 +339,40 @@ def write_graph(g: Graph, fmt: str = "edges") -> str:
 
 
 def _parse_edge_list(text: str) -> Graph:
-    edges = []
+    ends: list[int] = []  # u, v of each edge line, in order
     declared = -1
-    max_seen = -1
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        comment = raw.split("#", 1)[1].strip() if "#" in raw else ""
-        if not line:
-            # "# n <count>" declares isolated trailing vertices
-            parts = comment.split()
-            if len(parts) == 2 and parts[0] == "n" and parts[1].isdigit():
-                declared = int(parts[1])
-            continue
-        toks = line.split()
+        if "#" in raw:
+            raw, _, comment = raw.partition("#")
+            if not raw or raw.isspace():
+                # "# n <count>" declares isolated trailing vertices
+                parts = comment.split()
+                if len(parts) == 2 and parts[0] == "n" and parts[1].isdigit():
+                    declared = int(parts[1])
+                continue
+        toks = raw.split()
         if len(toks) != 2:
-            raise GraphParseError(f"expected 'u v', got {line!r}", ln)
+            if not toks:
+                continue
+            raise GraphParseError(f"expected 'u v', got {raw.strip()!r}", ln)
         try:
             u, v = int(toks[0]), int(toks[1])
         except ValueError:
-            raise GraphParseError(f"non-integer vertex in {line!r}", ln) from None
+            raise GraphParseError(f"non-integer vertex in {raw.strip()!r}", ln) from None
         if u < 0 or v < 0:
-            raise GraphParseError(f"negative vertex in {line!r}", ln)
+            raise GraphParseError(f"negative vertex in {raw.strip()!r}", ln)
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", ln)
-        edges.append((u, v))
-        max_seen = max(max_seen, u, v)
-    n = max_seen + 1
+        ends += u, v
+    n = max(ends, default=-1) + 1
     if declared >= 0:
-        if max_seen >= declared:
+        if n > declared:
             raise GraphParseError(
-                f"vertex {max_seen} outside declared range 0..{declared - 1}"
+                f"vertex {n - 1} outside declared range 0..{declared - 1}"
             )
         n = declared
-    return Graph.from_edges(n, edges)
+    pairs = iter(ends)
+    return Graph.from_edges(n, zip(pairs, pairs))
 
 
 def _parse_dimacs(text: str) -> Graph:
@@ -470,43 +493,56 @@ def _parse_graph6(text: str) -> Graph:
             u += 1
             if u == v:
                 u, v = 0, v + 1
-    return Graph(n, tuple(rows))
+    return Graph._from_rows(n, rows)
 
 
 def parse_edge_coloring(text: str | bytes, g: Graph, t: int | None = None) -> EdgeColoring:
     """Parse "u v c" lines (0-indexed vertices, colors 1..t) coloring every edge of g.
 
-    t defaults to the largest color seen.
+    t defaults to the largest color seen. Each line is checked as it is
+    read and sets its edge in its color's class rows; the EdgeColoring
+    constructor then checks that every edge of g got a color.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
-    colors: dict[tuple[int, int], int] = {}
+    n, adj = g.n, g.adj
+    rows = [[0] * n for _ in range(1 if t is None else t)]
+    # bit v of uncolored[u], u < v, is set while edge (u, v) of g has no color
+    uncolored = list(adj)
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        toks = raw.split()
         if len(toks) != 3:
-            raise GraphParseError(f"expected 'u v c', got {line!r}", ln)
+            if not toks:
+                continue
+            raise GraphParseError(f"expected 'u v c', got {raw.strip()!r}", ln)
         try:
             u, v, c = int(toks[0]), int(toks[1]), int(toks[2])
         except ValueError:
-            raise GraphParseError(f"non-integer field in {line!r}", ln) from None
+            raise GraphParseError(f"non-integer field in {raw.strip()!r}", ln) from None
         if u < 0 or v < 0:
-            raise GraphParseError(f"negative vertex in {line!r}", ln)
+            raise GraphParseError(f"negative vertex in {raw.strip()!r}", ln)
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", ln)
         if c < 1:
             raise GraphParseError(f"color {c} below 1", ln)
         if t is not None and c > t:
             raise GraphParseError(f"color {c} exceeds declared t={t}", ln)
-        e = canonical_edge(u, v)
-        if not g.has_edge(u, v):
-            raise GraphParseError(f"colored edge {e} is not an edge of the graph", ln)
-        if e in colors:
-            raise GraphParseError(f"edge {e} colored twice", ln)
-        colors[e] = c
-    return EdgeColoring.of(g, colors, max(colors.values(), default=1) if t is None else t)
+        if u > v:
+            u, v = v, u
+        if v >= n or not (uncolored[u] >> v) & 1:
+            if v >= n or not (adj[u] >> v) & 1:
+                raise GraphParseError(f"colored edge {(u, v)} is not an edge of the graph", ln)
+            raise GraphParseError(f"edge {(u, v)} colored twice", ln)
+        bit = 1 << v
+        uncolored[u] ^= bit
+        while len(rows) < c:
+            rows.append([0] * n)
+        rc = rows[c - 1]
+        rc[u] |= bit
+        rc[v] |= 1 << u
+    return EdgeColoring(g, tuple(Graph._from_rows(n, rc) for rc in rows))
 
 
 # ---------------------------------------------------------------------------

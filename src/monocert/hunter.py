@@ -285,7 +285,7 @@ def _search_avoiding(
     i = 0
     while nodes <= limit:
         if i == E:
-            classes = tuple(Graph(n, tuple(rc)) for rc in rows)
+            classes = tuple(Graph._from_rows(n, rc) for rc in rows)
             return EdgeColoring(g, classes), False, nodes
         u, v = edges[i]
         ub, vb, eb = 1 << u, 1 << v, 1 << i

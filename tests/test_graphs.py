@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import monocert as mc
 from monocert.graphs import Graph, GraphParseError, bfs_forest, canonical_edge, iter_bits
+from monocert.hunter import kneser_graph, mycielskian, random_graph
 
 from helpers import coloring_text
 from oracles import bfs_forest_fifo, components_union_find, partition_problems
@@ -215,6 +218,45 @@ def test_parse_edge_list():
     assert mc.parse_graph("", "edges").n == 0
 
 
+def validated(g: Graph) -> Graph:
+    """g itself, after the validating constructor accepted its rows."""
+    assert Graph(g.n, g.adj) == g
+    return g
+
+
+@given(graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_edge_list_text_parses_to_from_edges(g, data):
+    # each edge once or twice, either way round, some with a trailing
+    # comment, among comment, blank and space-only lines
+    lines = []
+    for u, v in g.edges():
+        for _ in range(data.draw(st.integers(1, 2))):
+            a, b = data.draw(st.permutations((u, v)))
+            lines.append(f"{a} {b}" + data.draw(st.sampled_from(["", " # note", "\t#"])))
+    lines += data.draw(st.lists(st.sampled_from(["", "   ", "# x", " # n", "\t"]), max_size=4))
+    lines = data.draw(st.permutations(lines))
+    declare = data.draw(st.booleans())
+    if declare:
+        lines.insert(data.draw(st.integers(0, len(lines))), f"# n {g.n}")
+    h = validated(mc.parse_graph("\n".join(lines), "edges"))
+    n = g.n if declare else 1 + max((v for e in g.edges() for v in e), default=-1)
+    assert h == Graph.from_edges(n, g.edges())
+    # every other reader and builder hands back rows the validating
+    # constructor accepts
+    for fmt in ("edges", "dimacs", "g6"):
+        assert validated(mc.parse_graph(mc.write_graph(g, fmt), fmt)) == g
+    k = min(g.n, 6)
+    builders = [mc.complete_graph(k), mc.path_graph(k + 1), mc.star_graph(k),
+                mc.complete_multipartite([1, 2, k + 1]), mycielskian(mc.complete_graph(k)),
+                kneser_graph(k + 2, 2), random_graph(g.n, 0.5, random.Random(g.n))]
+    for built in builders:
+        validated(built)
+    ec = mc.EdgeColoring.of(g, {e: 1 + (e[0] + e[1]) % 2 for e in g.edges()}, 2)
+    for cls in ec.classes:
+        validated(cls)
+
+
 def test_parse_edge_list_errors():
     with pytest.raises(GraphParseError) as e:
         mc.parse_graph("0 1\n0\n", "edges")
@@ -289,6 +331,54 @@ def test_edge_coloring_files():
         mc.parse_edge_coloring("0 1 5\n1 2 1\n", p3, t=2)
     ec3 = mc.parse_edge_coloring("0 1 1\n", mc.path_graph(2), t=3)
     assert ec3.t == 3
+
+
+@given(colored_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_coloring_text_round_trip(case, data):
+    # "u v c" lines in any order, either way round, some with a trailing
+    # comment, read back as EdgeColoring.of reads the {edge: color} dict
+    g, colors, t = case
+    lines = [f"{a} {b} {c}" + data.draw(st.sampled_from(["", " # c", "  #1 2 3"]))
+             for (u, v), c in colors.items()
+             for a, b in [data.draw(st.permutations((u, v)))]]
+    lines += data.draw(st.lists(st.sampled_from(["", "  ", "# 0 1 1"]), max_size=3))
+    text = "\n".join(data.draw(st.permutations(lines)))
+    assert mc.parse_edge_coloring(text, g, t) == mc.EdgeColoring.of(g, colors, t)
+    ec = mc.parse_edge_coloring(text, g)
+    assert ec == mc.EdgeColoring.of(g, colors, max(colors.values(), default=1))
+    for cls in ec.classes:
+        validated(cls)
+
+
+def test_readers_skip_the_symmetry_walk(monkeypatch):
+    # a seeded G(2000, 8000) host and a 3-coloring of it are read without a
+    # single validating Graph construction: a class graph checked again
+    # would walk every one of its bits
+    rng, edges = random.Random(7), set()
+    while len(edges) < 8000:
+        u, v = rng.sample(range(2000), 2)
+        edges.add((min(u, v), max(u, v)))
+    colors = {e: rng.randint(1, 3) for e in sorted(edges)}
+    graph_text = "# n 2000\n" + "".join(f"{u} {v}\n" for u, v in colors)
+    coloring_text = "".join(f"{v} {u} {c}\n" for (u, v), c in colors.items())
+    walks = []
+    validate = Graph.__post_init__
+
+    def counted(self):
+        walks.append(self.n)
+        validate(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    g = mc.parse_graph(graph_text, "edges")
+    ec = mc.parse_edge_coloring(coloring_text, g, 3)
+    assert walks == []
+    assert Graph(2, (0b10, 0b01)).m == 1 and walks == [2]  # the count does count
+    monkeypatch.undo()
+    assert validated(g) == Graph.from_edges(2000, edges)
+    assert ec == mc.EdgeColoring.of(g, colors, 3)
+    for cls in ec.classes:
+        validated(cls)
 
 
 def test_canonical_edge():
