@@ -64,23 +64,23 @@ def _ranks(g: Graph) -> tuple[list[int], list[int]]:
     return order, rank
 
 
-def _dsatur(g: Graph) -> list[int]:
+def _dsatur(g: Graph, order: list[int], rank: list[int]) -> list[int]:
     """DSATUR greedy coloring: a color 0..k-1 per vertex, all k used.
 
     It is the search's first leaf: with lower bound n the search stops there.
     """
-    return _search(g, (), g.n, g.n + 1, None, g.n + 1)[0]
+    return _search(g, order, rank, (), g.n, g.n + 1, None, g.n + 1)[0]
 
 
 def greedy_upper(g: Graph) -> ChiResult:
     """DSATUR greedy coloring: an upper bound with its proper witness."""
-    return ChiResult(2 if any(g.adj) else min(g.n, 1), _classes(_dsatur(g)))
+    return ChiResult(2 if any(g.adj) else min(g.n, 1), _classes(_dsatur(g, *_ranks(g))))
 
 
-def _greedy_clique(g: Graph) -> list[int]:
-    """Grow a clique greedily from every seed vertex; keep the largest."""
+def _greedy_clique(g: Graph, order: list[int]) -> list[int]:
+    """Grow a clique greedily from every seed vertex, in order; keep the largest."""
     best: list[int] = []
-    for v in _ranks(g)[0]:
+    for v in order:
         if g.adj[v].bit_count() + 1 <= len(best):
             continue
         clique = [v]
@@ -106,29 +106,31 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
     """
     if g.n == 0:
         return ChiResult(0, ())
-    clique = _greedy_clique(g)
+    order, rank = _ranks(g)
+    clique = _greedy_clique(g, order)
     lb = max(1, len(clique))
-    best_assign = _dsatur(g)
+    best_assign = _dsatur(g, order, rank)
     best_k = max(best_assign) + 1
     if lb >= best_k:
         return ChiResult(best_k, _classes(best_assign))
-    best_assign, done = _search(g, clique, lb, best_k, best_assign, budget)
+    best_assign, done = _search(g, order, rank, clique, lb, best_k, best_assign, budget)
     witness = _classes(best_assign)
     return ChiResult(len(witness) if done else lb, witness)
 
 
 def _search(
-    g: Graph, clique, lb: int, best_k: int, best_assign, budget: int
+    g: Graph, order: list[int], rank: list[int], clique, lb: int, best_k: int,
+    best_assign, budget: int,
 ) -> tuple[list[int], bool]:
     """DSATUR branch and bound for a coloring with fewer than best_k colors.
 
-    The clique's vertices are pinned to colors 0, 1, ...; the search stops at
-    a leaf with at most lb colors, when the tree is covered, or after budget
-    node expansions. Returns the best coloring found (a color per vertex)
+    order and rank are _ranks(g), the queue's tie order. The clique's
+    vertices are pinned to colors 0, 1, ...; the search stops at a leaf
+    with at most lb colors, when the tree is covered, or after budget node
+    expansions. Returns the best coloring found (a color per vertex)
     and whether the search stopped before the budget ran out.
     """
     n, adj = g.n, g.adj
-    order, rank = _ranks(g)
     colors = [-1] * n
     neigh = [0] * n  # bitmask of colors seen on colored neighbors
     for i, v in enumerate(clique):
