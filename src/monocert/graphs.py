@@ -198,14 +198,20 @@ def bfs_forest(g: Graph, roots) -> list[tuple[int, int]]:
     return order
 
 
+def spanning_trees(g: Graph) -> list[list[tuple[int, int]]]:
+    """A breadth-first spanning tree of each component of g, as bfs_forest's
+    (vertex, parent) pairs, rooted at and ordered by its minimum vertex."""
+    trees: list[list[tuple[int, int]]] = []
+    for pair in bfs_forest(g, range(g.n)):
+        if pair[1] < 0:
+            trees.append([])
+        trees[-1].append(pair)
+    return trees
+
+
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, ordered by minimum vertex."""
-    comps: list[list[int]] = []
-    for v, parent in bfs_forest(g, range(g.n)):
-        if parent < 0:
-            comps.append([])
-        comps[-1].append(v)
-    return [tuple(sorted(comp)) for comp in comps]
+    return [tuple(sorted(v for v, _ in tree)) for tree in spanning_trees(g)]
 
 
 @dataclass(frozen=True)

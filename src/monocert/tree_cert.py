@@ -20,15 +20,14 @@ from dataclasses import dataclass
 from .graphs import (
     EdgeColoring,
     InternalInconsistencyError,
-    bfs_forest,
     canonical_edge,
     check_partition,
-    connected_components,
     json_edges,
     json_fields,
     json_int,
     json_ints,
     lowest_zero_bit,
+    spanning_trees,
 )
 
 RED, BLUE = 1, 2
@@ -122,25 +121,25 @@ def mono_tree_certificate(
     if ec.t != 2:
         raise ValueError(f"need exactly 2 colors, got t={ec.t}")
     g = ec.graph
-    red, blue = (connected_components(cls) for cls in ec.classes)
-    nodes = [(RED, comp) for comp in red] + [(BLUE, comp) for comp in blue]
+    red, blue = (spanning_trees(cls) for cls in ec.classes)
+    nodes = [(RED, tree) for tree in red] + [(BLUE, tree) for tree in blue]
     if not nodes:
         raise ValueError("the empty graph has no components")
-    color, comp = min(nodes, key=lambda node: (-len(node[1]), node[1][0], node[0]))
-    tree = bfs_forest(ec.classes[color - 1], comp[:1])
+    # a tree's first pair is its root, the component's minimum vertex
+    color, tree = min(nodes, key=lambda node: (-len(node[1]), node[1][0][0], node[0]))
     edges = sorted(canonical_edge(v, parent) for v, parent in tree[1:])
     links = [[0, 0] for _ in range(g.n)]
-    for side, comps in enumerate((red, blue)):
-        for i, members in enumerate(comps):
-            for v in members:
+    for side, trees in enumerate((red, blue)):
+        for i, members in enumerate(trees):
+            for v, _ in members:
                 links[v][side] = i
     link_colors = edge_color_dual(links)
-    # the dual's largest node is comp, so König promises colors 1..len(comp)
-    if set(link_colors) != set(range(1, len(comp) + 1)):
+    # the dual's largest node is tree, so König promises colors 1..len(tree)
+    if set(link_colors) != set(range(1, len(tree) + 1)):
         raise InternalInconsistencyError(
             "edge coloring of the dual did not use exactly max_degree colors"
         )
-    classes: list[list[int]] = [[] for _ in comp]
+    classes: list[list[int]] = [[] for _ in tree]
     for v, c in enumerate(link_colors):
         classes[c - 1].append(v)
     derived = tuple(map(tuple, classes))
@@ -148,4 +147,5 @@ def mono_tree_certificate(
         raise InternalInconsistencyError(
             f"the dual's link colors are not a proper coloring: {problems[0]}"
         )
-    return TreeCertificate(color, tuple(edges), comp), derived
+    vertices = tuple(sorted(v for v, _ in tree))
+    return TreeCertificate(color, tuple(edges), vertices), derived

@@ -88,7 +88,7 @@ def test_verify_imports_no_builder():
         "chromatic", "chi_exact", "greedy_upper", "maximum_matching", "kiraly_reduce",
         "find_mono_matching", "find_mono_matching_kiraly", "lift_matching",
         "miss_witness", "edge_color_dual", "mono_tree_certificate", "hunt",
-        "contains_forest", "connected_components", "bfs_forest",
+        "contains_forest", "connected_components", "bfs_forest", "spanning_trees",
     }
     assert builders & (_referenced_names(path) | set(imported)) == set()
 
