@@ -3,8 +3,10 @@
 Batch semantics: every subcommand writes exactly one JSON object to stdout
 (sorted keys, seed recorded) and human-oriented notes to stderr. Exit codes:
 0 success or definitive positive, 1 legitimate negative (avoiding coloring
-exists, no matching reaches its target, counterexample found), 2 input
-error, 3 budget-inconclusive. Every output that ``verify`` reads names its
+exists, counterexample found, or no matching reaches its target: on the
+direct route no color of the host, with ``--kiraly`` no color of the reduced
+instance, which says nothing of the host's own classes), 2 input error, 3
+budget-inconclusive. Every output that ``verify`` reads names its
 kind under ``"kind"``: chi, tree, matching, reduced, hunt or arrowing.
 """
 
@@ -117,6 +119,12 @@ def _reduce_greedy(ec: EdgeColoring) -> matching.ReducedInstance:
     return matching.kiraly_reduce(ec, chromatic.greedy_upper(ec.graph).witness)
 
 
+# what a miss shows on each route: the reduction route searched only the
+# reduced instance, so the host's own classes may still hold a target
+_MISS = {"direct": "no color reaches its target",
+         "reduction": "no matching on the reduced instance"}
+
+
 def _cmd_match_cert(args) -> int:
     g = _load_graph(args)
     targets = _parse_targets(args.targets)
@@ -140,7 +148,7 @@ def _cmd_match_cert(args) -> int:
         classes = matching.miss_witness(ri or _reduce_greedy(ec), targets)
         payload["coloring"] = [list(c) for c in classes]
         _note(
-            f"no color reaches its target; the {len(classes)} merged classes are a "
+            f"{_MISS[payload['route']]}; the {len(classes)} merged classes are a "
             f"proper coloring with fewer than {need} colors, so nothing is guaranteed"
         )
     _emit(args, payload)
@@ -273,11 +281,13 @@ def _cmd_verify(args) -> int:
                     ec, matching.MatchingCertificate.from_json(cert), targets
                 )
             else:
-                (coloring,) = json_fields(data, "coloring")
+                coloring, route = json_fields(data, "coloring", "route")
+                if route not in _MISS:
+                    raise ValueError(f"unknown matching route {route!r:.60}")
                 problems = verify.check_matching_miss(
                     ec.graph, json_classes(coloring), targets
                 )
-                unchecked.append("no color reaches its target")
+                unchecked.append(_MISS[route])
             problems += _check_stated_ramsey(data, "ramsey_value", targets)
         else:
             (instance,) = json_fields(data, "instance")

@@ -227,12 +227,33 @@ def test_match_cert_not_found_exit_one(tmp_path, capsys):
         assert doc["coloring"] == [[0], [1, 2, 3, 4]] and doc["targets"] == [2, 2]
         rc2, vdoc = run(capsys, ["verify", str(out), gf, "--coloring", cf])
         assert rc2 == 0 and vdoc["ok"] is True
-        assert vdoc["unchecked"] == ["no color reaches its target"]
+        assert vdoc["unchecked"] == [
+            "no matching on the reduced instance" if extra else "no color reaches its target"
+        ]
         # a miss whose coloring reaches R = 5 classes proves nothing
         doc["coloring"] = [[0], [1], [2], [3], [4]]
         out.write_text(json.dumps(doc))
         rc3, vdoc3 = run(capsys, ["verify", str(out), gf, "--coloring", cf])
         assert rc3 == 2 and any("R = 5" in p for p in vdoc3["problems"])
+
+
+def test_match_cert_kiraly_miss_claims_only_the_reduced_instance(tmp_path, capsys):
+    # P4 with 01 and 23 colored 1 and 12 colored 2: color 1 holds {01, 23},
+    # but the greedy classes merge to K_2, whose one edge matches nothing
+    g = mc.path_graph(4)
+    gf = write_graph_file(tmp_path, g)
+    cf = write_coloring_file(tmp_path, mc.EdgeColoring.of(g, {(0, 1): 1, (1, 2): 2, (2, 3): 1}, 2))
+    rc, doc = run(capsys, ["match-cert", gf, "--coloring", cf, "--targets", "2,2"])
+    assert rc == 0 and doc["certificate"] == {"color": 1, "edges": [[0, 1], [2, 3]], "target": 2}
+    out = tmp_path / "m.json"
+    rc = main(["match-cert", gf, "--coloring", cf, "--targets", "2,2", "--kiraly",
+               "--json-out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and json.loads(out.read_text())["coloring"] == [[0, 2], [1, 3]]
+    assert "no matching on the reduced instance" in err
+    assert "no color reaches its target" not in err
+    rc, vdoc = run(capsys, ["verify", str(out), gf, "--coloring", cf])
+    assert rc == 0 and vdoc["unchecked"] == ["no matching on the reduced instance"]
 
 
 def test_match_cert_bad_targets_exit_two(tmp_path, capsys, c5):
