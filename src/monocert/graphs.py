@@ -513,8 +513,7 @@ def parse_edge_coloring(text: str | bytes, g: Graph, t: int | None = None) -> Ed
         text = text.decode("ascii")
     n, adj = g.n, g.adj
     rows = [[0] * n for _ in range(1 if t is None else t)]
-    # bit v of uncolored[u], u < v, is set while edge (u, v) of g has no color
-    uncolored = list(adj)
+    colored = set()  # u * n + v for each edge (u, v), u < v, read so far
     for ln, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw.partition("#")[0]
@@ -537,16 +536,16 @@ def parse_edge_coloring(text: str | bytes, g: Graph, t: int | None = None) -> Ed
             raise GraphParseError(f"color {c} exceeds declared t={t}", ln)
         if u > v:
             u, v = v, u
-        if v >= n or not (uncolored[u] >> v) & 1:
-            if v >= n or not (adj[u] >> v) & 1:
-                raise GraphParseError(f"colored edge {(u, v)} is not an edge of the graph", ln)
+        if v >= n or not (adj[u] >> v) & 1:
+            raise GraphParseError(f"colored edge {(u, v)} is not an edge of the graph", ln)
+        key = u * n + v
+        if key in colored:
             raise GraphParseError(f"edge {(u, v)} colored twice", ln)
-        bit = 1 << v
-        uncolored[u] ^= bit
+        colored.add(key)
         while len(rows) < c:
             rows.append([0] * n)
         rc = rows[c - 1]
-        rc[u] |= bit
+        rc[u] |= 1 << v
         rc[v] |= 1 << u
     return EdgeColoring(g, tuple(Graph._from_rows(n, rc) for rc in rows))
 
