@@ -361,7 +361,7 @@ def test_readers_skip_the_symmetry_walk(monkeypatch):
         edges.add((min(u, v), max(u, v)))
     colors = {e: rng.randint(1, 3) for e in sorted(edges)}
     graph_text = "# n 2000\n" + "".join(f"{u} {v}\n" for u, v in colors)
-    coloring_text = "".join(f"{v} {u} {c}\n" for (u, v), c in colors.items())
+    colors_text = "".join(f"{v} {u} {c}\n" for (u, v), c in colors.items())
     walks = []
     validate = Graph.__post_init__
 
@@ -371,7 +371,7 @@ def test_readers_skip_the_symmetry_walk(monkeypatch):
 
     monkeypatch.setattr(Graph, "__post_init__", counted)
     g = mc.parse_graph(graph_text, "edges")
-    ec = mc.parse_edge_coloring(coloring_text, g, 3)
+    ec = mc.parse_edge_coloring(colors_text, g, 3)
     assert walks == []
     assert Graph(2, (0b10, 0b01)).m == 1 and walks == [2]  # the count does count
     monkeypatch.undo()
