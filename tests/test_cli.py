@@ -129,10 +129,15 @@ def test_tree_cert_trusted_bound(tmp_path, capsys, c5):
     gf = write_graph_file(tmp_path, c5)
     ec = mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2)
     cf = write_coloring_file(tmp_path, ec)
-    with pytest.raises(SystemExit) as exc:
-        main(["tree-cert", gf, "--coloring", cf, "--chi-lower", "3"])
-    assert exc.value.code == 2
-    assert "--chi-lower" in capsys.readouterr().err
+    for extra, named in ((["--chi-lower", "3"], "--chi-lower"),
+                         (["--chi-lower=3"], "--chi-lower"),
+                         (["-x"], "-x"),
+                         ([gf], gf)):  # a second graph
+        with pytest.raises(SystemExit) as exc:
+            main(["tree-cert", gf, "--coloring", cf, *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments:" in err and named in err
     rc, doc = run(capsys, ["tree-cert", gf, "--coloring", cf])
     assert rc == 0 and "chi_lower_used" not in doc["certificate"]
     assert len(doc["derived_classes"]) == len(doc["certificate"]["vertices"]) == 5
@@ -640,3 +645,86 @@ def test_verify_malformed_json_exit_two(name, tmp_path, capsys, c5):
     assert main(argv) == 2
     out = capsys.readouterr().out
     assert out == "" or json.loads(out)["ok"] is False
+
+
+# ---------------------------------------------------------------------------
+# the argument grammar
+
+GRAMMAR = {
+    "chi": ["graph", "--format", "--budget", "--seed", "--json-out"],
+    "tree-cert": ["graph", "--format", "--coloring", "--budget", "--seed", "--json-out"],
+    "match-cert": ["graph", "--format", "--coloring", "--budget", "--seed", "--json-out",
+                   "--targets", "--kiraly"],
+    "ramsey": ["--targets", "--n", "--guard-bits", "--seed", "--json-out"],
+    "reduce": ["graph", "--format", "--coloring", "--budget", "--seed", "--json-out"],
+    "hunt": ["--pattern", "--t", "--ramsey-value", "--candidates", "--budget",
+             "--chi-budget", "--seed", "--json-out"],
+    "verify": ["certificate", "graph", "--format", "--coloring", "--budget", "--seed",
+               "--json-out"],
+}
+
+
+def test_help_lists_every_command_and_argument(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(cmd in out for cmd in GRAMMAR)
+    for cmd, names in GRAMMAR.items():
+        for flag in ("-h", "--help"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, flag])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert cmd in out and [n for n in names if n not in out] == []
+
+
+def test_options_in_either_form_and_any_place(tmp_path, capsys, petersen):
+    gf = write_graph_file(tmp_path, petersen, "p.g6", "g6")
+    out = tmp_path / "chi.json"
+    rc, doc = run(capsys, ["chi", gf, "--format", "g6", "--seed", "4"])
+    assert rc == 0 and doc["seed"] == 4
+    for argv in (["chi", "--format=g6", gf, "--seed=4"],
+                 ["chi", "--seed", "4", "--format", "g6", gf],
+                 ["chi", "--json-out", str(out), "--format=g6", "--seed", "4", gf]):
+        assert run(capsys, argv) == (rc, doc)
+    assert json.loads(out.read_text()) == doc
+    rc, vdoc = run(capsys, ["verify", "--budget=100", str(out), gf, "--format", "g6"])
+    assert rc == 0 and vdoc["ok"] is True
+    rc, vdoc = run(capsys, ["ramsey", "--n=4", "--targets=2,2", "--guard-bits=20"])
+    assert rc == 1 and vdoc["n"] == 4
+
+
+def test_candidates_repeat_and_verify_without_graph(tmp_path, capsys):
+    out = tmp_path / "hunt.json"
+    rc, doc = run(capsys, ["hunt", "--candidates", "multipartite:1,1,1,1,1", "--pattern",
+                           "path:4", "--t=2", "--ramsey-value", "5",
+                           "--candidates=multipartite:1,1,1,1,1,1", "--json-out", str(out)])
+    assert rc == 0 and doc["candidates_examined"] == 2
+    rc, vdoc = run(capsys, ["verify", str(out)])
+    assert rc == 0 and vdoc["ok"] is True and vdoc["kind"] == "hunt"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["match-cert", "@g", "--coloring", "@g"], "--targets"),
+    (["tree-cert", "@g"], "--coloring"),
+    (["hunt", "--pattern", "path:4", "--t", "2"], "--ramsey-value"),
+    (["chi"], "graph"),
+    (["verify"], "certificate"),
+    (["chi", "@g", "--budget", "abc"], "--budget"),
+    (["hunt", "--pattern", "path:4", "--t", "two", "--ramsey-value", "3"], "--t"),
+    (["chi", "@g", "--format", "xyz"], "--format"),
+    (["chi", "@g", "--seed"], "--seed"),
+    (["chi", "@g", "--seed", "--budget", "5"], "--seed"),
+    (["bogus"], "bogus"),
+    ([], "command"),
+])
+def test_usage_errors_exit_two(argv, named, tmp_path, capsys, c5):
+    gf = write_graph_file(tmp_path, c5)
+    with pytest.raises(SystemExit) as exc:
+        main([gf if a == "@g" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: monocert" in captured.err and "error:" in captured.err
+    assert named in captured.err.split("error:")[1]
