@@ -353,7 +353,7 @@ def _parse_edge_list(text: str) -> Graph:
             if not raw or raw.isspace():
                 # "# n <count>" declares isolated trailing vertices
                 parts = comment.split()
-                if len(parts) == 2 and parts[0] == "n" and parts[1].isdigit():
+                if len(parts) == 2 and parts[0] == "n" and parts[1].isascii() and parts[1].isdigit():
                     declared = int(parts[1])
                 continue
         toks = raw.split()

@@ -216,6 +216,9 @@ def test_parse_edge_list():
     g = mc.parse_graph("# comment\n0 1 # trailing\n\n# n 4\n", "edges")
     assert g.n == 4 and g.m == 1
     assert mc.parse_graph("", "edges").n == 0
+    # a count that is not ASCII digits makes the line an ordinary comment
+    for count in ("x", "\u00b2", "\uff13"):
+        assert mc.parse_graph(f"# n {count}\n0 1\n", "edges").n == 2
 
 
 def validated(g: Graph) -> Graph:
