@@ -6,41 +6,39 @@ Batch semantics: every subcommand writes exactly one JSON object to stdout
 exists, counterexample found, or no matching reaches its target: on the
 direct route no color of the host, with ``--kiraly`` no color of the reduced
 instance, which says nothing of the host's own classes), 2 input error, 3
-budget-inconclusive. Every output that ``verify`` reads names its
-kind under ``"kind"``: chi, tree, matching, reduced, hunt or arrowing.
+budget-inconclusive, 4 a fault of the program (traceback on stderr). Every
+output that ``verify`` reads names its kind under ``"kind"``: chi, tree,
+matching, reduced, hunt or arrowing.
 """
 
 from __future__ import annotations
 
-import argparse
+import importlib.util
 import json
+import re
 import sys
+from types import SimpleNamespace
 
-from . import chromatic, hunter, matching, tree_cert, verify
-from .graphs import (
-    EdgeColoring,
-    Graph,
-    GraphParseError,
-    InternalInconsistencyError,
-    json_classes,
-    json_fields,
-    json_int,
-    json_ints,
-    parse_edge_coloring,
-    parse_graph,
-)
+from . import chromatic, hunter, matching, tree_cert
+from .graphs import (EdgeColoring, Graph, GraphParseError, InternalInconsistencyError,
+                     json_classes, json_fields, json_int, json_ints, parse_edge_coloring,
+                     parse_graph)
 
+# registered now and run on first use: only the verify subcommand reads it
+if (verify := sys.modules.get(f"{__package__}.verify")) is None:
+    _spec = importlib.util.find_spec(f"{__package__}.verify")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    verify = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(verify)
 _PROG = "monocert"
+_ABOUT = "certificates for monochromatic trees and matchings, plus a counterexample hunter"
 
 
 def _emit(args, payload: dict) -> None:
-    doc = {"seed": getattr(args, "seed", 0)}
-    doc.update(payload)
-    text = json.dumps(doc, sort_keys=True)
+    text = json.dumps({"seed": args.seed, **payload}, sort_keys=True)
     print(text)
-    path = getattr(args, "json_out", None)
-    if path:
-        with open(path, "w") as fh:
+    if args.json_out:
+        with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
 
 
@@ -81,14 +79,7 @@ def _parse_pattern(spec: str) -> hunter.AcyclicPattern:
     if kind == "tree-file":
         with open(arg) as fh:
             return hunter.AcyclicPattern(parse_graph(fh.read(), "edges"))
-    raise ValueError(
-        f"bad pattern {spec!r}; expected path:K, star:K, matching:K or tree-file:PATH"
-    )
-
-
-def _candidate_stream(specs, seed: int, chi_budget: int):
-    for spec in specs or ["g6:-"]:
-        yield from hunter.generate_candidates(spec, seed=seed, chi_budget=chi_budget)
+    raise ValueError(f"bad pattern {spec!r}; expected path:K, star:K, matching:K or tree-file:PATH")
 
 
 def _cmd_chi(args) -> int:
@@ -102,16 +93,10 @@ def _cmd_chi(args) -> int:
 def _cmd_tree_cert(args) -> int:
     g = _load_graph(args)
     cert, derived = tree_cert.mono_tree_certificate(_load_coloring(args, g, t=2))
-    _emit(args, {
-        "kind": "tree",
-        "certificate": cert.to_json(),
-        "dual": {"max_degree": len(derived)},
-        "derived_classes": derived,
-    })
-    _note(
-        f"color {cert.color} tree on {len(cert.vertices)} vertices; "
-        f"derived proper coloring with {len(derived)} classes"
-    )
+    _emit(args, {"kind": "tree", "certificate": cert.to_json(),
+                 "dual": {"max_degree": len(derived)}, "derived_classes": derived})
+    _note(f"color {cert.color} tree on {len(cert.vertices)} vertices; "
+          f"derived proper coloring with {len(derived)} classes")
     return 0
 
 
@@ -147,10 +132,8 @@ def _cmd_match_cert(args) -> int:
     else:
         classes = matching.miss_witness(ri or _reduce_greedy(ec), targets)
         payload["coloring"] = [list(c) for c in classes]
-        _note(
-            f"{_MISS[payload['route']]}; the {len(classes)} merged classes are a "
-            f"proper coloring with fewer than {need} colors, so nothing is guaranteed"
-        )
+        _note(f"{_MISS[payload['route']]}; the {len(classes)} merged classes are a "
+              f"proper coloring with fewer than {need} colors, so nothing is guaranteed")
     _emit(args, payload)
     return 0 if cert else 1
 
@@ -163,16 +146,12 @@ def _cmd_ramsey(args) -> int:
     if args.n is not None:
         patterns = [hunter.matching_pattern(k) for k in targets.targets]
         res = hunter.ramsey_bruteforce(patterns, args.n, guard_bits=args.guard_bits)
-        payload["kind"] = "arrowing"
-        payload["n"] = args.n
-        payload["arrowing"] = res.arrowing
-        payload["colorings_examined"] = res.colorings_examined
-        payload["avoiding"] = None if res.avoiding is None else res.avoiding.to_json()
+        payload.update(kind="arrowing", n=args.n, arrowing=res.arrowing,
+                       colorings_examined=res.colorings_examined,
+                       avoiding=None if res.avoiding is None else res.avoiding.to_json())
         code = 0 if res.arrowing else 1
-        _note(
-            f"K_{args.n} {'forces' if res.arrowing else 'does not force'} the "
-            f"targets ({res.colorings_examined} partial colorings examined)"
-        )
+        _note(f"K_{args.n} {'forces' if res.arrowing else 'does not force'} the "
+              f"targets ({res.colorings_examined} partial colorings examined)")
     else:
         _note(f"matching Ramsey number: {value}")
     _emit(args, payload)
@@ -189,15 +168,10 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_hunt(args) -> int:
     pattern = _parse_pattern(args.pattern)
-    stream = _candidate_stream(args.candidates, args.seed, args.chi_budget)
-    report = hunter.hunt(
-        pattern,
-        args.t,
-        args.ramsey_value,
-        stream,
-        colorings_budget=args.budget,
-        chi_budget=args.chi_budget,
-    )
+    stream = (c for spec in args.candidates or ["g6:-"] for c in hunter.generate_candidates(
+        spec, seed=args.seed, chi_budget=args.chi_budget))
+    report = hunter.hunt(pattern, args.t, args.ramsey_value, stream,
+                         colorings_budget=args.budget, chi_budget=args.chi_budget)
     _emit(args, {"kind": "hunt", **report.to_json()})
     for c in report.candidates:
         state = c.skipped_reason or (
@@ -220,13 +194,6 @@ def _cmd_hunt(args) -> int:
     return 0
 
 
-def _check_stated_ramsey(data: dict, key: str, targets) -> list[str]:
-    """Problems with the matching Ramsey number data states under key, if any."""
-    if key not in data:
-        return []
-    return verify.check_ramsey_value(json_int(data[key]), targets)
-
-
 def _cmd_verify(args) -> int:
     with open(args.certificate) as fh:
         try:
@@ -238,20 +205,17 @@ def _cmd_verify(args) -> int:
     if kind == "hunt":
         claim = hunter.HuntReport.counterexample_from_json(data)
         problems = [] if claim is None else hunter.check_hunt_counterexample(
-            *claim, chi_budget=args.budget
-        )
+            *claim, chi_budget=args.budget)
         unchecked = hunter.HuntReport.unchecked_from_json(data)
     elif kind == "arrowing":
         # the exhaustive search is not repeated; its verdict is taken on trust
         n, arrowing, targets = json_fields(data, "n", "arrowing", "targets")
         if type(arrowing) is not bool:
             raise ValueError(f"expected true or false for arrowing, got {arrowing!r:.60}")
-        problems = _check_stated_ramsey(
-            data, "R", matching.MatchingTargets.of(json_ints(targets))
-        )
+        problems = verify.check_ramsey_value(
+            data, "R", matching.MatchingTargets.of(json_ints(targets)))
         unchecked.append(
-            f"K_{json_int(n)} {'forces' if arrowing else 'does not force'} the targets"
-        )
+            f"K_{json_int(n)} {'forces' if arrowing else 'does not force'} the targets")
     elif kind not in ("chi", "tree", "matching", "reduced"):
         raise ValueError(f"unknown certificate kind {kind!r}")
     elif args.graph is None:
@@ -268,8 +232,7 @@ def _cmd_verify(args) -> int:
         if kind == "tree":
             cert, derived = json_fields(data, "certificate", "derived_classes")
             problems = verify.check_tree_certificate(
-                ec, tree_cert.TreeCertificate.from_json(cert), json_classes(derived)
-            )
+                ec, tree_cert.TreeCertificate.from_json(cert), json_classes(derived))
             if "dual" in data:
                 (max_degree,) = json_fields(data["dual"], "max_degree")
                 problems += verify.check_dual_degree(ec, json_int(max_degree))
@@ -278,115 +241,148 @@ def _cmd_verify(args) -> int:
             targets = matching.MatchingTargets.of(json_ints(targets))
             if cert is not None:
                 problems = verify.check_matching_certificate(
-                    ec, matching.MatchingCertificate.from_json(cert), targets
-                )
+                    ec, matching.MatchingCertificate.from_json(cert), targets)
             else:
                 coloring, route = json_fields(data, "coloring", "route")
                 if route not in _MISS:
                     raise ValueError(f"unknown matching route {route!r:.60}")
-                problems = verify.check_matching_miss(
-                    ec.graph, json_classes(coloring), targets
-                )
+                problems = verify.check_matching_miss(ec.graph, json_classes(coloring), targets)
                 unchecked.append(_MISS[route])
-            problems += _check_stated_ramsey(data, "ramsey_value", targets)
+            problems += verify.check_ramsey_value(data, "ramsey_value", targets)
         else:
             (instance,) = json_fields(data, "instance")
             problems = verify.check_reduced_instance(
-                ec, matching.ReducedInstance.from_json(instance)
-            )
+                ec, matching.ReducedInstance.from_json(instance))
     _emit(args, {"kind": kind, "ok": not problems, "problems": problems,
                  "unchecked": unchecked})
     _note("certificate holds" if not problems else "; ".join(problems))
     return 0 if not problems else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=_PROG,
-        description="certificates for monochromatic trees and matchings, "
-        "plus a counterexample hunter",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The grammar: each subcommand's handler, help line and arguments, each
+# mapping its name to (kind, default, help). Names without dashes are
+# positionals, in order. kind is str, int, a tuple of choices, "flag" or
+# "append" (repeatable); a default of ... makes the argument required.
+_OUTPUT = {"--seed": (int, 0, "seed recorded in the output"),
+           "--json-out": (str, None, "also write the JSON to this file")}
+_CHI = {"graph": (str, ..., "graph file, or - for stdin"),
+        "--format": (("edges", "dimacs", "g6"), "edges", "graph file format (default: edges)"),
+        "--budget": (int, chromatic.DEFAULT_BUDGET, "node-expansion budget of chi's exact "
+                     "search; tree-cert, match-cert and reduce run no search and ignore it"),
+        **_OUTPUT}
+_CERTIFY = {**_CHI, "--coloring": (str, ..., "edge-coloring file (u v c lines)")}
+_TARGETS = {"--targets": (str, ..., "matching sizes, e.g. 2,2")}
+_COMMANDS = {
+    "chi": (_cmd_chi, "chromatic bounds with a coloring witness", _CHI),
+    "tree-cert": (_cmd_tree_cert, "monochromatic-tree certificate and dual witness", _CERTIFY),
+    "match-cert": (_cmd_match_cert, "monochromatic-matching certificate", {**_CERTIFY, **_TARGETS,
+        "--kiraly": ("flag", False, "use the contraction route instead of per-color matching")}),
+    "ramsey": (_cmd_ramsey, "matching Ramsey number, optionally brute-forced", {**_TARGETS,
+        "--n": (int, None, "also decide arrowing on K_n exhaustively"),
+        "--guard-bits": (int, 28, "refuse exhaustive searches above 2^guard-bits"), **_OUTPUT}),
+    "reduce": (_cmd_reduce, "contract a colored graph onto its color classes", _CERTIFY),
+    "hunt": (_cmd_hunt, "search candidate hosts for an avoiding coloring", {
+        "--pattern": (str, ..., "path:K | star:K | matching:K | tree-file:PATH"),
+        "--t": (int, ..., "number of colors"),
+        "--ramsey-value": (int, ..., "chromatic threshold candidates must reach"),
+        "--candidates": ("append", (), "mycielski:STEPS | kneser:N,K | multipartite:A,B,... | "
+                         "random:n=..,p=..,count=..[,chi_min=..] | g6:PATH, repeatable "
+                         "(default: graph6 lines on stdin)"),
+        "--budget": (int, 10_000_000, "partial-coloring budget per candidate"),
+        "--chi-budget": (int, chromatic.DEFAULT_BUDGET, "node-expansion budget of chi"),
+        **_OUTPUT}),
+    "verify": (_cmd_verify, "re-check a certificate JSON", {
+        "certificate": (str, ..., "certificate JSON file"), **_CERTIFY,
+        "graph": (str, None, "graph file, or - for stdin"),
+        "--coloring": (str, None, "edge-coloring file (u v c lines)")}),
+}
 
-    def common(p, graph=True, coloring=False):
-        if graph:
-            p.add_argument("graph", help="graph file, or - for stdin")
-            p.add_argument(
-                "--format", default="edges", choices=["edges", "dimacs", "g6"],
-                help="graph file format (default: edges)",
-            )
-        if coloring:
-            p.add_argument("--coloring", required=True, help="edge-coloring file (u v c lines)")
-        p.add_argument("--budget", type=int, default=chromatic.DEFAULT_BUDGET,
-                       help="node-expansion budget of chi's exact search; tree-cert, "
-                       "match-cert and reduce run no search and ignore it")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in the output")
-        p.add_argument("--json-out", default=None, help="also write the JSON to this file")
 
-    p = sub.add_parser("chi", help="chromatic bounds with a coloring witness")
-    common(p)
-    p.set_defaults(func=_cmd_chi)
+def _metavar(name: str, kind) -> str:
+    value = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else name[2:].upper()
+    return name if name[0] != "-" or kind == "flag" else f"{name} {value}"
 
-    p = sub.add_parser("tree-cert", help="monochromatic-tree certificate and dual witness")
-    common(p, coloring=True)
-    p.set_defaults(func=_cmd_tree_cert)
 
-    p = sub.add_parser("match-cert", help="monochromatic-matching certificate")
-    common(p, coloring=True)
-    p.add_argument("--targets", required=True, help="matching sizes, e.g. 2,2")
-    p.add_argument("--kiraly", action="store_true",
-                   help="use the contraction route instead of per-color matching")
-    p.set_defaults(func=_cmd_match_cert)
+def _usage(cmd: str | None) -> str:
+    if cmd is None:
+        return f"usage: {_PROG} [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [_metavar(name, kind) if default is ... else f"[{_metavar(name, kind)}]"
+             for name, (kind, default, _) in _COMMANDS[cmd][2].items()]
+    return f"usage: {_PROG} {cmd} [-h] " + " ".join(words)
 
-    p = sub.add_parser("ramsey", help="matching Ramsey number, optionally brute-forced")
-    p.add_argument("--targets", required=True, help="matching sizes, e.g. 2,2")
-    p.add_argument("--n", type=int, default=None,
-                   help="also decide arrowing on K_n exhaustively")
-    p.add_argument("--guard-bits", type=int, default=28,
-                   help="refuse exhaustive searches above 2^guard-bits")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default=None)
-    p.set_defaults(func=_cmd_ramsey)
 
-    p = sub.add_parser("reduce", help="contract a colored graph onto its color classes")
-    common(p, coloring=True)
-    p.set_defaults(func=_cmd_reduce)
+def _help(cmd: str | None):
+    if cmd is None:
+        about, rows = _ABOUT, [(name, c[1]) for name, c in _COMMANDS.items()]
+    else:
+        about, spec = _COMMANDS[cmd][1:]
+        rows = [(_metavar(name, a[0]), a[2]) for name, a in spec.items()]
+    width = 2 + max(len(r[0]) for r in rows)
+    print(_usage(cmd), "", about, "", *(f"  {r[0]:<{width}}{r[1]}" for r in rows), sep="\n")
+    raise SystemExit(0)
 
-    p = sub.add_parser("hunt", help="search candidate hosts for an avoiding coloring")
-    p.add_argument("--pattern", required=True,
-                   help="path:K | star:K | matching:K | tree-file:PATH")
-    p.add_argument("--t", type=int, required=True, help="number of colors")
-    p.add_argument("--ramsey-value", type=int, required=True,
-                   help="chromatic threshold candidates must reach")
-    p.add_argument("--candidates", action="append", default=[],
-                   help="mycielski:STEPS | kneser:N,K | multipartite:A,B,... | "
-                        "random:n=..,p=..,count=..[,chi_min=..] | g6:PATH "
-                        "(default: graph6 lines on stdin)")
-    p.add_argument("--budget", type=int, default=10_000_000,
-                   help="partial-coloring budget per candidate")
-    p.add_argument("--chi-budget", type=int, default=chromatic.DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default=None)
-    p.set_defaults(func=_cmd_hunt)
 
-    p = sub.add_parser("verify", help="re-check a certificate JSON")
-    p.add_argument("certificate", help="certificate JSON file")
-    p.add_argument("graph", nargs="?", default=None, help="graph file, or - for stdin")
-    p.add_argument("--format", default="edges", choices=["edges", "dimacs", "g6"])
-    p.add_argument("--coloring", default=None, help="edge-coloring file")
-    p.add_argument("--budget", type=int, default=chromatic.DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default=None)
-    p.set_defaults(func=_cmd_verify)
+def _error(cmd: str | None, msg: str):
+    sys.stderr.write(f"{_usage(cmd)}\n{_PROG}{' ' + cmd if cmd else ''}: error: {msg}\n")
+    raise SystemExit(2)
 
-    return parser
+
+def _is_option(tok: str) -> bool:
+    # as argparse reads a token: "-" alone and negative numbers are values
+    return tok[:1] == "-" and tok != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", tok)
+
+
+def _parse(argv: list[str]):
+    """The handler and arguments argv names. An option is spelled in full,
+    as --opt value or --opt=value, before or after the positionals."""
+    cmd = argv[0] if argv else None
+    if cmd in ("-h", "--help"):
+        _help(None)
+    if cmd not in _COMMANDS:
+        _error(None, f"argument command: invalid choice: {cmd!r} (choose from "
+               f"{', '.join(map(repr, _COMMANDS))})" if argv
+               else "the following arguments are required: command")
+    func, _, spec = _COMMANDS[cmd]
+    given, loose, unknown, rest = {}, [], [], iter(argv[1:])
+    for tok in rest:
+        name, eq, text = tok.partition("=")
+        kind = spec[name][0] if name in spec else None
+        if tok == "--":
+            loose += rest
+        elif tok in ("-h", "--help"):
+            _help(cmd)
+        elif not _is_option(tok):
+            loose.append(tok)
+        elif kind is None or (kind == "flag" and eq):
+            unknown.append(tok)
+        elif kind == "flag":
+            given[name] = True
+        else:
+            text = text if eq else next(rest, None)
+            if text is None or (not eq and _is_option(text)):
+                _error(cmd, f"argument {name}: expected one argument")
+            if isinstance(kind, tuple) and text not in kind:
+                _error(cmd, f"argument {name}: invalid choice: {text!r} (choose from "
+                       f"{', '.join(map(repr, kind))})")
+            try:
+                value = int(text) if kind is int else text
+            except ValueError:
+                _error(cmd, f"argument {name}: invalid int value: {text!r}")
+            given[name] = [*given.get(name, ()), value] if kind == "append" else value
+    positionals = [name for name in spec if name[0] != "-"]
+    given.update(zip(positionals, loose))
+    if missing := [name for name, a in spec.items() if a[1] is ... and name not in given]:
+        _error(cmd, "the following arguments are required: " + ", ".join(missing))
+    if unknown := unknown + loose[len(positionals):]:
+        _error(cmd, "unrecognized arguments: " + " ".join(unknown))
+    return func, SimpleNamespace(**{
+        name.lstrip("-").replace("-", "_"): given.get(name, a[1]) for name, a in spec.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    func, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return func(args)
     except GraphParseError as e:
         _note(f"parse error: {e}")
         return 2
@@ -396,6 +392,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         _note(f"error: {e}")
         return 2
+    except Exception:  # a fault of the program, not of its input
+        import traceback
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -100,9 +100,12 @@ def check_dual_degree(ec: EdgeColoring, max_degree: int) -> list[str]:
     return []
 
 
-def check_ramsey_value(value: int, targets: MatchingTargets) -> list[str]:
-    """A stated matching Ramsey number is n_1 + 1 + sum(n_i - 1) of targets."""
-    need = ramsey_matching_number(targets)
+def check_ramsey_value(data: dict, key: str, targets: MatchingTargets) -> list[str]:
+    """A matching Ramsey number that data states under key, if it states
+    one, is n_1 + 1 + sum(n_i - 1) of targets."""
+    if key not in data:
+        return []
+    value, need = json_int(data[key]), ramsey_matching_number(targets)
     if value != need:
         return [f"R = {value} is stated, but targets {list(targets.targets)} give R = {need}"]
     return []

@@ -132,6 +132,7 @@ def test_tree_cert_trusted_bound(tmp_path, capsys, c5):
     for extra, named in ((["--chi-lower", "3"], "--chi-lower"),
                          (["--chi-lower=3"], "--chi-lower"),
                          (["-x"], "-x"),
+                         (["--json", "out.json"], "--json"),  # no abbreviations
                          ([gf], gf)):  # a second graph
         with pytest.raises(SystemExit) as exc:
             main(["tree-cert", gf, "--coloring", cf, *extra])
@@ -703,6 +704,18 @@ def test_candidates_repeat_and_verify_without_graph(tmp_path, capsys):
     assert rc == 0 and doc["candidates_examined"] == 2
     rc, vdoc = run(capsys, ["verify", str(out)])
     assert rc == 0 and vdoc["ok"] is True and vdoc["kind"] == "hunt"
+
+
+def test_unexpected_exception_exit_four(capsys, monkeypatch):
+    # a fault of the program is no verdict: exit 1 means a negative answer
+    def boom(targets):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(mc.matching, "ramsey_matching_number", boom)
+    assert main(["ramsey", "--targets", "2,2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
 
 @pytest.mark.parametrize("argv, named", [

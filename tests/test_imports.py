@@ -4,6 +4,9 @@ imports no builder, and no function calls itself."""
 
 import ast
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -112,3 +115,28 @@ def test_no_function_calls_itself():
                 ):
                     recursive.append(f"{path.name}:{call.lineno} {node.name}")
     assert recursive == []
+
+
+def test_cli_loads_no_parser_library_and_verify_only_for_verify(tmp_path):
+    # every CLI call pays for what cli runs: argparse is not used at all, and
+    # verify.py runs only in the one subcommand that reads it. Until then
+    # sys.modules holds a lazy module, whose type is not yet ModuleType.
+    graph, chi = tmp_path / "triangle.txt", tmp_path / "chi.json"
+    graph.write_text("0 1\n1 2\n2 0\n")
+    script = f"""
+import json, sys, types
+from monocert.cli import main
+seen = []
+for argv in (["ramsey", "--targets", "2,2"], ["chi", {str(graph)!r}, "--json-out", {str(chi)!r}],
+             ["verify", {str(chi)!r}, {str(graph)!r}]):
+    assert main(argv) == 0
+    ran = type(sys.modules.get("monocert.verify")) is types.ModuleType
+    seen.append(["argparse" in sys.modules, ran])
+sys.stderr.write("loaded: " + json.dumps(seen) + "\\n")
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    line = [x for x in proc.stderr.splitlines() if x.startswith("loaded: ")][-1]
+    assert json.loads(line[len("loaded: "):]) == [[False, False], [False, False], [False, True]]
