@@ -3,12 +3,14 @@
 Batch semantics: every subcommand writes exactly one JSON object to stdout
 (sorted keys, seed recorded) and human-oriented notes to stderr. Exit codes:
 0 success or definitive positive, 1 legitimate negative (avoiding coloring
-exists, counterexample found, or no matching reaches its target: on the
-direct route no color of the host, with ``--kiraly`` no color of the reduced
-instance, which says nothing of the host's own classes), 2 input error, 3
-budget-inconclusive, 4 a fault of the program (traceback on stderr). Every
-output that ``verify`` reads names its kind under ``"kind"``: chi, tree,
-matching, reduced, hunt or arrowing.
+exists, counterexample found, a certificate that ``verify`` finds does not
+hold, or no matching reaches its target: on the direct route no color of the
+host, with ``--kiraly`` no color of the reduced instance, which says nothing
+of the host's own classes), 2 unusable input or a usage error (one ``error:``
+line on stderr, nothing on stdout), 3 budget-inconclusive, 4 a fault of the
+program, ``InternalInconsistencyError`` included (traceback on stderr).
+Every output that ``verify`` reads names its kind under ``"kind"``: chi,
+tree, matching, reduced, hunt or arrowing.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ import sys
 from types import SimpleNamespace
 
 from . import chromatic, hunter, matching, tree_cert
-from .graphs import (EdgeColoring, Graph, GraphParseError, InternalInconsistencyError,
-                     json_classes, json_fields, json_int, json_ints, parse_edge_coloring,
-                     parse_graph)
+from .graphs import (EdgeColoring, Graph, json_classes, json_fields, json_int, json_ints,
+                     parse_edge_coloring, parse_graph)
 
 # registered now and run on first use: only the verify subcommand reads it
 if (verify := sys.modules.get(f"{__package__}.verify")) is None:
@@ -203,10 +204,9 @@ def _cmd_verify(args) -> int:
     (kind,) = json_fields(data, "kind")
     unchecked: list[str] = []
     if kind == "hunt":
-        claim = hunter.HuntReport.counterexample_from_json(data)
+        claim, unchecked = hunter.HuntReport.claims_from_json(data)
         problems = [] if claim is None else hunter.check_hunt_counterexample(
             *claim, chi_budget=args.budget)
-        unchecked = hunter.HuntReport.unchecked_from_json(data)
     elif kind == "arrowing":
         # the exhaustive search is not repeated; its verdict is taken on trust
         n, arrowing, targets = json_fields(data, "n", "arrowing", "targets")
@@ -222,7 +222,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"a {kind} certificate needs the graph it talks about")
     elif kind == "chi":
         problems = verify.check_chi_witness(_load_graph(args), data)
-        # no problem means check_chi_witness read lower as an integer
+        # check_chi_witness refuses a lower that is not an integer
         if not problems and data["lower"] > 2:
             unchecked.append("chi lower bound")
     elif args.coloring is None:
@@ -244,7 +244,7 @@ def _cmd_verify(args) -> int:
                     ec, matching.MatchingCertificate.from_json(cert), targets)
             else:
                 coloring, route = json_fields(data, "coloring", "route")
-                if route not in _MISS:
+                if not isinstance(route, str) or route not in _MISS:
                     raise ValueError(f"unknown matching route {route!r:.60}")
                 problems = verify.check_matching_miss(ec.graph, json_classes(coloring), targets)
                 unchecked.append(_MISS[route])
@@ -256,7 +256,7 @@ def _cmd_verify(args) -> int:
     _emit(args, {"kind": kind, "ok": not problems, "problems": problems,
                  "unchecked": unchecked})
     _note("certificate holds" if not problems else "; ".join(problems))
-    return 0 if not problems else 2
+    return 0 if not problems else 1
 
 
 # The grammar: each subcommand's handler, help line and arguments, each
@@ -383,13 +383,7 @@ def main(argv=None) -> int:
     func, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return func(args)
-    except GraphParseError as e:
-        _note(f"parse error: {e}")
-        return 2
-    except InternalInconsistencyError as e:
-        _note(f"internal inconsistency: {e}")
-        return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:  # input the program cannot use
         _note(f"error: {e}")
         return 2
     except Exception:  # a fault of the program, not of its input

@@ -500,30 +500,17 @@ class HuntReport:
         }
 
     @staticmethod
-    def counterexample_from_json(data):
-        """(pattern, ramsey_value, coloring) for check_hunt_counterexample.
+    def claims_from_json(data) -> tuple:
+        """(claim, unchecked), read in one pass over a report's JSON.
 
-        None when the report claims no counterexample; ValueError on any other
-        shape. The report's t sizes the coloring, so a color above t is refused.
+        claim is None when the report claims no counterexample, else
+        (pattern, ramsey_value, coloring) for check_hunt_counterexample, with
+        the coloring sized by the report's t. unchecked lists what verify does
+        not re-derive: the chi bounds of each candidate but a counterexample,
+        whose chi is computed again, and each exhausted candidate's
+        refutation. ValueError on any other shape.
         """
-        (cex,) = json_fields(data, "counterexample")
-        if cex is None:
-            return None
-        pattern, t, ramsey_value = json_fields(data, "pattern", "t", "ramsey_value")
-        n, edges = json_fields(pattern, "n", "edges")
-        graph6, coloring = json_fields(cex, "graph6", "coloring")
-        if not isinstance(graph6, str):
-            raise ValueError(f"expected a graph6 string, got {graph6!r:.60}")
-        ec = EdgeColoring.from_json(parse_graph(graph6, "g6"), coloring, json_int(t))
-        pat = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
-        return pat, json_int(ramsey_value), ec
-
-    @staticmethod
-    def unchecked_from_json(data) -> list[str]:
-        """The report's claims that verify does not re-derive: the chromatic
-        bounds of each candidate but a counterexample, whose chi verify
-        computes again, and each exhausted candidate's refutation."""
-        (candidates,) = json_fields(data, "candidates")
+        cex, candidates = json_fields(data, "counterexample", "candidates")
         unchecked = []
         for c in json_list(candidates):
             graph6, exhausted, found = json_fields(c, "graph6", "exhausted", "counterexample")
@@ -533,7 +520,16 @@ class HuntReport:
                 unchecked.append(f"chi of {graph6}")
             if exhausted:
                 unchecked.append(f"no avoiding coloring of {graph6}")
-        return unchecked
+        if cex is None:
+            return None, unchecked
+        pattern, t, ramsey_value = json_fields(data, "pattern", "t", "ramsey_value")
+        n, edges = json_fields(pattern, "n", "edges")
+        graph6, coloring = json_fields(cex, "graph6", "coloring")
+        if not isinstance(graph6, str):
+            raise ValueError(f"expected a graph6 string, got {graph6!r:.60}")
+        ec = EdgeColoring.from_json(parse_graph(graph6, "g6"), coloring, json_int(t))
+        pat = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
+        return (pat, json_int(ramsey_value), ec), unchecked
 
 
 def check_hunt_counterexample(

@@ -31,6 +31,17 @@ def _root(parent, x):
     return x
 
 
+def _check_edge(ec: EdgeColoring, u: int, v: int, color: int, problems: list, name: str) -> bool:
+    """Whether (u, v) is an edge of ec's graph; a problem is added when it
+    is not, or when its color is not color."""
+    if not ec.graph.has_edge(u, v):
+        problems.append(f"{name} ({u},{v}) is not in the graph")
+        return False
+    if (c := ec.color_of(u, v)) != color:
+        problems.append(f"{name} ({u},{v}) has color {c}, not {color}")
+    return True
+
+
 def check_tree_certificate(
     ec: EdgeColoring, cert: TreeCertificate, derived_classes
 ) -> list[str]:
@@ -59,13 +70,8 @@ def check_tree_certificate(
         if u not in verts or v not in verts:
             problems.append(f"edge ({u},{v}) leaves the vertex set")
             continue
-        if not g.has_edge(u, v):
-            problems.append(f"({u},{v}) is not an edge of the graph")
+        if not _check_edge(ec, u, v, cert.color, problems, "edge"):
             continue
-        if ec.color_of(u, v) != cert.color:
-            problems.append(
-                f"edge ({u},{v}) has color {ec.color_of(u, v)}, not {cert.color}"
-            )
         ru, rv = _root(parent, u), _root(parent, v)
         if ru == rv:
             problems.append(f"edge ({u},{v}) closes a cycle")
@@ -117,7 +123,6 @@ def check_matching_certificate(
     """A hit holds up when its color is one of targets' and its edges are a
     matching of that color's target size; the certificate's own target must
     be that size, not a smaller one."""
-    g = ec.graph
     problems = []
     if not 1 <= cert.color <= targets.t:
         problems.append(f"color {cert.color} is outside 1..{targets.t}")
@@ -130,13 +135,8 @@ def check_matching_certificate(
         problems.append(f"{len(cert.edges)} edges, below target {cert.target}")
     seen: set[int] = set()
     for u, v in cert.edges:
-        if not g.has_edge(u, v):
-            problems.append(f"({u},{v}) is not an edge of the graph")
+        if not _check_edge(ec, u, v, cert.color, problems, "edge"):
             continue
-        if ec.color_of(u, v) != cert.color:
-            problems.append(
-                f"edge ({u},{v}) has color {ec.color_of(u, v)}, not {cert.color}"
-            )
         if u in seen or v in seen:
             problems.append(f"edge ({u},{v}) shares an endpoint with another")
         seen.add(u)
@@ -160,14 +160,12 @@ def check_matching_miss(g: Graph, classes, targets: MatchingTargets) -> list[str
 def check_chi_witness(g: Graph, data: dict) -> list[str]:
     """Check a chi-result JSON: classes are a proper coloring with upper
     classes, and a lower bound of at most 2 holds (1 needs a vertex, 2 an
-    edge, and no bound exceeds n). A larger lower bound is not checked."""
-    try:
-        lower, upper, exact, classes = json_fields(data, "lower", "upper", "exact", "classes")
-        lower, upper, classes = json_int(lower), json_int(upper), json_classes(classes)
-        if type(exact) is not bool:
-            raise ValueError(f"expected true or false for exact, got {exact!r:.60}")
-    except ValueError as e:
-        return [f"malformed chi result: {e}"]
+    edge, and no bound exceeds n). A larger lower bound is not checked.
+    ValueError when data has another shape."""
+    lower, upper, exact, classes = json_fields(data, "lower", "upper", "exact", "classes")
+    lower, upper, classes = json_int(lower), json_int(upper), json_classes(classes)
+    if type(exact) is not bool:
+        raise ValueError(f"expected true or false for exact, got {exact!r:.60}")
     problems = check_partition(g, classes)
     if len(classes) != upper:
         problems.append(f"witness uses {len(classes)} classes but upper is {upper}")
@@ -193,13 +191,8 @@ def check_reduced_instance(ec: EdgeColoring, ri: ReducedInstance) -> list[str]:
         problems.append(f"{missing} class pairs have no color")
     for (i, j), color in ri.edge_color.items():
         u, v = ri.provenance[(i, j)]
-        if not g.has_edge(u, v):
-            problems.append(f"provenance ({u},{v}) is not an edge of the graph")
+        if not _check_edge(ec, u, v, color, problems, "provenance"):
             continue
-        if ec.color_of(u, v) != color:
-            problems.append(
-                f"provenance ({u},{v}) has color {ec.color_of(u, v)}, not {color}"
-            )
         if {class_of.get(u), class_of.get(v)} != {i, j}:
             problems.append(f"provenance ({u},{v}) does not join classes {i} and {j}")
     return problems

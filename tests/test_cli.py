@@ -4,6 +4,7 @@ import json
 import pytest
 
 import monocert as mc
+from monocert import cli
 from monocert.cli import main
 
 from helpers import coloring_text, cycle_graph
@@ -173,7 +174,7 @@ def test_verify_catches_tampered_tree_cert(tmp_path, capsys, grotzsch, rng):
         tampered = tmp_path / f"{name}.json"
         tampered.write_text(json.dumps({**doc, "derived_classes": derived}))
         rc, vdoc = run(capsys, ["verify", str(tampered), gf, "--coloring", cf])
-        assert rc == 2 and vdoc["ok"] is False, name
+        assert rc == 1 and vdoc["ok"] is False, name
         assert any("derived coloring" in p for p in vdoc["problems"]), name
 
 
@@ -194,7 +195,7 @@ def test_verify_holds_a_tree_to_the_graph_and_t(tmp_path, capsys):
                           ({"color": 1, "edges": [], "vertices": [99]}, "vertex 99")):
         cert.write_text(json.dumps({**doc, "certificate": forged}))
         rc, vdoc = run(capsys, ["verify", str(cert), str(gf), "--coloring", str(cf)])
-        assert rc == 2 and not vdoc["ok"]
+        assert rc == 1 and not vdoc["ok"]
         assert named in vdoc["problems"][0]
 
 
@@ -240,7 +241,7 @@ def test_match_cert_not_found_exit_one(tmp_path, capsys):
         doc["coloring"] = [[0], [1], [2], [3], [4]]
         out.write_text(json.dumps(doc))
         rc3, vdoc3 = run(capsys, ["verify", str(out), gf, "--coloring", cf])
-        assert rc3 == 2 and any("R = 5" in p for p in vdoc3["problems"])
+        assert rc3 == 1 and any("R = 5" in p for p in vdoc3["problems"])
 
 
 def test_match_cert_kiraly_miss_claims_only_the_reduced_instance(tmp_path, capsys):
@@ -283,7 +284,7 @@ def test_verify_catches_tampered_matching(tmp_path, capsys, rng):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     rc, vdoc = run(capsys, ["verify", str(bad), gf, "--coloring", cf])
-    assert rc == 2 and not vdoc["ok"]
+    assert rc == 1 and not vdoc["ok"]
 
 
 def test_verify_holds_a_matching_to_the_output_targets(tmp_path, capsys):
@@ -298,12 +299,14 @@ def test_verify_holds_a_matching_to_the_output_targets(tmp_path, capsys):
     cert.write_text(json.dumps(doc))
     rc, vdoc = run(capsys, ["verify", str(cert), gf, "--coloring", cf])
     assert rc == 0 and vdoc["ok"]
-    # a certificate may not lower its color's target, nor name a color past t
+    # a certificate may not lower its color's target, name a color past t,
+    # or a pair of vertices outside the graph
     for forged, named in (({"color": 1, "target": 1, "edges": [[0, 1]]}, "target 1"),
-                          ({"color": 3, "target": 1, "edges": [[0, 1]]}, "color 3")):
+                          ({"color": 3, "target": 1, "edges": [[0, 1]]}, "color 3"),
+                          ({"color": 1, "target": 2, "edges": [[0, 1], [7, 9]]}, "(7,9)")):
         cert.write_text(json.dumps({**doc, "certificate": forged}))
         rc, vdoc = run(capsys, ["verify", str(cert), gf, "--coloring", cf])
-        assert rc == 2 and not vdoc["ok"]
+        assert rc == 1 and not vdoc["ok"]
         assert named in vdoc["problems"][0]
 
 
@@ -356,7 +359,7 @@ def test_reduce_end_to_end(tmp_path, capsys, rng):
     # the instance must keep the coloring's t
     out.write_text(json.dumps({**doc, "instance": {**inst, "t": 99}}))
     rc2, vdoc = run(capsys, ["verify", str(out), gf, "--coloring", cf])
-    assert rc2 == 2 and vdoc["problems"] == ["instance has t = 99, but the coloring has t = 3"]
+    assert rc2 == 1 and vdoc["problems"] == ["instance has t = 99, but the coloring has t = 3"]
     # forged instances: an edge inside a class, and a class pair left out
     path = mc.path_graph(3)
     pf = write_graph_file(tmp_path, path, "path.txt")
@@ -373,7 +376,7 @@ def test_reduce_end_to_end(tmp_path, capsys, rng):
     for ri, graph_file, coloring_file, problem in forged:
         out.write_text(json.dumps({"kind": "reduced", "instance": ri.to_json()}))
         rc3, vdoc3 = run(capsys, ["verify", str(out), graph_file, "--coloring", coloring_file])
-        assert rc3 == 2 and any(problem in p for p in vdoc3["problems"])
+        assert rc3 == 1 and any(problem in p for p in vdoc3["problems"])
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +501,7 @@ def test_verify_chi_witness(tmp_path, capsys, petersen):
     bad = tmp_path / "badchi.json"
     bad.write_text(json.dumps(doc))
     rc2, vdoc2 = run(capsys, ["verify", str(bad), gf])
-    assert rc2 == 2 and not vdoc2["ok"]
+    assert rc2 == 1 and not vdoc2["ok"]
     # a lower bound above 2 is listed as unchecked; up to 2 it is re-derived
     assert vdoc["unchecked"] == ["chi lower bound"]
     edgeless = write_graph_file(tmp_path, mc.Graph.from_edges(2, []), "edgeless.txt")
@@ -539,7 +542,7 @@ def test_verify_rederives_stated_numbers(tmp_path, capsys):
 
     def refused(argv, named):
         rc, vdoc = run(capsys, argv)
-        assert rc == 2 and vdoc["ok"] is False
+        assert rc == 1 and vdoc["ok"] is False
         assert any(named in p for p in vdoc["problems"]), vdoc["problems"]
 
     k3 = mc.complete_graph(3)
@@ -589,12 +592,12 @@ def test_verify_unknown_shape_exit_two(tmp_path, capsys):
 MALFORMED = {
     "matching-edge-not-a-pair": ({"kind": "matching", "targets": [1, 1], "certificate": {
         "color": 1, "target": 1, "edges": [1]}}, True),
-    "matching-vertex-out-of-range": ({"kind": "matching", "targets": [1, 1], "certificate": {
-        "color": 1, "target": 1, "edges": [[7, 9]]}}, True),
     "matching-hit-without-targets": ({"kind": "matching", "certificate": {
         "color": 1, "target": 1, "edges": [[0, 1]]}}, True),
     "matching-miss-without-targets": ({"kind": "matching", "certificate": None,
                                        "coloring": [[0, 2], [1, 3], [4]]}, True),
+    "matching-route-not-a-string": ({"kind": "matching", "certificate": None, "route": [],
+                                     "coloring": [[0], [1]], "targets": [2]}, True),
     "tree-without-derived-classes": ({"kind": "tree", "certificate": {
         "color": 1, "edges": [[0, 1]], "vertices": [0, 1]}}, True),
     "bare-number": (5, False),
@@ -644,8 +647,39 @@ def test_verify_malformed_json_exit_two(name, tmp_path, capsys, c5):
         cf = write_coloring_file(tmp_path, mc.EdgeColoring.of(c5, {e: 1 for e in c5.edges()}, 2))
         argv += [write_graph_file(tmp_path, c5), "--coloring", cf]
     assert main(argv) == 2
-    out = capsys.readouterr().out
-    assert out == "" or json.loads(out)["ok"] is False
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_verify_one_exit_code_per_outcome(tmp_path, capsys, monkeypatch, c5):
+    # a verdict is 0 or 1 with the JSON on stdout; input that cannot be used
+    # is 2 with one error line; a fault of the program is 4 with a traceback
+    gf = write_graph_file(tmp_path, c5)
+    cert = tmp_path / "chi.json"
+    run(capsys, ["chi", gf, "--json-out", str(cert)])
+    doc = json.loads(cert.read_text())
+    rc, vdoc = run(capsys, ["verify", str(cert), gf])
+    assert rc == 0 and vdoc["ok"] is True
+    cert.write_text(json.dumps({**doc, "upper": 4, "exact": False}))
+    rc, vdoc = run(capsys, ["verify", str(cert), gf])
+    assert rc == 1 and vdoc["problems"] == ["witness uses 3 classes but upper is 4"]
+    for bad in ({**doc, "upper": "3"}, {**doc, "classes": None}):
+        cert.write_text(json.dumps(bad))
+        assert main(["verify", str(cert), gf]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: expected") and err.count("\n") == 1
+    (tmp_path / "bad.txt").write_text("0 1\n1 x\n")
+    assert main(["verify", str(cert), str(tmp_path / "bad.txt")]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: non-integer vertex in '1 x'\n")
+
+    def boom(g, data):
+        raise mc.InternalInconsistencyError("forged guarantee")
+
+    monkeypatch.setattr(cli.verify, "check_chi_witness", boom)
+    assert main(["verify", str(cert), gf]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" in err
+    assert "InternalInconsistencyError: forged guarantee" in err
 
 
 # ---------------------------------------------------------------------------

@@ -386,10 +386,10 @@ def test_hunt_report_json(c5):
     assert d["counterexample"]["graph6"] == mc.write_graph(c5, "g6").strip()
     triples = d["counterexample"]["coloring"]
     assert len(triples) == 5 and all(c in (1, 2) for _, _, c in triples)
-    claim = HuntReport.counterexample_from_json(d)
-    assert claim == (path_pattern(4), 3, report.counterexample)
+    claim = (path_pattern(4), 3, report.counterexample)
+    assert HuntReport.claims_from_json(d) == (claim, [])
     d["counterexample"] = None
-    assert HuntReport.counterexample_from_json(d) is None
+    assert HuntReport.claims_from_json(d) == (None, [])
 
 
 def test_check_hunt_counterexample_rejects_bad_claims(c5):

@@ -109,9 +109,10 @@ def test_improper_link_colors_are_an_internal_inconsistency(tmp_path, monkeypatc
         monkeypatch.setattr(tree_cert, "edge_color_dual", lambda links, c=forged: c)
         with pytest.raises(InternalInconsistencyError, match=named):
             mono_tree_certificate(ec)
-        assert main(["tree-cert", str(gf), "--coloring", str(cf)]) == 2
+        # the code is wrong, not the input: a fault, with its traceback
+        assert main(["tree-cert", str(gf), "--coloring", str(cf)]) == 4
         out, err = capsys.readouterr()
-        assert out == "" and "internal inconsistency" in err
+        assert out == "" and "Traceback" in err and "InternalInconsistencyError" in err
 
 
 def test_pipeline_exhaustive_small(c5, k4):
