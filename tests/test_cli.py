@@ -592,6 +592,9 @@ def test_verify_unknown_shape_exit_two(tmp_path, capsys):
 MALFORMED = {
     "matching-edge-not-a-pair": ({"kind": "matching", "targets": [1, 1], "certificate": {
         "color": 1, "target": 1, "edges": [1]}}, True),
+    # a negative vertex is no vertex of any graph: the reader refuses it
+    "matching-vertex-out-of-range": ({"kind": "matching", "targets": [1, 1], "certificate": {
+        "color": 1, "target": 1, "edges": [[-1, 0]]}}, True),
     "matching-hit-without-targets": ({"kind": "matching", "certificate": {
         "color": 1, "target": 1, "edges": [[0, 1]]}}, True),
     "matching-miss-without-targets": ({"kind": "matching", "certificate": None,
