@@ -12,10 +12,11 @@ interchangeable, so each may open only after the one before it holds an
 edge, and every coloring is visited once up to relabelling them.
 Containment tests are incremental: along a live branch each class was
 pattern-free before the new edge arrived, so only copies through the new
-edge need to be sought, and the memo keyed by the class's edge set stays
-sound. Work is metered in partial colorings visited (one per search node
-entered, interchangeable colors opened in order), which is the
-deterministic "colorings examined" unit reported everywhere; budgets cap
+edge need to be sought. Every pattern's answers are memoized by the class's
+edge set, which the kernel asks before it touches the class, so a known
+answer costs one lookup. Work is metered in partial colorings visited (one
+per search node entered, interchangeable colors opened in order), which is
+the deterministic "colorings examined" unit reported everywhere; budgets cap
 that count and exhaustion flags are set honestly.
 """
 
@@ -57,9 +58,18 @@ class AcyclicPattern:
     graph: Graph
 
     def __post_init__(self):
-        g = self.graph
-        if g.m != g.n - len(connected_components(g)):
-            raise ValueError("pattern contains a cycle")
+        # union-find over the edges: linear in n, where a component search
+        # over n-bit rows is quadratic
+        edges = self.graph.edges()
+        parent = {x: x for e in edges for x in e}
+        for u, v in edges:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                raise ValueError("pattern contains a cycle")
+            parent[u] = v
 
 
 def path_pattern(k: int) -> AcyclicPattern:
@@ -149,13 +159,17 @@ class _PatternMatcher:
     """Does adding edge (u, v) to a pattern-free class create the pattern?
 
     Matching patterns get a direct search for enough disjoint edges; other
-    forests get a seeded embedding from every pattern edge mapped onto
-    (u, v), memoized by the class's edge-index mask (sound because on live
+    forests get a seeded embedding that maps one pattern edge onto (u, v),
+    with one plan per orbit of directed pattern edges: an automorphism
+    carries a copy with a on u and b on v to one for any (a, b) of the same
+    orbit. Every answer is stored in memo under the class's edge-index
+    mask, which the kernel asks first. That is sound because on live
     branches the class minus the new edge is pattern-free, so "contains a
-    copy through (u, v)" and "contains a copy" coincide).
+    copy through (u, v)" and "contains a copy" coincide. A copy is stored
+    as a truthy value.
     """
 
-    __slots__ = ("n", "pn", "pdeg", "match_size", "plans", "cache")
+    __slots__ = ("n", "pn", "pdeg", "match_size", "plans", "memo")
 
     def __init__(self, pattern: AcyclicPattern, host_n: int):
         p = pattern.graph
@@ -169,26 +183,23 @@ class _PatternMatcher:
             self.plans = ()
         else:
             self.match_size = None
-            plans = []
             roots = _embedding_roots(p)
-            for a, b in p.edges():
-                order = _embedding_order(p, roots, seed=(a, b))
-                plans.append((a, b, order))
-                plans.append((b, a, order))
-            self.plans = tuple(plans)
-        self.cache: dict[int, bool] = {}
+            self.plans = tuple(
+                (a, b, _embedding_order(p, roots, seed=(a, b))) for a, b in _edge_orbits(p)
+            )
+        self.memo: dict[int, bool] = {}
 
     def creates(self, rows, u: int, v: int, mask: int) -> bool:
+        """Whether the class rows, which hold (u, v), contains the pattern;
+        the answer is stored in memo under mask, the class's edge set."""
         if self.match_size is not None:
-            return _exists_matching(rows, (1 << u) | (1 << v), self.match_size - 1, self.n)
-        hit = self.cache.get(mask)
-        if hit is not None:
-            return hit
-        res = self._embed_any(rows, u, v)
-        if len(self.cache) > 1_000_000:
-            self.cache.clear()
-        self.cache[mask] = res
-        return res
+            found = _exists_matching(rows, (1 << u) | (1 << v), self.match_size - 1, self.n)
+        else:
+            found = self._embed_any(rows, u, v)
+        if len(self.memo) > 1_000_000:
+            self.memo.clear()
+        self.memo[mask] = found
+        return found
 
     def _embed_any(self, rows, u: int, v: int) -> bool:
         du = rows[u].bit_count()
@@ -203,6 +214,46 @@ class _PatternMatcher:
             if _dfs_embed(rows, self.n, pdeg, order, (1 << u) | (1 << v), images):
                 return True
         return False
+
+
+def _edge_orbits(p: Graph) -> list[tuple[int, int]]:
+    """One directed edge (a, b) of the forest p per orbit of its
+    automorphisms, the first in the order of p.edges(), (a, b) before (b, a).
+
+    Cutting ab leaves a's side, rooted at a, and b's side, rooted at b; two
+    directed edges share an orbit exactly when their sides are isomorphic as
+    rooted trees, a's to a's and b's to b's. Sides are named by AHU ids (Aho,
+    Hopcroft and Ullman 1974): the multiset of a root's child ids is
+    interned, so equal ids mean isomorphic rooted trees. side[x, y] is the
+    id of x's side of edge xy. A pass up each BFS tree names every vertex's
+    side away from its parent; a pass down names the parent's side away from
+    each child, from the parent's whole multiset less that child's id, once
+    per distinct id, so a star costs O(k).
+    """
+    forest = bfs_forest(p, range(p.n))
+    kids: list[list[int]] = [[] for _ in range(p.n)]
+    for v, parent in forest:
+        if parent >= 0:
+            kids[parent].append(v)
+    ids: dict[tuple[int, ...], int] = {}
+    side: dict[tuple[int, int], int] = {}
+    for v, parent in reversed(forest):
+        if parent >= 0:
+            side[v, parent] = ids.setdefault(tuple(sorted(side[w, v] for w in kids[v])), len(ids))
+    for v, parent in forest:
+        around = sorted([side[w, v] for w in kids[v]] + ([side[parent, v]] if parent >= 0 else []))
+        without: dict[int, int] = {}
+        for w in kids[v]:
+            x = side[w, v]
+            if x not in without:
+                j = around.index(x)
+                without[x] = ids.setdefault((*around[:j], *around[j + 1:]), len(ids))
+            side[v, w] = without[x]
+    orbits: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b in p.edges():
+        orbits.setdefault((side[a, b], side[b, a]), (a, b))
+        orbits.setdefault((side[b, a], side[a, b]), (b, a))
+    return list(orbits.values())
 
 
 def _exists_matching(rows, excl: int, k: int, n: int) -> bool:
@@ -277,6 +328,7 @@ def _search_avoiding(
         matchers[p.graph] = matcher, c
         per_color.append(matcher)
         opener.append(prev)
+    memos = [matcher.memo for matcher in per_color]
     rows = [[0] * n for _ in range(t)]
     masks = [0] * t
     held = [-1] * E
@@ -298,18 +350,22 @@ def _search_avoiding(
             prev = opener[c]
             if prev >= 0 and not masks[prev]:
                 continue
+            key = masks[c] | eb
+            found = memos[c].get(key)
+            if found:
+                continue
             rc = rows[c]
             rc[u] |= vb
             rc[v] |= ub
-            masks[c] |= eb
-            if not per_color[c].creates(rc, u, v, masks[c]):
-                held[i] = c
-                i += 1
-                nodes += 1
-                break
-            rc[u] &= ~vb
-            rc[v] &= ~ub
-            masks[c] &= ~eb
+            if found is None and per_color[c].creates(rc, u, v, key):
+                rc[u] ^= vb
+                rc[v] ^= ub
+                continue
+            masks[c] = key
+            held[i] = c
+            i += 1
+            nodes += 1
+            break
         else:
             held[i] = -1
             if i == 0:

@@ -6,7 +6,8 @@ sets, the DSATUR greedy coloring by scanning every vertex for each pick,
 matching number by memoized take-or-skip recursion (with a literal
 edge-subset variant for tiny graphs), components by union-find, a
 breadth-first forest by a FIFO queue over vertex pairs, forest
-containment by trying every injection, the first avoiding edge coloring by
+containment by trying every injection, the orbits of a pattern's directed
+edges by trying every vertex permutation, the first avoiding edge coloring by
 listing every coloring in order, and a coloring's problems by looking
 at every vertex pair. The goodness table below is the one
 list of hunts whose verdict a theorem settles.
@@ -197,6 +198,16 @@ def contains_injection(g: Graph, h: Graph) -> bool:
         if all(g.has_edge(image[u], image[v]) for u, v in hedges):
             return True
     return False
+
+
+def directed_edge_orbits(h: Graph) -> set[frozenset]:
+    """The orbits of h's automorphisms on its directed edges, each a set of
+    (a, b) pairs; every vertex permutation is tried, so only for tiny h."""
+    edges = h.edges()
+    autos = [pi for pi in permutations(range(h.n))
+             if all(h.has_edge(pi[u], pi[v]) for u, v in edges)]
+    return {frozenset((pi[a], pi[b]) for pi in autos)
+            for u, v in edges for a, b in ((u, v), (v, u))}
 
 
 def first_avoiding_coloring(g: Graph, patterns, order):

@@ -1,5 +1,7 @@
 import io
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +395,21 @@ def test_hunt_counterexample_exit_one(tmp_path, capsys):
     # the report is self-contained: verify re-checks it from scratch
     rc2, vdoc = run(capsys, ["verify", str(out)])
     assert rc2 == 0 and vdoc["kind"] == "hunt" and vdoc["ok"] is True
+
+
+def test_verify_hunt_report_with_a_huge_pattern_n(tmp_path, capsys):
+    # the stated n builds n empty rows and nothing grows faster: the cycle
+    # check is union-find over the pattern's edges, and a pattern larger
+    # than the host embeds in no class
+    golden = Path(__file__).parent / "golden" / "expected.json"
+    doc = json.loads(json.loads(golden.read_text())["hunt-g6-file"]["stdout"])
+    doc["pattern"]["n"] = 2_000_000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    rc, vdoc = run(capsys, ["verify", str(path)])
+    assert time.perf_counter() - start < 10
+    assert rc == 0 and vdoc["ok"] is True
 
 
 def test_hunt_settled_exit_zero(capsys):

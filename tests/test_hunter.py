@@ -4,7 +4,7 @@ import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import monocert as mc
 from monocert import hunter
@@ -29,6 +29,7 @@ from helpers import cycle_graph
 from oracles import (
     GOODNESS_REGRESSIONS,
     contains_injection,
+    directed_edge_orbits,
     first_avoiding_coloring,
     matching_number_recursive,
 )
@@ -39,6 +40,8 @@ def test_pattern_validation():
         AcyclicPattern(cycle_graph(3))
     with pytest.raises(ValueError):
         AcyclicPattern(mc.complete_graph(4))
+    with pytest.raises(ValueError, match="pattern contains a cycle"):
+        AcyclicPattern(Graph.from_edges(8, [(0, 1), (5, 6), (3, 5), (6, 3)]))
     with pytest.raises(ValueError):
         matching_pattern(0)
 
@@ -157,6 +160,62 @@ def test_search_avoiding_finds_the_first_avoiding_coloring(g, patterns):
         assert tuple(got.color_of(u, v) for u, v in order) == want
 
 
+@st.composite
+def forest_patterns(draw):
+    """Forests of at most 7 vertices with an edge. Half are built symmetric
+    from one forest of at most 3 vertices: two copies side by side, joined
+    root to root, or hung from a new center."""
+    shape = draw(st.sampled_from(["any", "twins", "mirror", "center"]))
+    if shape == "any":
+        p = draw(forests(max_n=7))
+    else:
+        half = draw(forests(max_n=3))
+        k = half.n
+        edges = [e for u, v in half.edges() for e in ((u, v), (k + u, k + v))]
+        if shape == "mirror":
+            edges.append((0, k))
+        elif shape == "center":
+            edges += [(0, 2 * k), (k, 2 * k)]
+        p = Graph.from_edges(2 * k + (shape == "center"), edges)
+    assume(p.m > 0)
+    return AcyclicPattern(p)
+
+
+@given(small_hosts(), forest_patterns(), forest_patterns(), st.integers(1, 3))
+@example(mc.complete_graph(5), AcyclicPattern(Graph.from_edges(4, [(0, 1), (2, 3)])),
+         path_pattern(3), 2)
+@settings(max_examples=200, deadline=None)
+def test_forest_patterns_one_plan_per_orbit(g, p, q, t):
+    # each plan stands for one orbit of directed pattern edges, so a plan
+    # too few would miss copies and the search would part from the oracle
+    reps = hunter._edge_orbits(p.graph)
+    orbits = directed_edge_orbits(p.graph)
+    assert len(reps) == len(orbits)
+    assert {next(o for o in orbits if e in o) for e in reps} == orbits
+    patterns = [p, q, p][:t]
+    want = first_avoiding_coloring(g, patterns, hunter._bfs_edge_order(g))
+    got, exhausted, _ = hunter._search_avoiding(g, patterns)
+    assert (got is None) == (want is None) == exhausted
+    if got is not None:
+        assert tuple(got.color_of(u, v) for u, v in hunter._bfs_edge_order(g)) == want
+
+
+def test_plan_counts():
+    def plans(h):
+        return len(hunter._PatternMatcher(h, 8).plans)
+
+    for k in (2, 3, 30, 1200):
+        assert plans(star_pattern(k)) == 2
+    for k in range(3, 10):
+        assert plans(path_pattern(k)) == k - 1
+    p3, p4 = [(0, 1), (1, 2)], [(3, 4), (4, 5), (5, 6)]
+    # two isomorphic components share their plans; unlike ones do not
+    assert plans(AcyclicPattern(Graph.from_edges(6, p3 + [(3, 4), (4, 5)]))) == 2
+    assert plans(AcyclicPattern(Graph.from_edges(7, p3 + p4))) == 2 + 3
+    assert plans(AcyclicPattern(Graph.from_edges(10, [(0, i) for i in range(1, 4)]
+                                                  + [(4, i) for i in range(5, 8)]))) == 2
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_exists_matching_matches_oracle(data):
@@ -179,6 +238,8 @@ def test_search_avoiding_work_counts():
     assert k8 == (None, True, 46_912)
     k6 = hunter._search_avoiding(mc.complete_graph(6), [path_pattern(4)] * 3)
     assert k6 == (None, True, 558)
+    p6 = hunter._search_avoiding(mc.complete_graph(8), [path_pattern(6)] * 2)
+    assert p6 == (None, True, 4339)
     # equal patterns are interchangeable whether or not they are one object
     apart = ramsey_bruteforce([matching_pattern(2) for _ in range(3)], 6)
     shared = ramsey_bruteforce([matching_pattern(2)] * 3, 6)
