@@ -25,12 +25,15 @@ from . import chromatic, hunter, matching, tree_cert
 from .graphs import (EdgeColoring, Graph, json_classes, json_fields, json_int, json_ints,
                      parse_edge_coloring, parse_graph)
 
-# registered now and run on first use: only the verify subcommand reads it
+# registered now and run on first use: only the verify subcommand reads it.
+# The package attribute is set too, as an import would, so that
+# monocert.verify resolves without loading it.
 if (verify := sys.modules.get(f"{__package__}.verify")) is None:
     _spec = importlib.util.find_spec(f"{__package__}.verify")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     verify = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
     _spec.loader.exec_module(verify)
+    setattr(sys.modules[__package__], "verify", verify)
 _PROG = "monocert"
 _ABOUT = "certificates for monochromatic trees and matchings, plus a counterexample hunter"
 

@@ -120,18 +120,21 @@ def test_no_function_calls_itself():
 def test_cli_loads_no_parser_library_and_verify_only_for_verify(tmp_path):
     # every CLI call pays for what cli runs: argparse is not used at all, and
     # verify.py runs only in the one subcommand that reads it. Until then
-    # sys.modules holds a lazy module, whose type is not yet ModuleType.
+    # sys.modules holds a lazy module, whose type is not yet ModuleType, and
+    # the package's verify attribute is that module all along.
     graph, chi = tmp_path / "triangle.txt", tmp_path / "chi.json"
     graph.write_text("0 1\n1 2\n2 0\n")
     script = f"""
 import json, sys, types
+import monocert
 from monocert.cli import main
 seen = []
 for argv in (["ramsey", "--targets", "2,2"], ["chi", {str(graph)!r}, "--json-out", {str(chi)!r}],
              ["verify", {str(chi)!r}, {str(graph)!r}]):
     assert main(argv) == 0
     ran = type(sys.modules.get("monocert.verify")) is types.ModuleType
-    seen.append(["argparse" in sys.modules, ran])
+    seen.append(["argparse" in sys.modules, ran,
+                 getattr(monocert, "verify", None) is sys.modules.get("monocert.verify")])
 sys.stderr.write("loaded: " + json.dumps(seen) + "\\n")
 """
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -139,4 +142,5 @@ sys.stderr.write("loaded: " + json.dumps(seen) + "\\n")
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     line = [x for x in proc.stderr.splitlines() if x.startswith("loaded: ")][-1]
-    assert json.loads(line[len("loaded: "):]) == [[False, False], [False, False], [False, True]]
+    assert json.loads(line[len("loaded: "):]) == [
+        [False, False, True], [False, False, True], [False, True, True]]
