@@ -193,11 +193,12 @@ def test_forest_patterns_one_plan_per_orbit(g, p, q, t):
     assert len(reps) == len(orbits)
     assert {next(o for o in orbits if e in o) for e in reps} == orbits
     patterns = [p, q, p][:t]
-    want = first_avoiding_coloring(g, patterns, hunter._bfs_edge_order(g))
+    order = hunter._bfs_edge_order(g)
+    want = first_avoiding_coloring(g, patterns, order)
     got, exhausted, _ = hunter._search_avoiding(g, patterns)
     assert (got is None) == (want is None) == exhausted
     if got is not None:
-        assert tuple(got.color_of(u, v) for u, v in hunter._bfs_edge_order(g)) == want
+        assert tuple(got.color_of(u, v) for u, v in order) == want
 
 
 def test_plan_counts():
