@@ -120,10 +120,8 @@ def _cmd_match_cert(args) -> int:
     ec = _load_coloring(args, g, t=targets.t)
     need = matching.ramsey_matching_number(targets)
     ri = _reduce_greedy(ec) if args.kiraly else None
-    if ri is None:
-        cert = matching.find_mono_matching(ec, targets)
-    else:
-        cert = matching.find_mono_matching_kiraly(ri, targets)
+    cert = (matching.find_mono_matching_kiraly(ri, targets) if ri
+            else matching.find_mono_matching(ec, targets))
     payload = {
         "kind": "matching",
         "ramsey_value": need,
@@ -166,7 +164,7 @@ def _cmd_reduce(args) -> int:
     g = _load_graph(args)
     ri = _reduce_greedy(_load_coloring(args, g))
     _emit(args, {"kind": "reduced", "instance": ri.to_json()})
-    _note(f"reduced to {ri.k} classes, {len(ri.edge_color)} colored pairs")
+    _note(f"reduced to {ri.k} classes, {len(ri.pairs)} colored pairs")
     return 0
 
 

@@ -137,9 +137,6 @@ class Graph:
         """All edges as canonical pairs, lexicographically sorted."""
         return [(u, v) for u in range(self.n) for v in iter_bits(self.adj[u]) if v > u]
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self.adj[v]))
-
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import (
     EdgeColoring,
@@ -97,7 +98,7 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
     found. Deterministic: vertices and neighbors are scanned in index order.
     """
     n = g.n
-    nbr = [g.neighbors(v) for v in range(n)]
+    nbr = [list(iter_bits(row)) for row in g.adj]
     match = [-1] * n
     for u in range(n):  # greedy warm start
         if match[u] < 0:
@@ -198,16 +199,15 @@ def find_mono_matching(
 class ReducedInstance:
     """Complete graph on merged color classes with provenance per pair.
 
-    classes are sorted vertex tuples; edge_color maps each class pair (i, j),
-    i < j, to the smallest genuine color appearing on a crossing edge, and
-    provenance records the lexicographically smallest crossing edge of that
-    color.
+    classes are sorted vertex tuples; pairs maps each class pair (i, j),
+    i < j, to (color, edge): the smallest genuine color appearing on a
+    crossing edge, and the lexicographically smallest crossing edge of that
+    color as provenance.
     """
 
     t: int
     classes: tuple[tuple[int, ...], ...]
-    edge_color: dict[tuple[int, int], int]
-    provenance: dict[tuple[int, int], tuple[int, int]]
+    pairs: dict[tuple[int, int], tuple[int, tuple[int, int]]]
 
     @property
     def k(self) -> int:
@@ -218,13 +218,8 @@ class ReducedInstance:
             "t": self.t,
             "classes": [list(c) for c in self.classes],
             "pairs": [
-                {
-                    "i": i,
-                    "j": j,
-                    "color": self.edge_color[(i, j)],
-                    "provenance": list(self.provenance[(i, j)]),
-                }
-                for (i, j) in sorted(self.edge_color)
+                {"i": i, "j": j, "color": color, "provenance": list(edge)}
+                for (i, j), (color, edge) in sorted(self.pairs.items())
             ],
         }
 
@@ -233,67 +228,58 @@ class ReducedInstance:
         """Inverse of to_json; ValueError when data has another shape."""
         t, classes, pairs = json_fields(data, "t", "classes", "pairs")
         classes = json_classes(classes)
-        edge_color, provenance = {}, {}
+        out = {}
         for pair in json_list(pairs):
             i, j, color, prov = json_fields(pair, "i", "j", "color", "provenance")
             i, j = json_int(i), json_int(j)
             if not i < j < len(classes):
                 raise ValueError(f"pair ({i},{j}) is not two of the {len(classes)} classes")
-            if (i, j) in edge_color:
+            if (i, j) in out:
                 raise ValueError(f"pair ({i},{j}) appears twice")
-            edge_color[(i, j)] = json_int(color)
-            provenance[(i, j)] = json_ints(prov, 2)
-        return ReducedInstance(json_int(t), classes, edge_color, provenance)
+            out[(i, j)] = (json_int(color), json_ints(prov, 2))
+        return ReducedInstance(json_int(t), classes, out)
 
 
 def kiraly_reduce(ec: EdgeColoring, coloring) -> ReducedInstance:
     """Contract a properly colored host onto the classes of coloring.
 
-    Classes with no crossing edge are merged first, in one pass over index
-    pairs (smallest first), so every remaining pair carries at least one
-    edge. A merged class crosses every class either part crossed, so no
-    pair already passed needs a second look. Each pair is then colored by
-    its smallest crossing genuine color, with the smallest such edge
-    recorded as provenance.
+    Classes are merged first fit: each class of coloring, in order, joins
+    the first merged class with no edge to it, or opens a new one. So every
+    two merged classes carry at least one crossing edge. Each pair is then
+    colored by its smallest crossing genuine color, with the smallest such
+    edge recorded as provenance.
     """
     g = ec.graph
     if problems := check_partition(g, coloring):
         raise ValueError(f"vertex coloring is not proper: {problems[0]}")
-    classes = [sorted(cls) for cls in coloring]
-    masks = [sum(1 << v for v in cls) for cls in classes]
+    merged: list[list] = []  # per merged class: [members, their mask, OR of their rows]
+    for cls in coloring:
+        mask = sum(1 << v for v in cls)
+        near = 0
+        for v in cls:
+            near |= g.adj[v]
+        for m in merged:
+            if not m[2] & mask:
+                m[0] += cls
+                m[1] |= mask
+                m[2] |= near
+                break
+        else:
+            merged.append([list(cls), mask, near])
+    masks = [m[1] for m in merged]
 
-    def crossing(i: int, j: int) -> bool:
-        return any(g.adj[u] & masks[j] for u in classes[i])
-
-    i = 0
-    while i < len(classes):
-        j = i + 1
-        while j < len(classes):
-            if crossing(i, j):
-                j += 1
-                continue
-            classes[i] = sorted(classes[i] + classes[j])
-            masks[i] |= masks[j]
-            del classes[j]
-            del masks[j]
-        i += 1
-
-    edge_color: dict[tuple[int, int], int] = {}
-    provenance: dict[tuple[int, int], tuple[int, int]] = {}
-    k = len(classes)
-    for i in range(k):
-        for j in range(i + 1, k):
-            for color, cls in enumerate(ec.classes, start=1):
-                edge = _first_crossing_edge(cls, masks[i], masks[j])
-                if edge is not None:
-                    edge_color[(i, j)] = color
-                    provenance[(i, j)] = edge
-                    break
-            else:
-                raise InternalInconsistencyError(
-                    f"classes {i} and {j} survived merging without a crossing edge"
-                )
-    return ReducedInstance(ec.t, tuple(tuple(c) for c in classes), edge_color, provenance)
+    pairs: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
+    for i, j in combinations(range(len(masks)), 2):
+        for color, cls in enumerate(ec.classes, start=1):
+            edge = _first_crossing_edge(cls, masks[i], masks[j])
+            if edge is not None:
+                pairs[(i, j)] = (color, edge)
+                break
+        else:
+            raise InternalInconsistencyError(
+                f"classes {i} and {j} survived merging without a crossing edge"
+            )
+    return ReducedInstance(ec.t, tuple(tuple(sorted(m[0])) for m in merged), pairs)
 
 
 def _first_crossing_edge(g: Graph, a: int, b: int) -> tuple[int, int] | None:
@@ -317,17 +303,16 @@ def lift_matching(
     out = []
     for a, b in pairs:
         i, j = (a, b) if a < b else (b, a)
-        if (i, j) not in ri.edge_color:
+        if (i, j) not in ri.pairs:
             raise ValueError(f"({i},{j}) is not a class pair of the instance")
         if i in seen or j in seen:
             raise ValueError(f"class {i if i in seen else j} used twice")
-        if ri.edge_color[(i, j)] != color:
-            raise ValueError(
-                f"pair ({i},{j}) has color {ri.edge_color[(i, j)]}, not {color}"
-            )
+        got, edge = ri.pairs[(i, j)]
+        if got != color:
+            raise ValueError(f"pair ({i},{j}) has color {got}, not {color}")
         seen.add(i)
         seen.add(j)
-        out.append(ri.provenance[(i, j)])
+        out.append(edge)
     assert len({v for e in out for v in e}) == 2 * len(out)
     return sorted(out)
 
@@ -336,8 +321,8 @@ def find_mono_matching_kiraly(
     ri: ReducedInstance, targets: MatchingTargets
 ) -> MatchingCertificate | None:
     """Reduction route: match on the class graph of ri, then lift."""
-    rec = EdgeColoring.of(complete_graph(ri.k), ri.edge_color, ri.t)
-    cert = find_mono_matching(rec, targets)
+    colors = {pair: color for pair, (color, _) in ri.pairs.items()}
+    cert = find_mono_matching(EdgeColoring.of(complete_graph(ri.k), colors, ri.t), targets)
     if cert is None:
         return None
     return MatchingCertificate(

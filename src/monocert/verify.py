@@ -186,11 +186,10 @@ def check_reduced_instance(ec: EdgeColoring, ri: ReducedInstance) -> list[str]:
     if ri.t != ec.t:
         problems.append(f"instance has t = {ri.t}, but the coloring has t = {ec.t}")
     class_of = {v: i for i, cls in enumerate(ri.classes) for v in cls}
-    missing = ri.k * (ri.k - 1) // 2 - len(ri.edge_color)
+    missing = ri.k * (ri.k - 1) // 2 - len(ri.pairs)
     if missing:
         problems.append(f"{missing} class pairs have no color")
-    for (i, j), color in ri.edge_color.items():
-        u, v = ri.provenance[(i, j)]
+    for (i, j), (color, (u, v)) in ri.pairs.items():
         if not _check_edge(ec, u, v, color, problems, "provenance"):
             continue
         if {class_of.get(u), class_of.get(v)} != {i, j}:

@@ -66,7 +66,7 @@ def dsatur_reference(g: Graph) -> list[int]:
     neighbors show the most colors, then of highest degree, then of lowest
     index, takes the lowest color none of them has."""
     n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
+    nbrs = [list(iter_bits(row)) for row in g.adj]
     assign = [-1] * n
     for _ in range(n):
         seen = [{assign[u] for u in nbrs[v] if assign[u] >= 0} for v in range(n)]
@@ -146,6 +146,20 @@ def partition_problems(g: Graph, classes) -> list[str]:
         if g.has_edge(u, v) and last[u] == last[v]:
             problems.append(f"edge ({u},{v}) lies inside class {last[u]}")
     return problems
+
+
+def first_fit_merge(g: Graph, classes) -> tuple[tuple[int, ...], ...]:
+    """Each class in turn joins the first merged class that has no edge to
+    it, vertex pair by vertex pair, or opens a new one; sorted classes."""
+    merged: list[list[int]] = []
+    for cls in classes:
+        for m in merged:
+            if not any(g.has_edge(u, v) for u in m for v in cls):
+                m.extend(cls)
+                break
+        else:
+            merged.append(list(cls))
+    return tuple(tuple(sorted(m)) for m in merged)
 
 
 def components_union_find(g: Graph) -> list[tuple[int, ...]]:

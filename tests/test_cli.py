@@ -370,9 +370,9 @@ def test_reduce_end_to_end(tmp_path, capsys, rng):
     kf = write_graph_file(tmp_path, k3, "k3.txt")
     kcf = write_coloring_file(tmp_path, mc.EdgeColoring.of(k3, {e: 1 for e in k3.edges()}, 1), "kc.txt")
     forged = (
-        (mc.ReducedInstance(1, ((0, 1), (2,)), {(0, 1): 1}, {(0, 1): (1, 2)}), pf, pcf,
+        (mc.ReducedInstance(1, ((0, 1), (2,)), {(0, 1): (1, (1, 2))}), pf, pcf,
          "edge (0,1) lies inside class 0"),
-        (mc.ReducedInstance(1, ((0,), (1,), (2,)), {(0, 1): 1}, {(0, 1): (0, 1)}), kf, kcf,
+        (mc.ReducedInstance(1, ((0,), (1,), (2,)), {(0, 1): (1, (0, 1))}), kf, kcf,
          "2 class pairs have no color"),
     )
     for ri, graph_file, coloring_file, problem in forged:

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +19,7 @@ from monocert.matching import (
 from monocert.hunter import random_graph
 from monocert.verify import check_matching_certificate, check_reduced_instance
 
-from oracles import matching_number_recursive, matching_number_subsets
+from oracles import first_fit_merge, matching_number_recursive, matching_number_subsets
 
 
 def test_targets_validation():
@@ -139,10 +139,10 @@ def test_kiraly_reduce_c5(c5):
     ec = mc.EdgeColoring.of(c5, {e: 1 if e[0] == 0 else 2 for e in c5.edges()}, 2)
     ri = kiraly_reduce(ec, ((0, 2), (1, 3), (4,)))
     assert ri.k == 3 and ri.t == 2
-    assert set(ri.edge_color) == {(0, 1), (0, 2), (1, 2)}
-    for pair, (u, v) in ri.provenance.items():
+    assert set(ri.pairs) == {(0, 1), (0, 2), (1, 2)}
+    for color, (u, v) in ri.pairs.values():
         assert c5.has_edge(u, v)
-        assert ri.edge_color[pair] == ec.color_of(u, v)
+        assert color == ec.color_of(u, v)
     assert check_reduced_instance(ec, ri) == []
     assert ReducedInstance.from_json(ri.to_json()) == ri
     bad = ri.to_json()
@@ -159,7 +159,7 @@ def test_kiraly_reduce_merges_disconnected_classes():
     ec = mc.EdgeColoring.of(g, {(0, 1): 1, (2, 3): 1}, 1)
     ri = kiraly_reduce(ec, ((0, 2), (1, 3)))
     assert ri.k == 2
-    assert ri.edge_color == {(0, 1): 1}
+    assert ri.pairs == {(0, 1): (1, (0, 1))}
     # now a coloring whose classes have no crossing edges at all
     with pytest.raises(ValueError, match=r"not proper: edge \(0,1\) lies inside class 0$"):
         kiraly_reduce(ec, ((0, 1), (2, 3)))
@@ -169,7 +169,7 @@ def test_kiraly_reduce_merge_to_single_class():
     g = Graph.from_edges(2, [])
     ec = mc.EdgeColoring.of(g, {}, 1)
     ri = kiraly_reduce(ec, ((0,), (1,)))
-    assert ri.k == 1 and ri.edge_color == {}
+    assert ri.k == 1 and ri.pairs == {}
 
 
 def test_kiraly_reduce_picks_smallest_color():
@@ -178,8 +178,7 @@ def test_kiraly_reduce_picks_smallest_color():
     ec = mc.EdgeColoring.of(p3, {(0, 1): 2, (1, 2): 1}, 2)
     ri = kiraly_reduce(ec, ((0, 2), (1,)))
     assert ri.k == 2
-    assert ri.edge_color == {(0, 1): 1}
-    assert ri.provenance == {(0, 1): (1, 2)}
+    assert ri.pairs == {(0, 1): (1, (1, 2))}
 
 
 @st.composite
@@ -212,6 +211,36 @@ def test_kiraly_reduce_merges_like_restart(g):
     ec = mc.EdgeColoring.of(g, {e: 1 for e in g.edges()}, 1)
     singletons = tuple((v,) for v in range(g.n))
     assert kiraly_reduce(ec, singletons).classes == merge_with_restart(g, singletons)
+
+
+@st.composite
+def shuffled_proper_colorings(draw, max_n=12):
+    """A graph and a proper coloring of it: vertices take, in a drawn order,
+    a color no earlier neighbor has (at most one above those in use); then
+    the classes and the vertices within each are shuffled."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True)
+                                 if pairs else st.just([])))
+    color: dict[int, int] = {}
+    for v in draw(st.permutations(range(n))):
+        taken = {color[u] for u in color if g.has_edge(u, v)}
+        color[v] = draw(st.sampled_from(
+            [c for c in range(max(color.values(), default=-1) + 2) if c not in taken]))
+    classes = [[v for v in range(n) if color[v] == c] for c in set(color.values())]
+    return g, tuple(tuple(draw(st.permutations(cls))) for cls in draw(st.permutations(classes)))
+
+
+@given(shuffled_proper_colorings())
+@settings(max_examples=200, deadline=None)
+def test_kiraly_reduce_merges_first_fit(case):
+    g, coloring = case
+    ec = mc.EdgeColoring.of(g, {e: 1 for e in g.edges()}, 1)
+    ri = kiraly_reduce(ec, coloring)
+    assert ri.classes == first_fit_merge(g, coloring)
+    # every two merged classes are joined by an edge
+    for a, b in combinations(ri.classes, 2):
+        assert any(g.has_edge(u, v) for u in a for v in b)
 
 
 def test_lift_matching_validation():
