@@ -49,6 +49,7 @@ from .graphs import (
 )
 from . import chromatic
 from .chromatic import chi_exact
+from .matching import maximum_matching
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,26 @@ def _dfs_embed(rows, n: int, pdeg, order, used: int, images) -> bool:
 
 
 def contains_forest(g: Graph, h: AcyclicPattern) -> tuple[int, ...] | None:
-    """Injective embedding of h into g preserving edges, or None."""
+    """Injective embedding of h into g preserving edges, or None.
+
+    A matching (every pattern vertex of degree 1) is answered by the blossom,
+    which shares no code with the kernel: the pattern's edges go in order
+    onto the first edges of a maximum matching of g. Other forests are
+    embedded depth first by _dfs_embed.
+    """
     p = h.graph
     if p.n > g.n:
         return None
     pdeg = [p.adj[v].bit_count() for v in range(p.n)]
-    order = _embedding_order(p, _embedding_roots(p))
     images = [-1] * p.n
+    if all(d == 1 for d in pdeg):
+        mm = maximum_matching(g)
+        if len(mm) < p.m:
+            return None
+        for (a, b), (x, y) in zip(p.edges(), mm):
+            images[a], images[b] = x, y
+        return tuple(images)
+    order = _embedding_order(p, _embedding_roots(p))
     if _dfs_embed(g.adj, g.n, pdeg, order, 0, images):
         return tuple(images)
     return None
@@ -448,8 +462,9 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 @lru_cache(maxsize=1)
 def _chi_once(g: Graph, budget: int):
-    """chi_exact, remembering the latest answer: generate_candidates settles
-    a chi_min draw, and hunt asks again as soon as it is yielded."""
+    """chi_exact, remembering the latest answer: generate_candidates reads
+    a chi_min draw's proven lower bound, and hunt asks again as soon as the
+    draw is yielded."""
     return chi_exact(g, budget=budget)
 
 
@@ -460,8 +475,8 @@ def generate_candidates(spec: str, seed: int = 0, chi_budget: int = chromatic.DE
     ``kneser:N,K`` and ``multipartite:A,B,...`` one graph each, and
     ``g6:PATH`` or ``g6:-`` one graph per non-blank graph6 line of a file or
     of stdin. ``random:n=..,p=..,count=..[,chi_min=..]`` gives count seeded
-    G(n,p) draws; with chi_min, only draws whose chi settles within
-    chi_budget at chi_min or more count, and at most 200 draws are made per
+    G(n,p) draws; with chi_min, only draws with a proven chi >= chi_min
+    within chi_budget count, and at most 200 draws are made per
     graph asked for. The key ``seed`` overrides the argument.
     """
     kind, _, arg = spec.partition(":")
@@ -497,7 +512,7 @@ def generate_candidates(spec: str, seed: int = 0, chi_budget: int = chromatic.DE
             g = random_graph(n, p, rng)
             if chi_min is not None:
                 r = _chi_once(g, chi_budget)
-                if not r.exact or r.lower < chi_min:
+                if r.lower < chi_min:
                     continue
             produced += 1
             yield g
@@ -597,10 +612,9 @@ def check_hunt_counterexample(
     """Re-verify a claimed counterexample from scratch; empty list means good."""
     problems = []
     r = chi_exact(ec.graph, budget=chi_budget)
-    if not r.exact:
-        problems.append("chromatic number did not resolve exactly within budget")
-    elif r.lower < ramsey_value:
-        problems.append(f"chi={r.lower} is below ramsey_value={ramsey_value}")
+    if r.lower < ramsey_value:
+        chi = f"chi={r.lower}" if r.exact else f"proven chi>={r.lower} (budget ran out)"
+        problems.append(f"{chi} is below ramsey_value={ramsey_value}")
     for c, cls in enumerate(ec.classes, start=1):
         if contains_forest(cls, pattern) is not None:
             problems.append(f"color {c} contains the pattern")
@@ -617,10 +631,11 @@ def hunt(
 ) -> HuntReport:
     """Search candidate hosts for a coloring avoiding the pattern everywhere.
 
-    Candidates whose exact chromatic number cannot be established within
-    chi_budget are skipped (recorded, never assumed); eligible ones need
-    exact chi >= ramsey_value. Any find is re-verified from scratch before
-    being reported, and the hunt stops at the first verified counterexample.
+    A candidate is searched when chi_exact proves chi >= ramsey_value
+    within chi_budget; the lower bound it reports is always proven, a clique
+    or the exact value. Other candidates are skipped (recorded, never
+    assumed). Any find is re-verified from scratch before being reported,
+    and the hunt stops at the first verified counterexample.
     """
     if t < 1:
         raise ValueError("need at least one color")
@@ -634,12 +649,12 @@ def hunt(
     for g in candidates:
         ident = write_graph(g, "g6").strip()
         r = _chi_once(g, chi_budget)
-        if not r.exact:
-            skipped = "chromatic number unresolved within budget"
-        elif r.lower < ramsey_value:
+        if r.lower >= ramsey_value:
+            skipped = None
+        elif r.exact:
             skipped = f"chi={r.lower} below ramsey_value={ramsey_value}"
         else:
-            skipped = None
+            skipped = "chromatic number unresolved within budget"
         coloring, exhausted, nodes = None, False, 0
         if skipped is None:
             coloring, exhausted, nodes = _search_avoiding(

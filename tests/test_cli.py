@@ -192,9 +192,14 @@ def test_verify_holds_a_tree_to_the_graph_and_t(tmp_path, capsys):
     cert.write_text(json.dumps(doc))
     rc, vdoc = run(capsys, ["verify", str(cert), str(gf), "--coloring", str(cf)])
     assert rc == 0 and vdoc["ok"]
-    # a tree's color runs 1..t, and its vertices are the graph's
+    # a tree's color runs 1..t, and its vertices are the graph's, each once;
+    # a forest of two trees has too few edges
     for forged, named in (({"color": 7, "edges": [], "vertices": [0]}, "color 7"),
-                          ({"color": 1, "edges": [], "vertices": [99]}, "vertex 99")):
+                          ({"color": 1, "edges": [], "vertices": [99]}, "vertex 99"),
+                          ({"color": 1, "edges": [], "vertices": []}, "has no vertices"),
+                          ({"color": 1, "edges": [], "vertices": [0, 0]}, "has duplicates"),
+                          ({"color": 1, "edges": [], "vertices": [0, 1]},
+                           "0 edges for 2 vertices")):
         cert.write_text(json.dumps({**doc, "certificate": forged}))
         rc, vdoc = run(capsys, ["verify", str(cert), str(gf), "--coloring", str(cf)])
         assert rc == 1 and not vdoc["ok"]
@@ -362,7 +367,8 @@ def test_reduce_end_to_end(tmp_path, capsys, rng):
     out.write_text(json.dumps({**doc, "instance": {**inst, "t": 99}}))
     rc2, vdoc = run(capsys, ["verify", str(out), gf, "--coloring", cf])
     assert rc2 == 1 and vdoc["problems"] == ["instance has t = 99, but the coloring has t = 3"]
-    # forged instances: an edge inside a class, and a class pair left out
+    # forged instances: an edge inside a class, a class pair left out, and a
+    # provenance edge between two other classes
     path = mc.path_graph(3)
     pf = write_graph_file(tmp_path, path, "path.txt")
     pcf = write_coloring_file(tmp_path, mc.EdgeColoring.of(path, {(0, 1): 1, (1, 2): 1}, 1), "pc.txt")
@@ -374,6 +380,9 @@ def test_reduce_end_to_end(tmp_path, capsys, rng):
          "edge (0,1) lies inside class 0"),
         (mc.ReducedInstance(1, ((0,), (1,), (2,)), {(0, 1): (1, (0, 1))}), kf, kcf,
          "2 class pairs have no color"),
+        (mc.ReducedInstance(1, ((0,), (1,), (2,)), {
+            (0, 1): (1, (0, 1)), (0, 2): (1, (1, 2)), (1, 2): (1, (1, 2))}), kf, kcf,
+         "provenance (1,2) does not join classes 0 and 2"),
     )
     for ri, graph_file, coloring_file, problem in forged:
         out.write_text(json.dumps({"kind": "reduced", "instance": ri.to_json()}))
@@ -429,6 +438,53 @@ def test_hunt_inconclusive_exit_three(capsys):
     ])
     assert rc == 3
     assert doc["candidates"][0]["exhausted"] is False
+
+
+def test_hunt_and_verify_a_matching_pattern_on_k13(tmp_path, capsys):
+    # the find and its re-check test each class for a 5-edge matching with
+    # the blossom; an ordered embedding took seconds per class here
+    out = tmp_path / "hunt.json"
+    argv = ["hunt", "--pattern", "matching:5", "--t", "2", "--ramsey-value", "13",
+            "--candidates", "multipartite:" + ",".join(["1"] * 13), "--json-out", str(out)]
+    start = time.perf_counter()
+    rc, doc = run(capsys, argv)
+    assert time.perf_counter() - start < 2
+    assert rc == 1 and doc["counterexample"] is not None
+    start = time.perf_counter()
+    rc2, vdoc = run(capsys, ["verify", str(out)])
+    assert time.perf_counter() - start < 2
+    assert rc2 == 0 and vdoc["ok"] is True
+
+
+# K3 beside the Grötzsch graph: chi is 4 and its largest clique has 3
+# vertices, so one node of chi_exact proves chi >= 3 and no more
+K3_GROTZSCH = "MkLTAQGK?N_??@?@_"
+
+
+def test_hunt_searches_a_host_with_proven_chi_at_least_r(tmp_path, capsys):
+    path = tmp_path / "hosts.g6"
+    path.write_text(K3_GROTZSCH + "\n")
+    rc, doc = run(capsys, ["hunt", "--pattern", "path:3", "--t", "1", "--ramsey-value", "3",
+                           "--chi-budget", "1", "--candidates", f"g6:{path}"])
+    (cand,) = doc["candidates"]
+    assert (cand["chi_lower"], cand["chi_upper"], cand["chi_is_exact"]) == (3, 4, False)
+    assert rc == 0 and cand["searched"] and cand["exhausted"]
+
+
+def test_verify_hunt_from_proven_chi_at_least_r(tmp_path, capsys):
+    path, out = tmp_path / "hosts.g6", tmp_path / "hunt.json"
+    path.write_text(K3_GROTZSCH + "\n")
+    rc, doc = run(capsys, ["hunt", "--pattern", "star:6", "--t", "1", "--ramsey-value", "3",
+                           "--candidates", f"g6:{path}", "--json-out", str(out)])
+    assert rc == 1 and doc["counterexample"] is not None
+    rc2, vdoc = run(capsys, ["verify", str(out), "--budget", "1"])
+    assert rc2 == 0 and vdoc["ok"] is True
+    # above the proven bound the check fails, and says whether chi resolved
+    out.write_text(json.dumps({**doc, "ramsey_value": 5}))
+    for budget, problem in (("1", "proven chi>=3 (budget ran out) is below ramsey_value=5"),
+                            ("1000000", "chi=4 is below ramsey_value=5")):
+        rc3, vdoc3 = run(capsys, ["verify", str(out), "--budget", budget])
+        assert rc3 == 1 and vdoc3["problems"] == [problem]
 
 
 def test_hunt_settles_a_host_deeper_than_the_stack(tmp_path, capsys):
@@ -522,11 +578,15 @@ def test_verify_chi_witness(tmp_path, capsys, petersen):
     # a lower bound above 2 is listed as unchecked; up to 2 it is re-derived
     assert vdoc["unchecked"] == ["chi lower bound"]
     edgeless = write_graph_file(tmp_path, mc.Graph.from_edges(2, []), "edgeless.txt")
-    for lower, ok in ((1, True), (2, False), (3, False)):
+    for lower, exact, named in ((1, False, None),
+                                (2, True, "lower bound 2 on a graph with no edge"),
+                                (3, False, "lower bound exceeds upper bound"),
+                                (1, True, "exact result with lower != upper")):
         out.write_text(json.dumps({"kind": "chi", "lower": lower, "upper": 2,
-                                   "exact": lower == 2, "classes": [[0], [1]]}))
+                                   "exact": exact, "classes": [[0], [1]]}))
         rc, vdoc = run(capsys, ["verify", str(out), edgeless])
-        assert (rc == 0) is ok and vdoc["ok"] is ok and vdoc["unchecked"] == []
+        assert vdoc["problems"][:1] == ([named] if named else []) and vdoc["unchecked"] == []
+        assert rc == (0 if named is None else 1) and vdoc["ok"] is (named is None)
 
 
 def test_verify_needs_graph_exit_two(tmp_path, capsys, c5):

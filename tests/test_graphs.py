@@ -117,8 +117,13 @@ def test_edge_coloring_cover(c5):
         mc.EdgeColoring.of(c5, {**{e: 1 for e in c5.edges()}, (0, 2): 2}, 2)
     # a coloring file is read against its graph; a bad line is named
     text = coloring_text(ec)
-    for bad, line in ((text + "0 2 2\n", 6), ("0 9 1\n" + text, 1)):
-        with pytest.raises(GraphParseError) as err:
+    for bad, line, message in ((text + "0 2 2\n", 6, "not an edge of the graph"),
+                               ("0 9 1\n" + text, 1, "not an edge of the graph"),
+                               (text + "0 1\n", 6, "expected 'u v c'"),
+                               ("0 x 1\n" + text, 1, "non-integer field"),
+                               (text + "-1 2 1\n", 6, "negative vertex"),
+                               ("3 3 1\n" + text, 1, "self-loop at vertex 3")):
+        with pytest.raises(GraphParseError, match=message) as err:
             mc.parse_edge_coloring(bad, c5)
         assert err.value.line == line
     with pytest.raises(ValueError, match=r"edge \(0, 4\) of the graph has no color"):
@@ -299,9 +304,12 @@ def test_graph6_against_reference_codec(rng):
     nx = pytest.importorskip("networkx")
     from monocert.hunter import random_graph
 
-    for _ in range(60):
-        g = random_graph(rng.randint(0, 20), rng.choice([0.2, 0.5, 0.8]), rng)
+    # one draw in six has n of 63 or more, where graph6 takes the long header
+    for i in range(60):
+        n = rng.randint(0, 20) if i % 6 else rng.randint(63, 130)
+        g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
         ours = mc.write_graph(g, "g6").strip()
+        assert ours.startswith("~") == (n >= 63)
         G = nx.Graph()
         G.add_nodes_from(range(g.n))
         G.add_edges_from(g.edges())

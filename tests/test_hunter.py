@@ -66,18 +66,22 @@ def test_contains_forest_returns_real_embedding(k4):
 
 
 def test_contains_forest_matches_injection_oracle(rng):
+    # matchings, relabelled ones included, take the blossom; the rest embed
+    # depth first; either way a find is a real embedding
     patterns = [
         path_pattern(3), path_pattern(4), star_pattern(3),
-        matching_pattern(2),
-        AcyclicPattern(Graph.from_edges(4, [(0, 1), (2, 3)])),
+        matching_pattern(2), matching_pattern(3),
+        AcyclicPattern(Graph.from_edges(6, [(0, 5), (1, 3), (2, 4)])),
         AcyclicPattern(Graph.from_edges(5, [(0, 1), (0, 2), (3, 4)])),
     ]
     for _ in range(40):
         g = random_graph(rng.randint(2, 7), rng.choice([0.3, 0.6]), rng)
         for p in patterns:
-            got = contains_forest(g, p) is not None
-            want = contains_injection(g, p.graph)
-            assert got == want
+            images = contains_forest(g, p)
+            assert (images is not None) == contains_injection(g, p.graph)
+            if images is not None:
+                assert len(set(images)) == p.graph.n
+                assert all(g.has_edge(images[u], images[v]) for u, v in p.graph.edges())
 
 
 @st.composite
@@ -358,6 +362,12 @@ def test_generate_random_with_chi_filter():
     assert list(generate_candidates("random:n=8,p=0.5,count=5,chi_min=3", seed=7)) == got
     # a seed in the spec overrides the argument
     assert list(generate_candidates("random:n=8,p=0.5,count=5,seed=7,chi_min=3", seed=1)) == got
+    # the filter asks only for a proven chi >= chi_min: at a budget of one
+    # node a clique of 3 counts, though chi is left unresolved
+    got = list(generate_candidates("random:n=20,p=0.25,count=4,chi_min=3", seed=1, chi_budget=1))
+    results = [mc.chi_exact(g, budget=1) for g in got]
+    assert len(got) == 4 and all(r.lower >= 3 for r in results)
+    assert not all(r.exact for r in results)
 
 
 @pytest.mark.parametrize("pattern, spec", [
@@ -365,7 +375,7 @@ def test_generate_random_with_chi_filter():
     (matching_pattern(2), "random:n=9,p=0.7,count=2,chi_min=5,seed=3"),
 ])
 def test_chi_min_draws_are_searched_once(pattern, spec, monkeypatch):
-    # generate_candidates settles chi for its filter; hunt must not redo it
+    # generate_candidates runs chi_exact for its filter; hunt must not redo it
     searched = []
 
     def counting_chi_exact(g, budget):
