@@ -12,9 +12,9 @@ interchangeable, so each may open only after the one before it holds an
 edge, and every coloring is visited once up to relabelling them.
 Containment tests are incremental: along a live branch each class was
 pattern-free before the new edge arrived, so only copies through the new
-edge need to be sought. Every pattern's answers are memoized by the class's
-edge set, which the kernel asks before it touches the class, so a known
-answer costs one lookup. Work is metered in partial colorings visited (one
+edge need to be sought. The kernel memoizes each pattern's answers by the
+class's edge set and asks before it touches the class, so a known answer
+costs one lookup. Work is metered in partial colorings visited (one
 per search node entered, interchangeable colors opened in order), which is
 the deterministic "colorings examined" unit reported everywhere; budgets cap
 that count and exhaustion flags are set honestly.
@@ -169,65 +169,37 @@ def contains_forest(g: Graph, h: AcyclicPattern) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 # search kernel
 
-class _PatternMatcher:
-    """Does adding edge (u, v) to a pattern-free class create the pattern?
+_MEMO_CAP = 1_000_000  # entries a memo may hold before the kernel clears it
 
-    Matching patterns get a direct search for enough disjoint edges; other
-    forests get a seeded embedding that maps one pattern edge onto (u, v),
-    with one plan per orbit of directed pattern edges: an automorphism
-    carries a copy with a on u and b on v to one for any (a, b) of the same
-    orbit. Every answer is stored in memo under the class's edge-index
-    mask, which the kernel asks first. That is sound because on live
-    branches the class minus the new edge is pattern-free, so "contains a
-    copy through (u, v)" and "contains a copy" coincide. A copy is stored
-    as a truthy value.
-    """
 
-    __slots__ = ("n", "pn", "pdeg", "match_size", "plans", "memo")
+def _pattern_test(pattern: AcyclicPattern, host_n: int):
+    """test(rows, u, v): does the class rows, pattern-free until it gained
+    edge (u, v), now contain the pattern, that is, a copy through (u, v)?
+    Matchings get a direct search for enough disjoint edges; other forests
+    a seeded embedding of one pattern edge onto (u, v), with one plan per
+    orbit of directed pattern edges, since an automorphism carries a copy
+    with a on u and b on v to one for any (a, b) of the same orbit."""
+    p = pattern.graph
+    if p.m == 0:
+        raise ValueError("pattern needs at least one edge")
+    pdeg = [p.adj[v].bit_count() for v in range(p.n)]
+    if all(d == 1 for d in pdeg):
+        k = p.m - 1
+        return lambda rows, u, v: _exists_matching(rows, (1 << u) | (1 << v), k, host_n)
+    roots = _embedding_roots(p)
+    plans = [(a, b, _embedding_order(p, roots, seed=(a, b))) for a, b in _edge_orbits(p)]
 
-    def __init__(self, pattern: AcyclicPattern, host_n: int):
-        p = pattern.graph
-        if p.m == 0:
-            raise ValueError("pattern needs at least one edge")
-        self.n = host_n
-        self.pn = p.n
-        self.pdeg = [p.adj[v].bit_count() for v in range(p.n)]
-        if all(d == 1 for d in self.pdeg):
-            self.match_size = p.m
-            self.plans = ()
-        else:
-            self.match_size = None
-            roots = _embedding_roots(p)
-            self.plans = tuple(
-                (a, b, _embedding_order(p, roots, seed=(a, b))) for a, b in _edge_orbits(p)
-            )
-        self.memo: dict[int, bool] = {}
-
-    def creates(self, rows, u: int, v: int, mask: int) -> bool:
-        """Whether the class rows, which hold (u, v), contains the pattern;
-        the answer is stored in memo under mask, the class's edge set."""
-        if self.match_size is not None:
-            found = _exists_matching(rows, (1 << u) | (1 << v), self.match_size - 1, self.n)
-        else:
-            found = self._embed_any(rows, u, v)
-        if len(self.memo) > 1_000_000:
-            self.memo.clear()
-        self.memo[mask] = found
-        return found
-
-    def _embed_any(self, rows, u: int, v: int) -> bool:
-        du = rows[u].bit_count()
-        dv = rows[v].bit_count()
-        pdeg = self.pdeg
-        images = [-1] * self.pn
-        for a, b, order in self.plans:
-            if pdeg[a] > du or pdeg[b] > dv:
-                continue
-            images[a] = u
-            images[b] = v
-            if _dfs_embed(rows, self.n, pdeg, order, (1 << u) | (1 << v), images):
-                return True
+    def embeds(rows, u: int, v: int) -> bool:
+        du, dv = rows[u].bit_count(), rows[v].bit_count()
+        images = [-1] * p.n
+        for a, b, order in plans:
+            if pdeg[a] <= du and pdeg[b] <= dv:
+                images[a], images[b] = u, v
+                if _dfs_embed(rows, host_n, pdeg, order, (1 << u) | (1 << v), images):
+                    return True
         return False
+
+    return embeds
 
 
 def _edge_orbits(p: Graph) -> list[tuple[int, int]]:
@@ -323,6 +295,10 @@ def _search_avoiding(
     interchangeable colors in order: were it not so, swapping two of them
     would give a smaller one.
 
+    Colors with equal patterns share one _pattern_test and one memo of its
+    answers by the class's edge-index mask. The kernel asks the memo before
+    it touches the class rows and clears it past _MEMO_CAP entries.
+
     Returns (coloring or None, exhausted, partial colorings visited). The
     count is of search nodes entered, each a partial coloring with
     interchangeable colors opened in order; exhausted is True only when the
@@ -332,17 +308,14 @@ def _search_avoiding(
     edges = _bfs_edge_order(g)
     E = len(edges)
     t = len(patterns)
-    matchers: dict[Graph, tuple[_PatternMatcher, int]] = {}
-    per_color = []
-    opener = []  # per color, the previous color with an equal pattern, or -1
+    shared: dict[Graph, tuple] = {}
+    tests, memos, opener = [], [], []  # opener: the previous color with an equal pattern, or -1
     for c, p in enumerate(patterns):
-        matcher, prev = matchers.get(p.graph, (None, -1))
-        if matcher is None:
-            matcher = _PatternMatcher(p, n)
-        matchers[p.graph] = matcher, c
-        per_color.append(matcher)
+        test, memo, prev = shared.get(p.graph) or (_pattern_test(p, n), {}, -1)
+        shared[p.graph] = test, memo, c
+        tests.append(test)
+        memos.append(memo)
         opener.append(prev)
-    memos = [matcher.memo for matcher in per_color]
     rows = [[0] * n for _ in range(t)]
     masks = [0] * t
     held = [-1] * E
@@ -365,13 +338,18 @@ def _search_avoiding(
             if prev >= 0 and not masks[prev]:
                 continue
             key = masks[c] | eb
-            found = memos[c].get(key)
+            memo = memos[c]
+            found = memo.get(key)
             if found:
                 continue
             rc = rows[c]
             rc[u] |= vb
             rc[v] |= ub
-            if found is None and per_color[c].creates(rc, u, v, key):
+            if found is None:
+                found = memo[key] = tests[c](rc, u, v)
+                if len(memo) > _MEMO_CAP:
+                    memo.clear()
+            if found:
                 rc[u] ^= vb
                 rc[v] ^= ub
                 continue
