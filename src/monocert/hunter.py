@@ -441,8 +441,8 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 @lru_cache(maxsize=1)
 def _chi_once(g: Graph, budget: int):
     """chi_exact, remembering the latest answer: generate_candidates reads
-    a chi_min draw's proven lower bound, and hunt asks again as soon as the
-    draw is yielded."""
+    a chi_min draw's proven lower bound, hunt asks again as soon as the draw
+    is yielded, and check_hunt_counterexample once more for a find."""
     return chi_exact(g, budget=budget)
 
 
@@ -587,9 +587,11 @@ def check_hunt_counterexample(
     ec: EdgeColoring,
     chi_budget: int = chromatic.DEFAULT_BUDGET,
 ) -> list[str]:
-    """Re-verify a claimed counterexample from scratch; empty list means good."""
+    """Problems with a claimed counterexample, none when it holds. chi is
+    read through _chi_once, so hunt's self-check reuses the bound its gate
+    proved; each class is searched for the pattern afresh."""
     problems = []
-    r = chi_exact(ec.graph, budget=chi_budget)
+    r = _chi_once(ec.graph, chi_budget)
     if r.lower < ramsey_value:
         chi = f"chi={r.lower}" if r.exact else f"proven chi>={r.lower} (budget ran out)"
         problems.append(f"{chi} is below ramsey_value={ramsey_value}")
@@ -612,8 +614,10 @@ def hunt(
     A candidate is searched when chi_exact proves chi >= ramsey_value
     within chi_budget; the lower bound it reports is always proven, a clique
     or the exact value. Other candidates are skipped (recorded, never
-    assumed). Any find is re-verified from scratch before being reported,
-    and the hunt stops at the first verified counterexample.
+    assumed). Any find is checked by check_hunt_counterexample before it is
+    reported: its classes are searched for the pattern afresh, and chi is
+    the bound the gate proved. The hunt stops at the first checked
+    counterexample.
     """
     if t < 1:
         raise ValueError("need at least one color")

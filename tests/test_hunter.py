@@ -251,6 +251,24 @@ def test_search_avoiding_work_counts():
     assert apart.colorings_examined == shared.colorings_examined == 181
 
 
+@pytest.mark.parametrize("cap", [0, 1, 5])
+def test_search_avoiding_memo_cap(cap, monkeypatch):
+    # the memo only saves work: cleared past any cap, the finds, exhaustion
+    # flags and node counts stay those of the default cap
+    cases = [(8, star_pattern(3), 3), (6, path_pattern(4), 3), (8, path_pattern(6), 2),
+             (7, matching_pattern(3), 2), (5, star_pattern(3), 2)]
+
+    def runs():
+        for n, p, t in cases:
+            found, exhausted, nodes = hunter._search_avoiding(mc.complete_graph(n), [p] * t)
+            yield found and found.to_json(), exhausted, nodes
+
+    default = list(runs())
+    assert [nodes for _, _, nodes in default] == [46_912, 558, 4339, 22, 17]
+    monkeypatch.setattr(hunter, "_MEMO_CAP", cap)
+    assert list(runs()) == default
+
+
 def test_search_avoiding_pattern_deeper_than_the_stack():
     # the pattern tests keep their own stacks: on the 40th edge of K_{1,40}
     # a star:40 embeds 40 levels deep, and a 3,000-edge matching is sought
@@ -373,9 +391,12 @@ def test_generate_random_with_chi_filter():
 @pytest.mark.parametrize("pattern, spec", [
     (path_pattern(4), "random:n=8,p=0.5,count=2,chi_min=3,seed=7"),
     (matching_pattern(2), "random:n=9,p=0.7,count=2,chi_min=5,seed=3"),
+    # K2, skipped, then C5, a find at ramsey_value 3 whose check reads chi
+    (path_pattern(4), "mycielski:2"),
 ])
 def test_chi_min_draws_are_searched_once(pattern, spec, monkeypatch):
-    # generate_candidates runs chi_exact for its filter; hunt must not redo it
+    # generate_candidates runs chi_exact for its filter; neither hunt nor
+    # the check of a find may redo it
     searched = []
 
     def counting_chi_exact(g, budget):
@@ -384,8 +405,9 @@ def test_chi_min_draws_are_searched_once(pattern, spec, monkeypatch):
 
     monkeypatch.setattr(hunter, "chi_exact", counting_chi_exact)
     hunter._chi_once.cache_clear()
-    report = hunt(pattern, 2, 5, generate_candidates(spec))
-    assert report.counterexample is None and len(report.candidates) == 2
+    find = spec == "mycielski:2"
+    report = hunt(pattern, 2, 3 if find else 5, generate_candidates(spec))
+    assert (report.counterexample is not None) == find and len(report.candidates) == 2
     assert len(searched) == len(set(searched)) >= 2
 
 
