@@ -209,14 +209,20 @@ def _cmd_verify(args) -> int:
         problems = [] if claim is None else hunter.check_hunt_counterexample(
             *claim, chi_budget=args.budget)
     elif kind == "arrowing":
-        # the exhaustive search is not repeated; its verdict is taken on trust
+        # the exhaustive search is not repeated, but its verdict must agree
+        # with Cockayne-Lorimer: K_n forces the targets exactly when n >= R
         n, arrowing, targets = json_fields(data, "n", "arrowing", "targets")
         if type(arrowing) is not bool:
             raise ValueError(f"expected true or false for arrowing, got {arrowing!r:.60}")
-        problems = verify.check_ramsey_value(
-            data, "R", matching.MatchingTargets.of(json_ints(targets)))
-        unchecked.append(
-            f"K_{json_int(n)} {'forces' if arrowing else 'does not force'} the targets")
+        targets = matching.MatchingTargets.of(json_ints(targets))
+        n, need = json_int(n), matching.ramsey_matching_number(targets)
+        problems = verify.check_ramsey_value(data, "R", targets)
+        if arrowing != (n >= need):
+            problems.append(
+                f"K_{n} {'forces' if n >= need else 'does not force'} the targets, as R = {need}")
+        if arrowing and data.get("avoiding") is not None:
+            problems.append("a forcing verdict carries an avoiding coloring")
+        unchecked.append(f"K_{n} {'forces' if arrowing else 'does not force'} the targets")
     elif kind not in ("chi", "tree", "matching", "reduced"):
         raise ValueError(f"unknown certificate kind {kind!r}")
     elif args.graph is None:

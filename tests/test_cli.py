@@ -653,6 +653,14 @@ def test_verify_rederives_stated_numbers(tmp_path, capsys):
     refused(["verify", doc, cf, "--coloring", ccf], "dual max_degree 99 is not 5")
     doc = forged(["ramsey", "--targets", "2,2", "--n", "5"], lambda d: d.update(R=3))
     refused(["verify", doc], "targets [2, 2] give R = 5")
+    # arrowing verdicts that contradict Cockayne-Lorimer, K_n forcing the
+    # targets exactly when n >= R: a forcing verdict with its avoiding
+    # coloring left in place, and a K_5 that "does not force" 2,2
+    doc = forged(["ramsey", "--targets", "2,2", "--n", "4"], lambda d: d.update(arrowing=True))
+    refused(["verify", doc], "K_4 does not force the targets, as R = 5")
+    refused(["verify", doc], "a forcing verdict carries an avoiding coloring")
+    doc = forged(["ramsey", "--targets", "2,2", "--n", "4"], lambda d: d.update(n=5))
+    refused(["verify", doc], "K_5 forces the targets, as R = 5")
 
 
 def test_verify_unknown_shape_exit_two(tmp_path, capsys):
