@@ -5,7 +5,8 @@ implementation it checks: chromatic number by subset DP over independent
 sets, the DSATUR greedy coloring by scanning every vertex for each pick,
 matching number by memoized take-or-skip recursion (with a literal
 edge-subset variant for tiny graphs), components by union-find, a
-breadth-first forest by a FIFO queue over vertex pairs, forest
+breadth-first forest by a FIFO queue over vertex pairs, whether edges
+connect a vertex set by a breadth-first search over a neighbour dict, forest
 containment by trying every injection, the orbits of a pattern's directed
 edges by trying every vertex permutation, the first avoiding edge coloring by
 listing every coloring in order, and a coloring's problems by looking
@@ -201,6 +202,24 @@ def bfs_forest_fifo(g: Graph, roots) -> list[tuple[int, int]]:
                     order.append((w, u))
                     queue.append(w)
     return order
+
+
+def edges_connect(vertices, edges) -> bool:
+    """Whether the edges join the vertices, and nothing else, into one
+    component; no vertex is not one component."""
+    neighbours: dict[int, set[int]] = {v: set() for v in vertices}
+    for u, v in edges:
+        neighbours.setdefault(u, set()).add(v)
+        neighbours.setdefault(v, set()).add(u)
+    if not vertices:
+        return False
+    seen = {vertices[0]}
+    queue = deque(seen)
+    while queue:
+        for w in neighbours[queue.popleft()] - seen:
+            seen.add(w)
+            queue.append(w)
+    return seen == set(neighbours) == set(vertices)
 
 
 def contains_injection(g: Graph, h: Graph) -> bool:

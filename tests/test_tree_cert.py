@@ -1,6 +1,7 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import monocert as mc
 from monocert import tree_cert
@@ -10,7 +11,7 @@ from monocert.tree_cert import BLUE, RED, edge_color_dual, mono_tree_certificate
 from monocert.verify import check_tree_certificate
 
 from helpers import coloring_text
-from oracles import max_mono_component_size
+from oracles import edges_connect, max_mono_component_size
 
 
 def oracle_max_comp(g, ec):
@@ -188,6 +189,47 @@ def test_check_tree_certificate_catches_tampering(c5):
     assert any("cover" in p for p in check_tree_certificate(ec, cert, derived[1:]))
     joined = ((0, 1),) + tuple(c for c in derived if 0 not in c and 1 not in c)
     assert any("inside class 0" in p for p in check_tree_certificate(ec, cert, joined))
+
+
+@st.composite
+def forged_tree_certificates(draw):
+    """A tree on some of the vertices of a host of 2 to 7, then up to two
+    forgeries, each putting 0 to 2 pairs in place of one edge, or 0 to 2
+    vertices in place of one vertex, drawn from the tree's vertices or from
+    -1..n. The host's vertex pairs are uncolored, color 1 or color 2; the
+    certificate's are mostly color 1."""
+    n = draw(st.integers(2, 7))
+    vertices = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    edges = [(v, vertices[draw(st.integers(0, i - 1))]) for i, v in enumerate(vertices) if i]
+    near = st.sampled_from(vertices) | st.integers(-1, n)
+    for _ in range(draw(st.integers(0, 2))):
+        part = draw(st.sampled_from([edges, vertices]))
+        i = draw(st.integers(0, len(part)))
+        part[i:i + 1] = draw(st.lists(st.tuples(near, near) if part is edges else near,
+                                      max_size=2))
+    claimed = {tuple(sorted(e)) for e in edges}
+    colors = {e: c for e in combinations(range(n), 2) if (c := draw(
+        st.sampled_from([1, 1, 1, 2]) if e in claimed else st.integers(0, 2)))}
+    ec = mc.EdgeColoring.of(Graph.from_edges(n, colors), colors, 2)
+    return ec, mc.TreeCertificate(1, tuple(edges), tuple(vertices))
+
+
+TRIANGLE = ((0, 1), (0, 2), (1, 2))
+
+
+@given(forged_tree_certificates())
+# |V|-1 edges that do not connect V: a triangle beside a vertex
+@example((mc.EdgeColoring.of(Graph.from_edges(4, TRIANGLE), dict.fromkeys(TRIANGLE, 1), 2),
+          mc.TreeCertificate(1, TRIANGLE, (0, 1, 2, 3))))
+@settings(max_examples=400, deadline=None)
+def test_check_tree_certificate_accepts_only_connected_edges(case):
+    # the checker has no connectivity test of its own: with no other tree
+    # problem, |V|-1 edges inside V that close no cycle join V into one
+    ec, cert = case
+    derived = tuple((v,) for v in range(ec.graph.n))
+    problems = check_tree_certificate(ec, cert, derived)
+    if not [p for p in problems if not p.startswith("derived coloring")]:
+        assert edges_connect(cert.vertices, cert.edges)
 
 
 def test_check_tree_certificate_rejects_forest():
