@@ -183,7 +183,7 @@ def _cmd_hunt(args) -> int:
         )
         _note(f"{c.graph6}  chi>={c.chi_lower}  {state}")
     if report.counterexample is not None:
-        _note("counterexample found and re-verified")
+        _note("counterexample found and checked")
         return 1
     inconclusive = any(
         (c.searched and not c.exhausted) or (not c.searched and not c.chi_is_exact)
