@@ -281,6 +281,24 @@ def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
     )
 
 
+def _degrees_refute(g: Graph, patterns) -> bool:
+    """Whether degrees alone show that no coloring of g avoids the patterns,
+    each a star K_{1,k_c} (n = m + 1 vertices, one of degree m). A class
+    free of its star meets each vertex at most k_c - 1 times, so none exists
+    when a vertex has degree above cap = sum(k_c - 1) (pigeonhole), or when
+    every vertex has degree cap, for then each class c is (k_c - 1)-regular,
+    which n(k_c - 1) odd rules out (handshake). Burr and Roberts (1973)
+    bound the star Ramsey numbers this way."""
+    ks = [p.graph.m for p in patterns]
+    if any(p.graph.n != k + 1 or k not in map(int.bit_count, p.graph.adj)
+           for p, k in zip(patterns, ks)):
+        return False
+    cap = sum(k - 1 for k in ks)
+    deg = [row.bit_count() for row in g.adj]
+    return max(deg, default=0) > cap or (
+        all(d == cap for d in deg) and any(g.n * (k - 1) % 2 for k in ks))
+
+
 def _search_avoiding(
     g: Graph, patterns, budget: int | None = None
 ) -> tuple[EdgeColoring | None, bool, int]:
@@ -295,18 +313,25 @@ def _search_avoiding(
     interchangeable colors in order: were it not so, swapping two of them
     would give a smaller one.
 
+    When every pattern is a star, the root first counts degrees
+    (_degrees_refute). That settles the whole tree at the root node when it
+    fires, and it fires only when no avoiding coloring exists, so finds
+    are unchanged. It is the whole of a capacity prune: on a live branch
+    each class meets a vertex at most k_c - 1 times, so a vertex's
+    uncolored edges exceed the room its colors have left exactly when its
+    degree exceeds the sum of k_c - 1.
+
     Colors with equal patterns share one _pattern_test and one memo of its
     answers by the class's edge-index mask. The kernel asks the memo before
     it touches the class rows and clears it past _MEMO_CAP entries.
 
     Returns (coloring or None, exhausted, partial colorings visited). The
     count is of search nodes entered, each a partial coloring with
-    interchangeable colors opened in order; exhausted is True only when the
-    whole tree was covered and nothing was found.
+    interchangeable colors opened in order; exhausted is True only when no
+    avoiding coloring exists and that was proved, by search or by the
+    degree count.
     """
     n = g.n
-    edges = _bfs_edge_order(g)
-    E = len(edges)
     t = len(patterns)
     shared: dict[Graph, tuple] = {}
     tests, memos, opener = [], [], []  # opener: the previous color with an equal pattern, or -1
@@ -316,10 +341,14 @@ def _search_avoiding(
         tests.append(test)
         memos.append(memo)
         opener.append(prev)
+    limit = float("inf") if budget is None else budget
+    if limit >= 1 and _degrees_refute(g, patterns):
+        return None, True, 1
+    edges = _bfs_edge_order(g)
+    E = len(edges)
     rows = [[0] * n for _ in range(t)]
     masks = [0] * t
     held = [-1] * E
-    limit = float("inf") if budget is None else budget
     nodes = 1
     i = 0
     while nodes <= limit:
