@@ -151,6 +151,13 @@ def pattern_lists(draw):
 @example(mc.complete_graph(4), [matching_pattern(2) for _ in range(3)])
 @example(mc.complete_graph(4), [matching_pattern(2), matching_pattern(1)])
 @example(mc.complete_graph(4), [path_pattern(3), star_pattern(2), path_pattern(3)])
+# two star:2 colors leave each vertex room for 2 edges: K4 has a vertex over
+# it, K3 and C5 fill every vertex exactly with an odd vertex count
+@example(mc.complete_graph(4), [star_pattern(2), star_pattern(2)])
+@example(mc.complete_graph(3), [star_pattern(2), star_pattern(2)])
+@example(cycle_graph(5), [star_pattern(2), star_pattern(2)])
+# a path:4 color has no degree limit, so the count must not settle this
+@example(mc.complete_graph(4), [star_pattern(2), path_pattern(4)])
 @settings(max_examples=200, deadline=None)
 def test_search_avoiding_finds_the_first_avoiding_coloring(g, patterns):
     order = hunter._bfs_edge_order(g)
@@ -238,9 +245,11 @@ def test_exists_matching_matches_oracle(data):
 
 def test_search_avoiding_work_counts():
     # interchangeable colors open in order; visiting every relabelling
-    # instead reads 281,458 and 3,334
+    # instead reads 281,458 and 3,334 for the two path anchors. K8's degree
+    # 7 exceeds the 3 * 2 edges that three star:3 colors leave each vertex,
+    # so that refutation is settled by the root's degree count
     k8 = hunter._search_avoiding(mc.complete_graph(8), [star_pattern(3)] * 3)
-    assert k8 == (None, True, 46_912)
+    assert k8 == (None, True, 1)
     k6 = hunter._search_avoiding(mc.complete_graph(6), [path_pattern(4)] * 3)
     assert k6 == (None, True, 558)
     p6 = hunter._search_avoiding(mc.complete_graph(8), [path_pattern(6)] * 2)
@@ -264,15 +273,16 @@ def test_search_avoiding_memo_cap(cap, monkeypatch):
             yield found and found.to_json(), exhausted, nodes
 
     default = list(runs())
-    assert [nodes for _, _, nodes in default] == [46_912, 558, 4339, 22, 17]
+    assert [nodes for _, _, nodes in default] == [1, 558, 4339, 22, 17]
     monkeypatch.setattr(hunter, "_MEMO_CAP", cap)
     assert list(runs()) == default
 
 
 def test_search_avoiding_pattern_deeper_than_the_stack():
-    # the pattern tests keep their own stacks: on the 40th edge of K_{1,40}
-    # a star:40 embeds 40 levels deep, and a 3,000-edge matching is sought
-    # 3,000 levels deep, both under a stack 20 frames deep
+    # the embedder keeps its own stack: a star:40 embeds into K_{1,40} 40
+    # levels deep, and a 3,000-edge matching is sought 3,000 levels deep,
+    # both under a stack 20 frames deep. The kernel settles star:40 on
+    # K_{1,40} at the root, since the center's degree 40 exceeds 39
     g = mc.complete_multipartite([1, 40])
     n = 6000
     rows = [1 << (v ^ 1) for v in range(n)]
@@ -280,13 +290,15 @@ def test_search_avoiding_pattern_deeper_than_the_stack():
     depth = len(inspect.stack(0))
     try:
         sys.setrecursionlimit(depth + 20)
-        star = hunter._search_avoiding(g, [star_pattern(40)])
+        star = contains_forest(g, star_pattern(40))
         whole = hunter._exists_matching(rows, 0, n // 2, n)
         beyond = hunter._exists_matching(rows, 0, n // 2 + 1, n)
     finally:
         sys.setrecursionlimit(limit)
-    assert star == (None, True, 40)
+    assert star == tuple(range(41))
+    assert hunter._search_avoiding(g, [star_pattern(40)]) == (None, True, 1)
     assert whole is True and beyond is False
+
 
 
 # ---------------------------------------------------------------------------
