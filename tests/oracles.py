@@ -11,7 +11,8 @@ containment by trying every injection, the orbits of a pattern's directed
 edges by trying every vertex permutation, the first avoiding edge coloring by
 listing every coloring in order, and a coloring's problems by looking
 at every vertex pair. The goodness table below is the one
-list of hunts whose verdict a theorem settles.
+list of hunts whose verdict a theorem settles; the Ramsey numbers of stars
+and of path pairs come from their closed formulas.
 """
 
 from collections import deque
@@ -29,6 +30,22 @@ GOODNESS_REGRESSIONS = (
     ("path-4", path_pattern(4), 2, 5),
     ("path-4-t3", path_pattern(4), 3, 6),
 )
+
+
+def burr_roberts(ks) -> int:
+    """R(K_{1,k_1}, ..., K_{1,k_t}) = sum(k_i - 1) + theta, where theta is 1
+    when the number of even k_i is positive and even, and 2 otherwise (Burr
+    and Roberts, "On Ramsey numbers for stars", 1973)."""
+    evens = sum(k % 2 == 0 for k in ks)
+    return sum(k - 1 for k in ks) + (1 if evens and evens % 2 == 0 else 2)
+
+
+def gerencser_gyarfas(n: int, m: int) -> int:
+    """R(P_n, P_m) = n + floor(m / 2) - 1 for paths on n >= m >= 2 vertices
+    (Gerencser and Gyarfas, "On Ramsey-type problems", 1967)."""
+    if not n >= m >= 2:
+        raise ValueError("need n >= m >= 2")
+    return n + m // 2 - 1
 
 
 def chromatic_number_dp(g: Graph) -> int:

@@ -1,7 +1,7 @@
 import inspect
 import io
 import sys
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -28,9 +28,11 @@ from monocert.hunter import (
 from helpers import cycle_graph
 from oracles import (
     GOODNESS_REGRESSIONS,
+    burr_roberts,
     contains_injection,
     directed_edge_orbits,
     first_avoiding_coloring,
+    gerencser_gyarfas,
     matching_number_recursive,
 )
 
@@ -299,6 +301,30 @@ def test_search_avoiding_pattern_deeper_than_the_stack():
     assert hunter._search_avoiding(g, [star_pattern(40)]) == (None, True, 1)
     assert whole is True and beyond is False
 
+
+# every star tuple with at most 3 colors and 5 leaves (R <= 10 for 3
+# colors), and every pair of paths on 2..7 vertices
+STAR_TUPLES = [ks for t in (1, 2, 3) for ks in combinations_with_replacement(range(1, 6), t)
+               if t < 3 or burr_roberts(ks) <= 10]
+PATH_PAIRS = [(n, m) for n in range(2, 8) for m in range(2, n + 1)]
+
+
+@pytest.mark.parametrize("patterns, r, at_root", [
+    *(pytest.param([star_pattern(k) for k in ks], burr_roberts(ks), True,
+                   id="star:" + ",".join(map(str, ks))) for ks in STAR_TUPLES),
+    *(pytest.param([path_pattern(n), path_pattern(m)], gerencser_gyarfas(n, m), False,
+                   id=f"path:{n},{m}") for n, m in PATH_PAIRS),
+])
+def test_search_avoiding_meets_known_ramsey_numbers(patterns, r, at_root):
+    # K_{R-1} has an avoiding coloring and K_R has none, by theorem. On K_R
+    # the degree count settles every star tuple: the degree R - 1 exceeds
+    # the room sum(k_i - 1) when theta is 2, and equals it with R odd and
+    # some k_i - 1 odd when theta is 1
+    below, _, _ = hunter._search_avoiding(mc.complete_graph(r - 1), patterns, 2_000_000)
+    assert below is not None
+    assert all(contains_forest(cls, p) is None for cls, p in zip(below.classes, patterns))
+    found, exhausted, nodes = hunter._search_avoiding(mc.complete_graph(r), patterns, 2_000_000)
+    assert found is None and exhausted and (nodes == 1 or not at_root)
 
 
 # ---------------------------------------------------------------------------
