@@ -206,6 +206,8 @@ def _cmd_verify(args) -> int:
     unchecked: list[str] = []
     if kind == "hunt":
         claim, unchecked = hunter.HuntReport.claims_from_json(data)
+        refuted = {f"no avoiding coloring of {g6}" for g6 in verify.degree_refutations(data)}
+        unchecked = [item for item in unchecked if item not in refuted]
         problems = [] if claim is None else hunter.check_hunt_counterexample(
             *claim, chi_budget=args.budget)
     elif kind == "arrowing":

@@ -4,16 +4,18 @@ Each checker returns a list of problem strings (empty means the certificate
 holds) and avoids the code paths that built the object: tree shape and
 the largest monochromatic component are found with union-find rather than
 BFS, the matching Ramsey number from its formula, matchings by direct endpoint
-bookkeeping, and every vertex coloring (a chi witness, a tree's derived
-classes, a matching miss, reduced classes) by ``graphs.check_partition``,
-the package's one proper-partition check.
+bookkeeping, a hunt's star refutations by counting degrees, and every
+vertex coloring (a chi witness, a tree's derived classes, a matching miss,
+reduced classes) by ``graphs.check_partition``, the package's one
+proper-partition check.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .graphs import EdgeColoring, Graph, check_partition, json_classes, json_fields, json_int
+from .graphs import (EdgeColoring, Graph, check_partition, json_classes, json_edges, json_fields,
+                     json_int, json_list, parse_graph)
 from .matching import (
     MatchingCertificate,
     MatchingTargets,
@@ -115,6 +117,36 @@ def check_ramsey_value(data: dict, key: str, targets: MatchingTargets) -> list[s
     if value != need:
         return [f"R = {value} is stated, but targets {list(targets.targets)} give R = {need}"]
     return []
+
+
+def degree_refutations(data) -> set[str]:
+    """The graph6 of each exhausted candidate of a hunt report whose
+    refutation a degree count proves; none unless the report's pattern is a
+    star K_{1,k}. Each of the t colors may meet a vertex at most k - 1
+    times, so no avoiding coloring exists when a vertex has degree above
+    t(k - 1), or when every vertex has degree t(k - 1) and n(k - 1) is odd,
+    since each class would be (k - 1)-regular. The pattern's edge count is
+    compared with n - 1 before its edges are read, so a large stated n costs
+    nothing. ValueError on a malformed report."""
+    pattern, t, candidates = json_fields(data, "pattern", "t", "candidates")
+    n, edges = json_fields(pattern, "n", "edges")
+    n, t = json_int(n), json_int(t)
+    if len(json_list(edges)) != n - 1:
+        return set()
+    edges = set(json_edges(edges))
+    degree = Counter(v for e in edges for v in e)
+    if len(edges) != n - 1 or n - 1 not in degree.values() or max(degree) >= n:
+        return set()
+    cap = t * (n - 2)
+    refuted = set()
+    for c in json_list(candidates):
+        graph6, exhausted = json_fields(c, "graph6", "exhausted")
+        if exhausted is True and isinstance(graph6, str):
+            deg = [row.bit_count() for row in parse_graph(graph6, "g6").adj]
+            if max(deg, default=0) > cap or (
+                    all(d == cap for d in deg) and len(deg) * (n - 2) % 2):
+                refuted.add(graph6)
+    return refuted
 
 
 def check_matching_certificate(

@@ -419,6 +419,15 @@ def test_verify_hunt_report_with_a_huge_pattern_n(tmp_path, capsys):
     rc, vdoc = run(capsys, ["verify", str(path)])
     assert time.perf_counter() - start < 10
     assert rc == 0 and vdoc["ok"] is True
+    # a star report whose n disagrees with its edge count is no star to the
+    # degree count, which compares the two before reading any edge
+    doc = json.loads(json.loads(golden.read_text())["hunt-mycielski"]["stdout"])
+    doc["pattern"]["n"] = 2_000_000
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    rc, vdoc = run(capsys, ["verify", str(path)])
+    assert time.perf_counter() - start < 10
+    assert rc == 0 and "no avoiding coloring of JkLTAQGK?N_" in vdoc["unchecked"]
 
 
 def test_hunt_settled_exit_zero(capsys):
@@ -429,6 +438,47 @@ def test_hunt_settled_exit_zero(capsys):
     assert rc == 0
     assert doc["counterexample"] is None
     assert doc["candidates"][0]["exhausted"] is True
+
+
+def test_hunt_settles_a_star_refutation_at_the_root(tmp_path, capsys):
+    # K10's degree 9 exceeds the 2 * 4 edges two star:5 colors leave each
+    # vertex; a search without the count ran out of 2,000,000 nodes
+    path = tmp_path / "k10.g6"
+    path.write_text(mc.write_graph(mc.complete_graph(10), "g6"))
+    start = time.perf_counter()
+    rc = main(["hunt", "--pattern", "star:5", "--t", "2", "--ramsey-value", "10",
+               "--budget", "2000000", "--candidates", f"g6:{path}"])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert rc == 0 and "all candidates settled" in err
+    assert doc["candidates"][0]["exhausted"] is True
+    assert doc["colorings_examined"] == 1
+
+
+def test_verify_rederives_star_refutations(tmp_path, capsys):
+    # two star:2 colors: K4 has a vertex of degree 3 > 2 (pigeonhole), every
+    # vertex of C5 has degree 2 and 5 is odd (handshake); the triangle beside
+    # a lone vertex is exhausted by search, which verify does not repeat
+    hosts = [mc.complete_graph(4), cycle_graph(5),
+             mc.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])]
+    k4, c5, k3k1 = (mc.write_graph(g, "g6").strip() for g in hosts)
+    path, out = tmp_path / "hosts.g6", tmp_path / "hunt.json"
+    path.write_text("".join(mc.write_graph(g, "g6") for g in hosts))
+    rc, doc = run(capsys, ["hunt", "--pattern", "star:2", "--t", "2", "--ramsey-value", "3",
+                           "--candidates", f"g6:{path}", "--json-out", str(out)])
+    assert rc == 0 and [c["exhausted"] for c in doc["candidates"]] == [True] * 3
+    assert [c["colorings_examined"] for c in doc["candidates"]][:2] == [1, 1]
+    rc2, vdoc = run(capsys, ["verify", str(out)])
+    assert rc2 == 0 and vdoc["ok"] is True
+    assert vdoc["unchecked"] == [f"chi of {k4}", f"chi of {c5}", f"chi of {k3k1}",
+                                 f"no avoiding coloring of {k3k1}"]
+    # the count is made for the report's pattern and t, not the hunt's:
+    # with three colors, or a path:4, nothing is refuted by degrees
+    for edit in ({"t": 3}, {"pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}):
+        out.write_text(json.dumps({**doc, **edit}))
+        rc3, vdoc3 = run(capsys, ["verify", str(out)])
+        assert rc3 == 0 and f"no avoiding coloring of {c5}" in vdoc3["unchecked"]
 
 
 def test_hunt_inconclusive_exit_three(capsys):
