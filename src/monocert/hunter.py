@@ -14,10 +14,12 @@ Containment tests are incremental: along a live branch each class was
 pattern-free before the new edge arrived, so only copies through the new
 edge need to be sought. The kernel memoizes each pattern's answers by the
 class's edge set and asks before it touches the class, so a known answer
-costs one lookup. Work is metered in partial colorings visited (one
-per search node entered, interchangeable colors opened in order), which is
-the deterministic "colorings examined" unit reported everywhere; budgets cap
-that count and exhaustion flags are set honestly.
+costs one lookup. When every color forbids a star, a degree count at the
+root may settle the search. Work is metered in partial colorings visited
+(one per search node entered, interchangeable colors opened in order), which
+is the deterministic "colorings examined" unit reported everywhere; budgets
+cap that count and exhaustion flags are set honestly: "exhausted" means
+proved, by search or by the degree count.
 """
 
 from __future__ import annotations
@@ -282,13 +284,12 @@ def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
 
 
 def _degrees_refute(g: Graph, patterns) -> bool:
-    """Whether degrees alone show that no coloring of g avoids the patterns,
-    each a star K_{1,k_c} (n = m + 1 vertices, one of degree m). A class
-    free of its star meets each vertex at most k_c - 1 times, so none exists
-    when a vertex has degree above cap = sum(k_c - 1) (pigeonhole), or when
-    every vertex has degree cap, for then each class c is (k_c - 1)-regular,
-    which n(k_c - 1) odd rules out (handshake). Burr and Roberts (1973)
-    bound the star Ramsey numbers this way."""
+    """Whether degrees prove that no coloring of g avoids the patterns, all
+    stars K_{1,k_c} (m = n - 1 edges, a vertex of degree m), as in Burr and
+    Roberts (1973). Class c meets a vertex at most k_c - 1 times, so a
+    vertex of degree above cap = sum(k_c - 1) refutes (pigeonhole), and so
+    does every vertex at cap with n(k_c - 1) odd for some c, since class c
+    would be (k_c - 1)-regular (handshake)."""
     ks = [p.graph.m for p in patterns]
     if any(p.graph.n != k + 1 or k not in map(int.bit_count, p.graph.adj)
            for p, k in zip(patterns, ks)):
@@ -313,13 +314,11 @@ def _search_avoiding(
     interchangeable colors in order: were it not so, swapping two of them
     would give a smaller one.
 
-    When every pattern is a star, the root first counts degrees
-    (_degrees_refute). That settles the whole tree at the root node when it
-    fires, and it fires only when no avoiding coloring exists, so finds
-    are unchanged. It is the whole of a capacity prune: on a live branch
-    each class meets a vertex at most k_c - 1 times, so a vertex's
-    uncolored edges exceed the room its colors have left exactly when its
-    degree exceeds the sum of k_c - 1.
+    When every pattern is a star, _degrees_refute may settle the search as
+    its root node; it fires only when no avoiding coloring exists. No node
+    below needs a capacity prune: on a live branch class c meets v at most
+    k_c - 1 times, so v's uncolored edges outgrow the room its colors have
+    left only when deg(v) > sum(k_c - 1), which the root already tested.
 
     Colors with equal patterns share one _pattern_test and one memo of its
     answers by the class's edge-index mask. The kernel asks the memo before
