@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -176,6 +177,27 @@ def test_budget_cuts_at_the_same_node():
         got = [mc.chi_exact(g, budget=b) for b in (1, 10, 100, 1_000, 10_000)]
         assert [(r.lower, r.upper) for r in got] == want
         assert [r.witness for r in got] == witnesses
+
+
+def test_search_sweep_matches_the_parent():
+    # one digest of (lower, witness) over 100 seeded G(n, p), n <= 40, at
+    # five budgets, and greedy_upper on 40 more with n <= 60, recorded from
+    # the saturation-queue search: a search that counts nodes, branches or
+    # breaks ties differently changes some witness or where a budget cuts
+    ps = (0.1, 0.3, 0.5, 0.7, 0.9)
+    results = []
+    for i in range(100):
+        rng = random.Random(i)
+        g = random_graph(rng.randint(1, 40), ps[i % 5], rng)
+        for budget in (1, 10, 100, 1_000, 100_000):
+            r = mc.chi_exact(g, budget)
+            results.append((r.lower, r.witness))
+    for i in range(40):
+        rng = random.Random(1_000 + i)
+        r = greedy_upper(random_graph(rng.randint(1, 60), ps[i % 5], rng))
+        results.append((r.lower, r.witness))
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "228ae1445479e9326c3df6e151db71556934fb5f2ec8ca3eea30931ebf3d393d"
 
 
 def test_chi_result_json(c5):
