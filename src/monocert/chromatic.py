@@ -5,20 +5,20 @@ its vertices to distinct colors, a greedy DSATUR coloring seeds the upper
 bound, and the search only ever tries used colors plus one fresh color per
 node, which kills color-permutation symmetry. One loop, ``_search``, with
 its own per-depth stack, does both: the greedy coloring is the search's
-first leaf. It picks from a saturation queue: one bitmask per saturation
-level over the vertices' ranks by (-degree, index), so a pick is the lowest
-bit of the highest non-empty level, and a vertex moves one level when a
-neighbor's color newly saturates it or that color is undone. Work is
-metered in node expansions so results are budget-honest: on exhaustion the
-result degrades to (clique lower bound, best coloring found) with
-exact=False, never to a wrong claim.
+first leaf. Its state is vertex bitmasks, after San Segundo's bitboard
+DSATUR (2012): the free vertices, per color the vertices that see it, and
+bit-sliced counters of saturation and degree, so a node costs a fixed
+number of big-int operations and walks no neighbor list. Work is metered
+in node expansions so results are budget-honest: on exhaustion the result
+degrades to (clique lower bound, best coloring found) with exact=False,
+never to a wrong claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, iter_bits, lowest_zero_bit
+from .graphs import Graph, iter_bits
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -55,26 +55,22 @@ def _classes(assign) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
-def _ranks(g: Graph) -> tuple[list[int], list[int]]:
-    """order[r] is the r-th vertex by (-degree, index); rank[order[r]] == r."""
-    order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
-    rank = [0] * g.n
-    for r, v in enumerate(order):
-        rank[v] = r
-    return order, rank
+def _ranks(g: Graph) -> list[int]:
+    """The vertices by (-degree, index)."""
+    return sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
 
 
-def _dsatur(g: Graph, order: list[int], rank: list[int]) -> list[int]:
+def _dsatur(g: Graph) -> list[int]:
     """DSATUR greedy coloring: a color 0..k-1 per vertex, all k used.
 
     It is the search's first leaf: with lower bound n the search stops there.
     """
-    return _search(g, order, rank, (), g.n, g.n + 1, None, g.n + 1)[0]
+    return _search(g, (), g.n, g.n + 1, None, g.n + 1)[0]
 
 
 def greedy_upper(g: Graph) -> ChiResult:
     """DSATUR greedy coloring: an upper bound with its proper witness."""
-    return ChiResult(2 if any(g.adj) else min(g.n, 1), _classes(_dsatur(g, *_ranks(g))))
+    return ChiResult(2 if any(g.adj) else min(g.n, 1), _classes(_dsatur(g)))
 
 
 def _greedy_clique(g: Graph, order: list[int]) -> list[int]:
@@ -106,60 +102,83 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
     """
     if g.n == 0:
         return ChiResult(0, ())
-    order, rank = _ranks(g)
-    clique = _greedy_clique(g, order)
+    clique = _greedy_clique(g, _ranks(g))
     lb = max(1, len(clique))
-    best_assign = _dsatur(g, order, rank)
+    best_assign = _dsatur(g)
     best_k = max(best_assign) + 1
     if lb >= best_k:
         return ChiResult(best_k, _classes(best_assign))
-    best_assign, done = _search(g, order, rank, clique, lb, best_k, best_assign, budget)
+    best_assign, done = _search(g, clique, lb, best_k, best_assign, budget)
     witness = _classes(best_assign)
     return ChiResult(len(witness) if done else lb, witness)
 
 
+def _slices(counts: list[int]) -> list[int]:
+    """Bit-sliced counters: bit v of slice j is bit j of counts[v]."""
+    rev = counts[::-1]
+    return [int("".join(["1" if k >> j & 1 else "0" for k in rev]), 2)
+            for j in range(max(counts, default=0).bit_length())]
+
+
+def _plus_one(counters: list[int], mask: int) -> list[int]:
+    """Bit-sliced counters with 1 added at the vertices of mask, by ripple carry."""
+    out = counters[:]
+    j = 0
+    while mask:
+        out[j], mask = out[j] ^ mask, out[j] & mask
+        j += 1
+    return out
+
+
 def _search(
-    g: Graph, order: list[int], rank: list[int], clique, lb: int, best_k: int,
-    best_assign, budget: int,
+    g: Graph, clique, lb: int, best_k: int, best_assign, budget: int,
 ) -> tuple[list[int], bool]:
     """DSATUR branch and bound for a coloring with fewer than best_k colors.
 
-    order and rank are _ranks(g), the queue's tie order. The clique's
-    vertices are pinned to colors 0, 1, ...; the search stops at a leaf
-    with at most lb colors, when the tree is covered, or after budget node
-    expansions. Returns the best coloring found (a color per vertex)
-    and whether the search stopped before the budget ran out.
+    The clique's vertices are pinned to colors 0, 1, ...; the search stops
+    at a leaf with at most lb colors, when the tree is covered, or after
+    budget node expansions. Returns the best coloring found (a color per
+    vertex) and whether the search stopped before the budget ran out.
+
+    A pick narrows the free vertices slice by slice from the top, first to
+    those seeing the most colors, then to those of highest degree, and
+    takes the lowest index among them. Coloring v with c adds 1 to the
+    saturation of the free neighbors of v that did not see c yet; each
+    node saves the mask of c and the counters it replaces, and puts them
+    back before its next color and when the search backs up past it.
     """
     n, adj = g.n, g.adj
+    deg = _slices(list(map(int.bit_count, adj)))
     colors = [-1] * n
-    neigh = [0] * n  # bitmask of colors seen on colored neighbors
-    for i, v in enumerate(clique):
-        colors[v] = i
-        for w in iter_bits(adj[v]):
-            neigh[w] |= 1 << i
-    # levels[s]: ranks of the uncolored vertices seeing s colors; none above hi
-    levels = [0] * (n + 1)
-    for w in range(n):
-        if colors[w] < 0:
-            levels[neigh[w].bit_count()] |= 1 << rank[w]
-    hi = len(clique)
-    # Node d branches on vertex picks[d] with colors 0..used[d]-1 in use; its
-    # current color colors[picks[d]] (-1 at first) newly saturated the
-    # vertices listed in changed[d].
+    seen = [0] * n  # seen[c]: the vertices with a neighbor colored c
+    free = (1 << n) - 1  # neither colored nor picked
+    for c, v in enumerate(clique):
+        colors[v], seen[c] = c, adj[v]
+        free ^= 1 << v
+    # saturation never exceeds degree, so it fits in as many slices
+    sat = [0] * len(deg)
+    for v in clique:
+        sat = _plus_one(sat, adj[v] & free)
+    # Node d branches on vertex picks[d] with colors 0..used[d]-1 in use;
+    # saved[d] holds seen[c] and sat from before it took its color c.
     depth = n - len(clique)
-    picks, used, changed = [0] * depth, [0] * depth, [None] * depth
+    picks, used, saved = [0] * depth, [0] * depth, [None] * depth
     nodes, d, u = 0, 0, len(clique)
     while True:
         nodes += 1
         if nodes > budget:
             return best_assign, False
         if d < depth:
-            while not levels[hi]:
-                hi -= 1
-            q = levels[hi]
-            low = q & -q
-            levels[hi] = q ^ low
-            picks[d], used[d] = order[low.bit_length() - 1], u
+            cand = free
+            for level in reversed(sat):
+                if x := cand & level:
+                    cand = x
+            for level in reversed(deg):
+                if x := cand & level:
+                    cand = x
+            low = cand & -cand
+            free ^= low
+            picks[d], used[d] = low.bit_length() - 1, u
         else:
             best_k, best_assign = u, colors[:]
             if best_k <= lb:
@@ -170,44 +189,26 @@ def _search(
             v = picks[d]
             c = colors[v]
             if c >= 0:
-                keep = ~(1 << c)
-                for w in changed[d]:
-                    neigh[w] &= keep
-                    s = neigh[w].bit_count()
-                    rb = 1 << rank[w]
-                    levels[s + 1] ^= rb
-                    levels[s] |= rb
+                seen[c], sat = saved[d]
             last = used[d] if used[d] < best_k - 1 else best_k - 2
             # the lowest color above c that no colored neighbor has
-            c = lowest_zero_bit(neigh[v] | ((1 << (c + 1)) - 1))
+            c += 1
+            while c <= last and seen[c] >> v & 1:
+                c += 1
             if c <= last:
                 break
             colors[v] = -1
-            s = neigh[v].bit_count()
-            levels[s] |= 1 << rank[v]
-            if s > hi:
-                hi = s
+            free |= 1 << v
             d -= 1
         else:
             break  # the whole tree is covered: best_k is optimal
         colors[v] = c
-        bit = 1 << c
-        new = []
         row = adj[v]
-        while row:
-            low = row & -row
-            row ^= low
-            w = low.bit_length() - 1
-            if colors[w] < 0 and not (neigh[w] & bit):
-                s = neigh[w].bit_count()
-                neigh[w] |= bit
-                rb = 1 << rank[w]
-                levels[s] ^= rb
-                levels[s + 1] |= rb
-                if s == hi:
-                    hi += 1
-                new.append(w)
-        changed[d] = new
+        saved[d] = seen[c], sat
+        # row & free & ~seen[c], without ~'s negative temporary of n bits
+        new = row & free
+        sat = _plus_one(sat, new ^ (new & seen[c]))
+        seen[c] |= row
         u = used[d] + (c == used[d])
         d += 1
     return best_assign, True

@@ -45,7 +45,7 @@ def test_greedy_upper_orders(petersen):
 def test_dsatur_matches_the_scan(g):
     # the saturation queue picks what a scan over all vertices would: most
     # colors seen, then highest degree, then lowest index
-    assert _dsatur(g, *_ranks(g)) == dsatur_reference(g)
+    assert _dsatur(g) == dsatur_reference(g)
 
 
 def test_greedy_upper_on_a_large_sparse_host():
@@ -62,7 +62,7 @@ def test_greedy_upper_on_a_large_sparse_host():
 def test_clique_lower_examples(c5, k4, petersen, grotzsch):
     # chi_exact starts its search from this clique as its lower bound
     def clique_lower(g):
-        return len(_greedy_clique(g, _ranks(g)[0]))
+        return len(_greedy_clique(g, _ranks(g)))
 
     assert clique_lower(mc.complete_graph(6)) == 6
     assert clique_lower(c5) == 2
