@@ -1,7 +1,7 @@
 import hashlib
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import monocert as mc
 from monocert.chromatic import DEFAULT_BUDGET, _dsatur, _greedy_clique, _ranks, greedy_upper
@@ -42,14 +42,20 @@ def test_greedy_upper_orders(petersen):
 
 @given(hosts(max_n=40))
 @settings(max_examples=100, deadline=None)
+# regular graphs: every degree ties, so the lowest index decides each pick
+@example(cycle_graph(7))
+@example(mc.kneser_graph(5, 2))
+@example(mc.complete_multipartite([3, 3]))
+@example(Graph.from_edges(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1]))
+@example(Graph.from_edges(11, [(u, (u + j) % 11) for u in range(11) for j in (1, 3, 4)]))
 def test_dsatur_matches_the_scan(g):
-    # the saturation queue picks what a scan over all vertices would: most
-    # colors seen, then highest degree, then lowest index
+    # the bit-sliced picks are what a scan over all vertices would pick:
+    # most colors seen, then highest degree, then lowest index
     assert _dsatur(g) == dsatur_reference(g)
 
 
 def test_greedy_upper_on_a_large_sparse_host():
-    # G(10^4, 4*10^4): a pick costs O(1) amortized, not a scan of 10^4 vertices
+    # G(10^4, 4*10^4): a pick is a few big-int operations, not a Python scan
     n, rng, edges = 10_000, random.Random(1), set()
     while len(edges) < 4 * n:
         u, v = rng.sample(range(n), 2)
