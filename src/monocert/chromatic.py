@@ -115,8 +115,7 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
 
 def _slices(counts: list[int]) -> list[int]:
     """Bit-sliced counters: bit v of slice j is bit j of counts[v]."""
-    rev = counts[::-1]
-    return [int("".join(["1" if k >> j & 1 else "0" for k in rev]), 2)
+    return [int("".join(["1" if k >> j & 1 else "0" for k in reversed(counts)]), 2)
             for j in range(max(counts, default=0).bit_length())]
 
 
@@ -140,12 +139,10 @@ def _search(
     budget node expansions. Returns the best coloring found (a color per
     vertex) and whether the search stopped before the budget ran out.
 
-    A pick narrows the free vertices slice by slice from the top, first to
-    those seeing the most colors, then to those of highest degree, and
-    takes the lowest index among them. Coloring v with c adds 1 to the
-    saturation of the free neighbors of v that did not see c yet; each
-    node saves the mask of c and the counters it replaces, and puts them
-    back before its next color and when the search backs up past it.
+    A pick narrows the free vertices slice by slice from the top, to those
+    seeing the most colors, then of highest degree, and takes the lowest
+    index. Each node saves the mask of its color and the saturation slices
+    it replaces, and puts them back before its next color or on backing up.
     """
     n, adj = g.n, g.adj
     deg = _slices(list(map(int.bit_count, adj)))
