@@ -205,11 +205,10 @@ def _cmd_verify(args) -> int:
     (kind,) = json_fields(data, "kind")
     unchecked: list[str] = []
     if kind == "hunt":
-        claim, unchecked = hunter.HuntReport.claims_from_json(data)
-        refuted = {f"no avoiding coloring of {g6}" for g6 in verify.degree_refutations(data)}
-        unchecked = [item for item in unchecked if item not in refuted]
-        problems = [] if claim is None else hunter.check_hunt_counterexample(
-            *claim, chi_budget=args.budget)
+        report = hunter.HuntReport.from_json(data)
+        problems = [] if report.counterexample is None else hunter.check_hunt_counterexample(
+            report.pattern, report.ramsey_value, report.counterexample, chi_budget=args.budget)
+        unchecked = verify.hunt_unchecked(report)
     elif kind == "arrowing":
         # the exhaustive search is not repeated, but its verdict must agree
         # with Cockayne-Lorimer: K_n forces the targets exactly when n >= R

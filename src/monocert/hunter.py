@@ -19,7 +19,8 @@ root may settle the search. Work is metered in partial colorings visited
 (one per search node entered, interchangeable colors opened in order), which
 is the deterministic "colorings examined" unit reported everywhere; budgets
 cap that count and exhaustion flags are set honestly: "exhausted" means
-proved, by search or by the degree count.
+proved, by search or by the degree count. ``HuntReport.from_json`` reads a
+report back whole and refuses anything ``hunt`` never writes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from itertools import combinations
 from math import comb, log2
@@ -43,6 +44,7 @@ from .graphs import (
     json_edges,
     json_fields,
     json_int,
+    json_ints,
     json_list,
     parse_graph,
     path_graph,
@@ -547,10 +549,33 @@ class CandidateOutcome:
     def to_json(self) -> dict:
         return asdict(self)
 
+    @staticmethod
+    def from_json(data) -> "CandidateOutcome":
+        """Inverse of to_json; ValueError on a missing key, a value of another
+        type, a negative count or a graph6 that does not parse."""
+        out = CandidateOutcome(*json_fields(data, *(f.name for f in fields(CandidateOutcome))))
+        json_ints([out.chi_lower, out.chi_upper, out.colorings_examined])
+        flags = (out.chi_is_exact, out.searched, out.exhausted, out.counterexample)
+        if ({type(f) for f in flags} != {bool} or not isinstance(out.graph6, str)
+                or not isinstance(out.skipped_reason, (str, type(None)))):
+            raise ValueError(f"malformed candidate {data!r:.60}")
+        parse_graph(out.graph6, "g6")
+        return out
+
+
+def _check_hunt_args(pattern: AcyclicPattern, t: int, ramsey_value: int) -> None:
+    """Refuse what hunt never searches, and so never reports."""
+    if t < 1:
+        raise ValueError("need at least one color")
+    if ramsey_value < 1:
+        raise ValueError("ramsey_value must be positive")
+    if not any(pattern.graph.adj):
+        raise ValueError("pattern needs at least one edge")
+
 
 @dataclass(frozen=True)
 class HuntReport:
-    pattern: Graph
+    pattern: AcyclicPattern
     t: int
     ramsey_value: int
     colorings_budget: int
@@ -559,14 +584,11 @@ class HuntReport:
     counterexample: EdgeColoring | None
 
     def to_json(self) -> dict:
-        cex = None
-        if self.counterexample is not None:
-            cex = {
-                "graph6": write_graph(self.counterexample.graph, "g6").strip(),
-                "coloring": self.counterexample.to_json(),
-            }
+        p, ec = self.pattern.graph, self.counterexample
+        cex = None if ec is None else {"graph6": write_graph(ec.graph, "g6").strip(),
+                                       "coloring": ec.to_json()}
         return {
-            "pattern": {"n": self.pattern.n, "edges": [list(e) for e in self.pattern.edges()]},
+            "pattern": {"n": p.n, "edges": [list(e) for e in p.edges()]},
             "t": self.t,
             "ramsey_value": self.ramsey_value,
             "colorings_budget": self.colorings_budget,
@@ -577,36 +599,29 @@ class HuntReport:
         }
 
     @staticmethod
-    def claims_from_json(data) -> tuple:
-        """(claim, unchecked), read in one pass over a report's JSON.
-
-        claim is None when the report claims no counterexample, else
-        (pattern, ramsey_value, coloring) for check_hunt_counterexample, with
-        the coloring sized by the report's t. unchecked lists what verify does
-        not re-derive: the chi bounds of each candidate but a counterexample,
-        whose chi is computed again, and each exhausted candidate's
-        refutation. ValueError on any other shape.
-        """
-        cex, candidates = json_fields(data, "counterexample", "candidates")
-        unchecked = []
-        for c in json_list(candidates):
-            graph6, exhausted, found = json_fields(c, "graph6", "exhausted", "counterexample")
-            if not isinstance(graph6, str) or {type(exhausted), type(found)} != {bool}:
-                raise ValueError(f"malformed candidate {c!r:.60}")
-            if not found:
-                unchecked.append(f"chi of {graph6}")
-            if exhausted:
-                unchecked.append(f"no avoiding coloring of {graph6}")
-        if cex is None:
-            return None, unchecked
-        pattern, t, ramsey_value = json_fields(data, "pattern", "t", "ramsey_value")
+    def from_json(data) -> "HuntReport":
+        """Inverse of to_json, read whole with or without a counterexample.
+        ValueError on what hunt never writes: a missing key, a wrong type, a
+        negative count, a pattern that is no forest with an edge, t or
+        ramsey_value below 1, a bad graph6 or a wrong candidates_examined."""
+        pattern, t, ramsey_value, budget, examined, candidates, total, cex = json_fields(
+            data, "pattern", "t", "ramsey_value", "colorings_budget", "candidates_examined",
+            "candidates", "colorings_examined", "counterexample")
         n, edges = json_fields(pattern, "n", "edges")
-        graph6, coloring = json_fields(cex, "graph6", "coloring")
-        if not isinstance(graph6, str):
-            raise ValueError(f"expected a graph6 string, got {graph6!r:.60}")
-        ec = EdgeColoring.from_json(parse_graph(graph6, "g6"), coloring, json_int(t))
-        pat = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
-        return (pat, json_int(ramsey_value), ec), unchecked
+        pattern = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
+        t, ramsey_value = json_int(t), json_int(ramsey_value)
+        _check_hunt_args(pattern, t, ramsey_value)
+        if type(budget) is not int:  # hunt writes a negative budget as given
+            raise ValueError(f"expected an integer colorings_budget, got {budget!r:.60}")
+        candidates = tuple(map(CandidateOutcome.from_json, json_list(candidates)))
+        if json_int(examined) != len(candidates):
+            raise ValueError(f"candidates_examined is {examined}, not {len(candidates)}")
+        if cex is not None:
+            graph6, coloring = json_fields(cex, "graph6", "coloring")
+            if not isinstance(graph6, str):
+                raise ValueError(f"expected a graph6 string, got {graph6!r:.60}")
+            cex = EdgeColoring.from_json(parse_graph(graph6, "g6"), coloring, t)
+        return HuntReport(pattern, t, ramsey_value, budget, candidates, json_int(total), cex)
 
 
 def check_hunt_counterexample(
@@ -647,12 +662,7 @@ def hunt(
     the bound the gate proved. The hunt stops at the first checked
     counterexample.
     """
-    if t < 1:
-        raise ValueError("need at least one color")
-    if ramsey_value < 1:
-        raise ValueError("ramsey_value must be positive")
-    if pattern.graph.m == 0:
-        raise ValueError("pattern needs at least one edge")
+    _check_hunt_args(pattern, t, ramsey_value)
     outcomes = []
     total = 0
     counterexample = None
@@ -684,13 +694,6 @@ def hunt(
                 )
             counterexample = coloring
             break
-    return HuntReport(
-        pattern=pattern.graph,
-        t=t,
-        ramsey_value=ramsey_value,
-        colorings_budget=colorings_budget,
-        candidates=tuple(outcomes),
-        colorings_examined=total,
-        counterexample=counterexample,
-    )
+    return HuntReport(pattern, t, ramsey_value, colorings_budget, tuple(outcomes), total,
+                      counterexample)
 

@@ -7,15 +7,16 @@ BFS, the matching Ramsey number from its formula, matchings by direct endpoint
 bookkeeping, a hunt's star refutations by counting degrees, and every
 vertex coloring (a chi witness, a tree's derived classes, a matching miss,
 reduced classes) by ``graphs.check_partition``, the package's one
-proper-partition check.
+proper-partition check. ``hunt_unchecked`` alone decides which claims of a
+hunt report, parsed whole by ``HuntReport.from_json``, go unchecked.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .graphs import (EdgeColoring, Graph, check_partition, json_classes, json_edges, json_fields,
-                     json_int, json_list, parse_graph)
+from .graphs import (EdgeColoring, Graph, check_partition, json_classes, json_fields, json_int,
+                     parse_graph)
 from .matching import (
     MatchingCertificate,
     MatchingTargets,
@@ -119,34 +120,30 @@ def check_ramsey_value(data: dict, key: str, targets: MatchingTargets) -> list[s
     return []
 
 
-def degree_refutations(data) -> set[str]:
-    """The graph6 of each exhausted candidate of a hunt report whose
-    refutation a degree count proves; none unless the report's pattern is a
-    star K_{1,k}. Each of the t colors may meet a vertex at most k - 1
-    times, so no avoiding coloring exists when a vertex has degree above
-    t(k - 1), or when every vertex has degree t(k - 1) and n(k - 1) is odd,
-    since each class would be (k - 1)-regular. The pattern's edge count is
-    compared with n - 1 before its edges are read, so a large stated n costs
-    nothing. ValueError on a malformed report."""
-    pattern, t, candidates = json_fields(data, "pattern", "t", "candidates")
-    n, edges = json_fields(pattern, "n", "edges")
-    n, t = json_int(n), json_int(t)
-    if len(json_list(edges)) != n - 1:
-        return set()
-    edges = set(json_edges(edges))
-    degree = Counter(v for e in edges for v in e)
-    if len(edges) != n - 1 or n - 1 not in degree.values() or max(degree) >= n:
-        return set()
-    cap = t * (n - 2)
-    refuted = set()
-    for c in json_list(candidates):
-        graph6, exhausted = json_fields(c, "graph6", "exhausted")
-        if exhausted is True and isinstance(graph6, str):
-            deg = [row.bit_count() for row in parse_graph(graph6, "g6").adj]
-            if max(deg, default=0) > cap or (
-                    all(d == cap for d in deg) and len(deg) * (n - 2) % 2):
-                refuted.add(graph6)
-    return refuted
+def hunt_unchecked(report) -> list[str]:
+    """The claims of a parsed hunt report that verify does not re-derive: the
+    chi bounds of each candidate but a counterexample, whose chi is computed
+    again, and each exhausted candidate's refutation unless degrees prove it.
+    They do when the pattern is a star K_{1,k} (a vertex of degree k = n - 1)
+    and a host vertex has degree above t(k - 1), or every host vertex has
+    degree t(k - 1) and their number times k - 1 is odd: each color meets a
+    vertex at most k - 1 times, and each class would be (k - 1)-regular."""
+    k = report.pattern.graph.n - 1
+    star = k in map(int.bit_count, report.pattern.graph.adj)
+    cap = report.t * (k - 1)
+
+    def refuted(graph6: str) -> bool:
+        deg = [row.bit_count() for row in parse_graph(graph6, "g6").adj]
+        return max(deg, default=0) > cap or (
+            all(d == cap for d in deg) and len(deg) * (k - 1) % 2 == 1)
+
+    unchecked = []
+    for c in report.candidates:
+        if not c.counterexample:
+            unchecked.append(f"chi of {c.graph6}")
+        if c.exhausted and not (star and refuted(c.graph6)):
+            unchecked.append(f"no avoiding coloring of {c.graph6}")
+    return unchecked
 
 
 def check_matching_certificate(

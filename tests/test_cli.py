@@ -724,6 +724,11 @@ def test_verify_unknown_shape_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+# two reports hunt wrote: a path:4 refutation, and a find on K4
+RECORDED = json.loads((Path(__file__).parent / "golden" / "expected.json").read_text())
+KNESER, FIND = (json.loads(RECORDED[name]["stdout"]) for name in ("hunt-kneser", "hunt-g6-file"))
+KNESER_HOST = KNESER["candidates"][0]
+
 MALFORMED = {
     "matching-edge-not-a-pair": ({"kind": "matching", "targets": [1, 1], "certificate": {
         "color": 1, "target": 1, "edges": [1]}}, True),
@@ -740,36 +745,40 @@ MALFORMED = {
         "color": 1, "edges": [[0, 1]], "vertices": [0, 1]}}, True),
     "bare-number": (5, False),
     "certificate-without-kind": ({"color": 1, "target": 1, "edges": [[0, 1]]}, True),
-    "hunt-coloring-not-a-list": ({
-        "kind": "hunt", "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
-        "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": 5},
-    }, False),
-    "hunt-coloring-misses-an-edge": ({
-        "kind": "hunt", "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
-        "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": [[0, 1, 1]]},
-    }, False),
-    "hunt-coloring-edge-twice": ({
-        "kind": "hunt", "pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "t": 2,
-        "ramsey_value": 3, "counterexample": {"graph6": "Dhc", "coloring": [
-            [0, 1, 1], [0, 1, 2], [0, 4, 1], [1, 2, 2], [2, 3, 1], [3, 4, 2],
-        ]},
-    }, False),
+    "hunt-coloring-not-a-list": ({**FIND, "counterexample": {"graph6": "C~", "coloring": 5}},
+                                 False),
+    "hunt-coloring-misses-an-edge": ({**FIND, "counterexample": {
+        "graph6": "C~", "coloring": [[0, 1, 1]]}}, False),
+    "hunt-coloring-edge-twice": ({**FIND, "counterexample": {"graph6": "C~", "coloring": [
+        [0, 1, 1], [0, 1, 2], [0, 2, 1], [0, 3, 2], [1, 2, 1], [1, 3, 2], [2, 3, 2]]}}, False),
     "chi-classes-not-a-list": ({"kind": "chi", "classes": 5, "upper": 1, "lower": 1}, True),
     "chi-without-lower": ({"kind": "chi", "classes": [[0, 2], [1, 3], [4]], "upper": 3}, True),
     "chi-without-exact": ({"kind": "chi", "classes": [[0, 2], [1, 3], [4]], "upper": 3,
                            "lower": 2}, True),
     "chi-exact-not-a-boolean": ({"kind": "chi", "classes": [[0, 2], [1, 3], [4]], "upper": 3,
                                  "lower": 2, "exact": 0}, True),
-    "hunt-candidate-without-graph6": ({
-        "kind": "hunt", "counterexample": None,
-        "candidates": [{"exhausted": True, "counterexample": False}],
-    }, False),
+    "hunt-candidate-without-graph6": ({**KNESER, "candidates": [
+        {k: v for k, v in KNESER_HOST.items() if k != "graph6"}]}, False),
     "arrowing-verdict-not-a-boolean": ({"kind": "arrowing", "n": 5, "arrowing": 1}, False),
     "reduced-pair-twice": ({"kind": "reduced", "instance": {
         "t": 2, "classes": [[0, 2], [1, 3], [4]], "pairs": [
             {"i": 0, "j": 1, "color": 1, "provenance": [0, 1]},
             {"i": 0, "j": 1, "color": 1, "provenance": [0, 1]},
         ]}}, True),
+    # edits of a report hunt wrote, each read whether or not it claims a find
+    "hunt-triangle-pattern": ({**KNESER, "pattern": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}},
+                              False),
+    "hunt-pattern-edge-outside-n": ({**KNESER, "pattern": {"n": 2, "edges": [[0, 7]]}}, False),
+    "hunt-edgeless-pattern": ({**KNESER, "pattern": {"n": 4, "edges": []}}, False),
+    "hunt-no-colors": ({**KNESER, "t": 0}, False),
+    "hunt-negative-colorings-examined": ({**KNESER, "colorings_examined": -5}, False),
+    "hunt-candidates-examined-miscounted": ({**KNESER, "candidates_examined": 9}, False),
+    "hunt-candidate-graph6-does-not-parse": ({**KNESER, "candidates": [
+        {**KNESER_HOST, "graph6": "~~~"}]}, False),
+    "hunt-chi-lower-not-an-integer": ({**KNESER, "candidates": [
+        {**KNESER_HOST, "chi_lower": "x"}]}, False),
+    "hunt-without-ramsey-value": ({k: v for k, v in KNESER.items() if k != "ramsey_value"},
+                                  False),
     # raw text, not an object to dump: nested deeper than the decoder's stack
     "deeply-nested": ("[" * 200_000 + "]" * 200_000, False),
 }

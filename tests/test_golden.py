@@ -19,6 +19,7 @@ import pytest
 
 from monocert import chromatic
 from monocert.cli import main
+from monocert.hunter import HuntReport
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
@@ -113,6 +114,15 @@ def run_case(name: str, tmp: Path, recorded: dict) -> dict:
 def test_golden(name, tmp_path):
     recorded = json.loads(EXPECTED.read_text())
     assert run_case(name, tmp_path, recorded) == recorded[name]
+
+
+@pytest.mark.parametrize("name", [name for name, argv in CASES.items()
+                                  if argv[0] == "hunt" and "bad" not in name])
+def test_hunt_report_round_trip(name):
+    # from_json reads every field to_json writes, and nothing else
+    doc = json.loads(json.loads(EXPECTED.read_text())[name]["stdout"])
+    del doc["kind"], doc["seed"]
+    assert HuntReport.from_json(doc).to_json() == doc
 
 
 def test_certificates_skip_chi_search(tmp_path, monkeypatch):
