@@ -65,11 +65,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def lowest_zero_bit(mask: int) -> int:
-    """Position of the lowest clear bit of a non-negative ``mask``."""
-    return ((mask + 1) & ~mask).bit_length() - 1
-
-
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
     """Return the edge as an ordered pair; loops are never representable."""
     if u == v:

@@ -26,11 +26,15 @@ from .graphs import (
     json_fields,
     json_int,
     json_ints,
-    lowest_zero_bit,
     spanning_trees,
 )
 
 RED, BLUE = 1, 2
+
+
+def _lowest_zero_bit(mask: int) -> int:
+    """Position of the lowest clear bit of a non-negative ``mask``."""
+    return ((mask + 1) & ~mask).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -79,10 +83,10 @@ def edge_color_dual(links) -> tuple[int, ...]:
     taken = [1] * len(degree)
     link_color: list[int] = []
     for idx, (p, q) in enumerate(ends):
-        common = lowest_zero_bit(taken[p] | taken[q])
+        common = _lowest_zero_bit(taken[p] | taken[q])
         if common > delta:
-            alpha = lowest_zero_bit(taken[p])
-            beta = lowest_zero_bit(taken[q])
+            alpha = _lowest_zero_bit(taken[p])
+            beta = _lowest_zero_bit(taken[q])
             # walk the alpha/beta alternating path from q, then flip it
             path = []
             node, want = q, alpha
