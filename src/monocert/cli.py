@@ -22,8 +22,8 @@ import sys
 from types import SimpleNamespace
 
 from . import chromatic, hunter, matching, tree_cert
-from .graphs import (EdgeColoring, Graph, json_classes, json_fields, json_int, json_ints,
-                     parse_edge_coloring, parse_graph)
+from .graphs import (EdgeColoring, Graph, complete_graph, json_classes, json_fields, json_int,
+                     json_ints, json_list, parse_edge_coloring, parse_graph)
 
 # registered now and run on first use: only the verify subcommand reads it.
 # The package attribute is set too, as an import would, so that
@@ -185,11 +185,7 @@ def _cmd_hunt(args) -> int:
     if report.counterexample is not None:
         _note("counterexample found and checked")
         return 1
-    inconclusive = any(
-        (c.searched and not c.exhausted) or (not c.searched and not c.chi_is_exact)
-        for c in report.candidates
-    )
-    if inconclusive:
+    if any(not c.exhausted and (c.searched or not c.chi_is_exact) for c in report.candidates):
         _note("no counterexample, but some candidates were not settled")
         return 3
     _note("no counterexample; all candidates settled")
@@ -221,6 +217,10 @@ def _cmd_verify(args) -> int:
         if arrowing != (n >= need):
             problems.append(
                 f"K_{n} {'forces' if n >= need else 'does not force'} the targets, as R = {need}")
+        elif not arrowing:  # rows are counted first, so a forged n builds no K_n
+            if len(avoiding := json_list(data.get("avoiding"))) != n * (n - 1) // 2:
+                raise ValueError(f"avoiding has {len(avoiding)} rows, not the edges of K_{n}")
+            EdgeColoring.from_json(complete_graph(n), avoiding, targets.t)
         if arrowing and data.get("avoiding") is not None:
             problems.append("a forcing verdict carries an avoiding coloring")
         unchecked.append(f"K_{n} {'forces' if arrowing else 'does not force'} the targets")

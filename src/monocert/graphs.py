@@ -315,6 +315,8 @@ def check_partition(g: Graph, classes) -> list[str]:
 def parse_graph(text: str | bytes, fmt: str = "edges") -> Graph:
     if isinstance(text, bytes):
         text = text.decode("ascii")
+    if not isinstance(text, str):
+        raise ValueError(f"expected graph text, got {text!r:.60}")
     if fmt == "edges":
         return _parse_edge_list(text)
     if fmt == "dimacs":

@@ -19,16 +19,18 @@ root may settle the search. Work is metered in partial colorings visited
 (one per search node entered, interchangeable colors opened in order), which
 is the deterministic "colorings examined" unit reported everywhere; budgets
 cap that count and exhaustion flags are set honestly: "exhausted" means
-proved, by search or by the degree count. ``HuntReport.from_json`` reads a
-report back whole and refuses anything ``hunt`` never writes.
+proved, by search or by the degree count. A report stores only what
+``hunt`` measured and derives the rest; ``HuntReport.from_json`` derives it
+the same way and refuses anything ``hunt`` never writes.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from math import comb, log2
@@ -44,7 +46,6 @@ from .graphs import (
     json_edges,
     json_fields,
     json_int,
-    json_ints,
     json_list,
     parse_graph,
     path_graph,
@@ -536,31 +537,36 @@ def generate_candidates(spec: str, seed: int = 0, chi_budget: int = chromatic.DE
 
 @dataclass(frozen=True)
 class CandidateOutcome:
+    """What hunt measured of one host; the rest of its JSON is derived."""
+
     graph6: str
     chi_lower: int
     chi_upper: int
-    chi_is_exact: bool
-    searched: bool
-    skipped_reason: str | None
-    colorings_examined: int
-    exhausted: bool
-    counterexample: bool
+    ramsey_value: int
+    colorings_examined: int = 0
+    exhausted: bool = False
+    counterexample: bool = False
+
+    @property
+    def chi_is_exact(self) -> bool:
+        return self.chi_lower == self.chi_upper
+
+    @property
+    def searched(self) -> bool:  # a find is searched, whatever chi bound it states
+        return self.counterexample or self.chi_lower >= self.ramsey_value
+
+    @property
+    def skipped_reason(self) -> str | None:
+        if self.searched:
+            return None
+        if self.chi_is_exact:
+            return f"chi={self.chi_lower} below ramsey_value={self.ramsey_value}"
+        return "chromatic number unresolved within budget"
 
     def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(data) -> "CandidateOutcome":
-        """Inverse of to_json; ValueError on a missing key, a value of another
-        type, a negative count or a graph6 that does not parse."""
-        out = CandidateOutcome(*json_fields(data, *(f.name for f in fields(CandidateOutcome))))
-        json_ints([out.chi_lower, out.chi_upper, out.colorings_examined])
-        flags = (out.chi_is_exact, out.searched, out.exhausted, out.counterexample)
-        if ({type(f) for f in flags} != {bool} or not isinstance(out.graph6, str)
-                or not isinstance(out.skipped_reason, (str, type(None)))):
-            raise ValueError(f"malformed candidate {data!r:.60}")
-        parse_graph(out.graph6, "g6")
-        return out
+        keys = ("graph6", "chi_lower", "chi_upper", "chi_is_exact", "searched", "skipped_reason",
+                "colorings_examined", "exhausted", "counterexample")
+        return {key: getattr(self, key) for key in keys}
 
 
 def _check_hunt_args(pattern: AcyclicPattern, t: int, ramsey_value: int) -> None:
@@ -580,8 +586,11 @@ class HuntReport:
     ramsey_value: int
     colorings_budget: int
     candidates: tuple[CandidateOutcome, ...]
-    colorings_examined: int
     counterexample: EdgeColoring | None
+
+    @property
+    def colorings_examined(self) -> int:
+        return sum(c.colorings_examined for c in self.candidates)
 
     def to_json(self) -> dict:
         p, ec = self.pattern.graph, self.counterexample
@@ -592,36 +601,52 @@ class HuntReport:
             "t": self.t,
             "ramsey_value": self.ramsey_value,
             "colorings_budget": self.colorings_budget,
-            "candidates_examined": len(self.candidates),
-            "candidates": [c.to_json() for c in self.candidates],
-            "colorings_examined": self.colorings_examined,
+            **self._derived(),
             "counterexample": cex,
         }
 
+    def _derived(self) -> dict:  # the fields of to_json that the candidates give
+        return {"candidates_examined": len(self.candidates),
+                "candidates": [c.to_json() for c in self.candidates],
+                "colorings_examined": self.colorings_examined}
+
     @staticmethod
     def from_json(data) -> "HuntReport":
-        """Inverse of to_json, read whole with or without a counterexample.
-        ValueError on what hunt never writes: a missing key, a wrong type, a
-        negative count, a pattern that is no forest with an edge, t or
-        ramsey_value below 1, a bad graph6 or a wrong candidates_examined."""
-        pattern, t, ramsey_value, budget, examined, candidates, total, cex = json_fields(
+        """Inverse of to_json: each candidate is built from what hunt measured,
+        in hunt's two steps, the find last and never exhausted. ValueError on
+        what hunt never writes: a missing key, a wrong type, a negative count,
+        a pattern that is no forest with an edge, t or ramsey_value below 1, a
+        bad graph6, chi bounds beyond chi_lower <= chi_upper <= n, or a derived
+        field that the measured ones do not give."""
+        pattern, t, ramsey_value, budget, _, rows, _, cex = json_fields(
             data, "pattern", "t", "ramsey_value", "colorings_budget", "candidates_examined",
             "candidates", "colorings_examined", "counterexample")
         n, edges = json_fields(pattern, "n", "edges")
         pattern = AcyclicPattern(Graph.from_edges(json_int(n), json_edges(edges)))
         t, ramsey_value = json_int(t), json_int(ramsey_value)
         _check_hunt_args(pattern, t, ramsey_value)
-        if type(budget) is not int:  # hunt writes a negative budget as given
-            raise ValueError(f"expected an integer colorings_budget, got {budget!r:.60}")
-        candidates = tuple(map(CandidateOutcome.from_json, json_list(candidates)))
-        if json_int(examined) != len(candidates):
-            raise ValueError(f"candidates_examined is {examined}, not {len(candidates)}")
+        rows, candidates = json_list(rows), []
+        for i, row in enumerate(rows, start=1):
+            graph6, lower, upper, nodes, exhausted = json_fields(
+                row, "graph6", "chi_lower", "chi_upper", "colorings_examined", "exhausted")
+            out = CandidateOutcome(graph6, json_int(lower), json_int(upper), ramsey_value,
+                                   counterexample=cex is not None and i == len(rows))
+            if not lower <= upper <= parse_graph(graph6, "g6").n:
+                raise ValueError(f"chi bounds {lower}, {upper} do not fit host {graph6}")
+            if out.searched:
+                out = replace(out, colorings_examined=json_int(nodes),
+                              exhausted=exhausted is True and not out.counterexample)
+            candidates.append(out)
         if cex is not None:
             graph6, coloring = json_fields(cex, "graph6", "coloring")
-            if not isinstance(graph6, str):
-                raise ValueError(f"expected a graph6 string, got {graph6!r:.60}")
+            if not candidates or candidates[-1].graph6 != graph6:
+                raise ValueError(f"the counterexample's host {graph6!r:.20} is not the find's")
             cex = EdgeColoring.from_json(parse_graph(graph6, "g6"), coloring, t)
-        return HuntReport(pattern, t, ramsey_value, budget, candidates, json_int(total), cex)
+        report = HuntReport(pattern, t, ramsey_value, json_int(budget), tuple(candidates), cex)
+        for key, value in report._derived().items():  # as JSON text, so that 1 is not true
+            if json.dumps(value, sort_keys=True) != json.dumps(data[key], sort_keys=True):
+                raise ValueError(f"{key} differs from what the measured fields give")
+        return report
 
 
 def check_hunt_counterexample(
@@ -663,29 +688,19 @@ def hunt(
     counterexample.
     """
     _check_hunt_args(pattern, t, ramsey_value)
+    if colorings_budget < 0:
+        raise ValueError("colorings_budget must be non-negative")
     outcomes = []
-    total = 0
     counterexample = None
     for g in candidates:
-        ident = write_graph(g, "g6").strip()
         r = _chi_once(g, chi_budget)
-        if r.lower >= ramsey_value:
-            skipped = None
-        elif r.exact:
-            skipped = f"chi={r.lower} below ramsey_value={ramsey_value}"
-        else:
-            skipped = "chromatic number unresolved within budget"
-        coloring, exhausted, nodes = None, False, 0
-        if skipped is None:
-            coloring, exhausted, nodes = _search_avoiding(
-                g, [pattern] * t, colorings_budget
-            )
-            total += nodes
-        outcomes.append(CandidateOutcome(
-            ident, r.lower, r.upper, r.exact, skipped is None, skipped, nodes,
-            exhausted, coloring is not None,
-        ))
-        if coloring is not None:
+        out = CandidateOutcome(write_graph(g, "g6").strip(), r.lower, r.upper, ramsey_value)
+        if out.searched:
+            coloring, exhausted, nodes = _search_avoiding(g, [pattern] * t, colorings_budget)
+            out = replace(out, colorings_examined=nodes, exhausted=exhausted,
+                          counterexample=coloring is not None)
+        outcomes.append(out)
+        if out.counterexample:
             problems = check_hunt_counterexample(pattern, ramsey_value, coloring, chi_budget)
             if problems:
                 raise InternalInconsistencyError(
@@ -694,6 +709,4 @@ def hunt(
                 )
             counterexample = coloring
             break
-    return HuntReport(pattern, t, ramsey_value, colorings_budget, tuple(outcomes), total,
-                      counterexample)
-
+    return HuntReport(pattern, t, ramsey_value, colorings_budget, tuple(outcomes), counterexample)

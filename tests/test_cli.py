@@ -598,6 +598,9 @@ def test_hunt_bad_specs_exit_two(capsys):
     assert main(["hunt", "--pattern", "star:0", "--t", "2",
                  "--ramsey-value", "3", "--candidates", "multipartite:1,1"]) == 2
     capsys.readouterr()
+    assert main(["hunt", "--pattern", "path:4", "--t", "2", "--ramsey-value", "3",
+                 "--candidates", "kneser:5,2", "--budget", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: colorings_budget must be non-negative\n")
 
 
 def test_hunt_deterministic(capsys):
@@ -724,9 +727,11 @@ def test_verify_unknown_shape_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-# two reports hunt wrote: a path:4 refutation, and a find on K4
+# reports hunt wrote: a path:4 refutation, a find on K4 and a star:2 hunt
+# that skips two hosts; and a K_4 that does not force 2,2
 RECORDED = json.loads((Path(__file__).parent / "golden" / "expected.json").read_text())
-KNESER, FIND = (json.loads(RECORDED[name]["stdout"]) for name in ("hunt-kneser", "hunt-g6-file"))
+KNESER, FIND, MYCIELSKI, ARROWING = (json.loads(RECORDED[name]["stdout"]) for name in (
+    "hunt-kneser", "hunt-g6-file", "hunt-mycielski", "ramsey-n4"))
 KNESER_HOST = KNESER["candidates"][0]
 
 MALFORMED = {
@@ -779,6 +784,29 @@ MALFORMED = {
         {**KNESER_HOST, "chi_lower": "x"}]}, False),
     "hunt-without-ramsey-value": ({k: v for k, v in KNESER.items() if k != "ramsey_value"},
                                   False),
+    # edits of fields a report derives from what hunt measured, or of
+    # measured ones that no host allows
+    "hunt-chi-lower-above-n": ({**KNESER, "candidates": [{**KNESER_HOST, "chi_lower": 99}]},
+                               False),
+    "hunt-chi-lower-above-upper": ({**KNESER, "candidates": [
+        {**KNESER_HOST, "chi_lower": 7, "chi_upper": 3}]}, False),
+    "hunt-exhausted-host-not-searched": ({**KNESER, "candidates": [
+        {**KNESER_HOST, "searched": False}]}, False),
+    "hunt-ramsey-value-raised": ({**KNESER, "ramsey_value": 99}, False),
+    "hunt-total-miscounted": ({**KNESER, "colorings_examined": 73}, False),
+    "hunt-find-flag-without-find": ({**KNESER, "candidates": [
+        {**KNESER_HOST, "counterexample": True}]}, False),
+    "hunt-skipped-reason-edited": ({**MYCIELSKI, "candidates": [
+        {**MYCIELSKI["candidates"][0], "skipped_reason": "not needed"},
+        *MYCIELSKI["candidates"][1:]]}, False),
+    "hunt-negative-budget": ({**KNESER, "colorings_budget": -1}, False),
+    "hunt-find-on-another-host": ({**FIND, "candidates": [
+        {**FIND["candidates"][0], "graph6": "D~{"}]}, False),
+    # an avoiding coloring that is no coloring of K_4 with 2 colors
+    **{f"arrowing-avoiding-{name}": ({**ARROWING, "avoiding": avoiding}, False)
+       for name, avoiding in (("number", 5), ("string", "x"), ("color-7", [[0, 1, 7]]),
+                              ("one-edge", [[0, 1, 1]]), ("null", None),
+                              ("every-edge-color-7", [[*e[:2], 7] for e in ARROWING["avoiding"]]))},
     # raw text, not an object to dump: nested deeper than the decoder's stack
     "deeply-nested": ("[" * 200_000 + "]" * 200_000, False),
 }
