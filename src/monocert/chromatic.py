@@ -55,11 +55,6 @@ def _classes(assign) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
-def _ranks(g: Graph) -> list[int]:
-    """The vertices by (-degree, index)."""
-    return sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
-
-
 def _dsatur(g: Graph) -> list[int]:
     """DSATUR greedy coloring: a color 0..k-1 per vertex, all k used.
 
@@ -73,12 +68,15 @@ def greedy_upper(g: Graph) -> ChiResult:
     return ChiResult(2 if any(g.adj) else min(g.n, 1), _classes(_dsatur(g)))
 
 
-def _greedy_clique(g: Graph, order: list[int]) -> list[int]:
-    """Grow a clique greedily from every seed vertex, in order; keep the largest."""
+def _greedy_clique(g: Graph) -> list[int]:
+    """Grow a clique greedily from each seed vertex; keep the largest. Seeds
+    come by (-degree, index), so the first whose degree + 1 cannot beat the
+    best clique ends the walk: no later seed can."""
+    deg = [row.bit_count() for row in g.adj]
     best: list[int] = []
-    for v in order:
-        if g.adj[v].bit_count() + 1 <= len(best):
-            continue
+    for v in sorted(range(g.n), key=lambda u: (-deg[u], u)):
+        if deg[v] + 1 <= len(best):
+            break
         clique = [v]
         cand = g.adj[v]
         while cand:
@@ -102,7 +100,7 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiResult:
     """
     if g.n == 0:
         return ChiResult(0, ())
-    clique = _greedy_clique(g, _ranks(g))
+    clique = _greedy_clique(g)
     lb = max(1, len(clique))
     best_assign = _dsatur(g)
     best_k = max(best_assign) + 1

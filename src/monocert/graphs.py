@@ -10,9 +10,11 @@ is handed (one row per vertex, bits in range, no loop bit) and walks the
 set bits to check symmetry. The builders check each edge as they take it
 and set both ends themselves, so their rows are symmetric by construction;
 they construct through the private ``Graph._from_rows``, which checks
-nothing again. These are ``Graph.from_edges``, ``complete_graph``,
-``EdgeColoring.of``, the three graph readers, ``parse_edge_coloring`` and
-the hunter's class rows. Each text reader makes one pass over its lines.
+nothing again. These are ``Graph.from_edges``, which the edge-list and
+DIMACS readers call, ``complete_graph``, the graph6 reader, the hunter's
+class rows, and ``EdgeColoring.of``, which ``parse_edge_coloring`` and
+``EdgeColoring.from_json`` call: it is the one place where a reader
+allocates class rows. Each text reader makes one pass over its lines.
 
 An edge-colored graph is one object, an ``EdgeColoring``: the host graph
 it was given plus one spanning class graph per color, edge-disjoint, whose
@@ -312,9 +314,7 @@ def check_partition(g: Graph, classes) -> list[str]:
 # ---------------------------------------------------------------------------
 # text formats
 
-def parse_graph(text: str | bytes, fmt: str = "edges") -> Graph:
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
+def parse_graph(text: str, fmt: str = "edges") -> Graph:
     if not isinstance(text, str):
         raise ValueError(f"expected graph text, got {text!r:.60}")
     if fmt == "edges":
@@ -415,9 +415,14 @@ def _parse_dimacs(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# graph6: 6-bit groups, each stored as a printable byte (value + 63). The
-# vertex count is one byte for n <= 62, '~' + 3 bytes up to 258047, then
-# '~~' + 6 bytes. Edge bits run column-wise over the upper triangle.
+# graph6: 6-bit groups, each stored as a printable character (value + 63).
+# The vertex count is one character for n <= 62, '~' + 3 up to 258047, then
+# '~~' + 6. Edge bits run column by column over the upper triangle: column
+# v holds the bits of edges uv, u < v, in ascending u.
+_G6_GROUPS = {format(k, "06b"): chr(k + 63) for k in range(64)}
+_G6_BITS = str.maketrans({ch: bits for bits, ch in _G6_GROUPS.items()})
+_G6_CHARS = "".join(_G6_GROUPS.values())
+
 
 def _g6_encode_n(n: int) -> str:
     if n <= 62:
@@ -430,20 +435,9 @@ def _g6_encode_n(n: int) -> str:
 
 
 def _to_graph6(g: Graph) -> str:
-    out = [_g6_encode_n(g.n)]
-    acc = 0
-    nbits = 0
-    for v in range(1, g.n):
-        row = g.adj[v]
-        for u in range(v):
-            acc = (acc << 1) | ((row >> u) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc, nbits = 0, 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    bits = "".join([format(g.adj[v] & ((1 << v) - 1), "b").zfill(v)[::-1] for v in range(1, g.n)])
+    bits += "0" * (-len(bits) % 6)
+    return _g6_encode_n(g.n) + "".join([_G6_GROUPS[bits[i:i + 6]] for i in range(0, len(bits), 6)])
 
 
 def _parse_graph6(text: str) -> Graph:
@@ -454,60 +448,37 @@ def _parse_graph6(text: str) -> Graph:
         raise GraphParseError("empty graph6 string")
     if "\n" in s:
         raise GraphParseError("expected a single graph6 line")
-    vals = []
-    for ch in s:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise GraphParseError(f"invalid graph6 byte {ch!r}")
-        vals.append(o - 63)
-    i = 0
-    if vals[0] < 63:
-        n, i = vals[0], 1
-    elif len(vals) >= 4 and vals[1] < 63:
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        i = 4
-    elif len(vals) >= 8:
-        n = 0
-        for j in range(2, 8):
-            n = (n << 6) | vals[j]
-        i = 8
+    if bad := s.lstrip(_G6_CHARS):
+        raise GraphParseError(f"invalid graph6 byte {bad[0]!r}")
+    if s[0] != "~":
+        n, i = ord(s[0]) - 63, 1
+    elif len(s) >= 4 and s[1] != "~":
+        n, i = int(s[1:4].translate(_G6_BITS), 2), 4
+    elif len(s) >= 8:
+        n, i = int(s[2:8].translate(_G6_BITS), 2), 8
     else:
         raise GraphParseError("truncated graph6 vertex count")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(vals) - i != need:
-        raise GraphParseError(
-            f"graph6 body has {len(vals) - i} groups, expected {need}"
-        )
-    rows = [0] * n
-    bit = 0
-    u, v = 0, 1
-    for group in vals[i:]:
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                break
-            if (group >> k) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            bit += 1
-            u += 1
-            if u == v:
-                u, v = 0, v + 1
-    return Graph._from_rows(n, rows)
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(s) - i != need:
+        raise GraphParseError(f"graph6 body has {len(s) - i} groups, expected {need}")
+    bits = s[i:].translate(_G6_BITS)
+    # column v padded to n is row v of a square matrix that holds each edge
+    # once, at (v, u) with u < v; its column u, read with stride n, holds
+    # the neighbours of u above u
+    square = "".join([bits[v * (v - 1) // 2:v * (v + 1) // 2] + "0" * (n - v) for v in range(n)])
+    return Graph._from_rows(n, [int(square[u * n:u * n + n][::-1], 2) | int(square[u::n][::-1], 2)
+                                for u in range(n)])
 
 
-def parse_edge_coloring(text: str | bytes, g: Graph, t: int | None = None) -> EdgeColoring:
+def parse_edge_coloring(text: str, g: Graph, t: int | None = None) -> EdgeColoring:
     """Parse "u v c" lines (0-indexed vertices, colors 1..t) coloring every edge of g.
 
     t defaults to the largest color seen. Each line is checked as it is
-    read and sets its edge in its color's class rows; the EdgeColoring
-    constructor then checks that every edge of g got a color.
+    read; EdgeColoring.of then builds the classes, and the EdgeColoring
+    constructor checks that every edge of g got a color.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
     n, adj = g.n, g.adj
-    rows = [[0] * n for _ in range(1 if t is None else t)]
-    colored = set()  # u * n + v for each edge (u, v), u < v, read so far
+    colors: dict[tuple[int, int], int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw.partition("#")[0]
@@ -532,16 +503,10 @@ def parse_edge_coloring(text: str | bytes, g: Graph, t: int | None = None) -> Ed
             u, v = v, u
         if v >= n or not (adj[u] >> v) & 1:
             raise GraphParseError(f"colored edge {(u, v)} is not an edge of the graph", ln)
-        key = u * n + v
-        if key in colored:
+        if (u, v) in colors:
             raise GraphParseError(f"edge {(u, v)} colored twice", ln)
-        colored.add(key)
-        while len(rows) < c:
-            rows.append([0] * n)
-        rc = rows[c - 1]
-        rc[u] |= 1 << v
-        rc[v] |= 1 << u
-    return EdgeColoring(g, tuple(Graph._from_rows(n, rc) for rc in rows))
+        colors[u, v] = c
+    return EdgeColoring.of(g, colors, max(colors.values(), default=1) if t is None else t)
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,9 @@ def _search_avoiding(
 
     Returns (coloring or None, exhausted, partial colorings visited). The
     count is of search nodes entered, each a partial coloring with
-    interchangeable colors opened in order; exhausted is True only when no
-    avoiding coloring exists and that was proved, by search or by the
+    interchangeable colors opened in order: it is budget + 1 when the budget
+    stops the search, and 1..budget otherwise. exhausted is True only when
+    no avoiding coloring exists and that was proved, by search or by the
     degree count.
     """
     n = g.n
@@ -616,8 +617,9 @@ class HuntReport:
         in hunt's two steps, the find last and never exhausted. ValueError on
         what hunt never writes: a missing key, a wrong type, a negative count,
         a pattern that is no forest with an edge, t or ramsey_value below 1, a
-        bad graph6, chi bounds beyond chi_lower <= chi_upper <= n, or a derived
-        field that the measured ones do not give."""
+        bad graph6, chi bounds beyond chi_lower <= chi_upper <= n, a derived
+        field that the measured ones do not give, or a searched candidate's
+        count that its budget does not give."""
         pattern, t, ramsey_value, budget, _, rows, _, cex = json_fields(
             data, "pattern", "t", "ramsey_value", "colorings_budget", "candidates_examined",
             "candidates", "colorings_examined", "counterexample")
@@ -646,6 +648,12 @@ class HuntReport:
         for key, value in report._derived().items():  # as JSON text, so that 1 is not true
             if json.dumps(value, sort_keys=True) != json.dumps(data[key], sort_keys=True):
                 raise ValueError(f"{key} differs from what the measured fields give")
+        for out in report.candidates:  # as _search_avoiding counts
+            nodes = out.colorings_examined
+            if out.searched and not (1 <= nodes <= budget if out.exhausted or out.counterexample
+                                     else nodes == budget + 1):
+                raise ValueError(f"{nodes} colorings examined on {out.graph6} do not fit "
+                                 f"colorings_budget {budget}")
         return report
 
 

@@ -4,7 +4,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 import monocert as mc
-from monocert.chromatic import DEFAULT_BUDGET, _dsatur, _greedy_clique, _ranks, greedy_upper
+from monocert.chromatic import DEFAULT_BUDGET, _dsatur, _greedy_clique, greedy_upper
 from monocert.graphs import Graph, check_partition
 from monocert.hunter import mycielskian, random_graph
 
@@ -68,7 +68,7 @@ def test_greedy_upper_on_a_large_sparse_host():
 def test_clique_lower_examples(c5, k4, petersen, grotzsch):
     # chi_exact starts its search from this clique as its lower bound
     def clique_lower(g):
-        return len(_greedy_clique(g, _ranks(g)))
+        return len(_greedy_clique(g))
 
     assert clique_lower(mc.complete_graph(6)) == 6
     assert clique_lower(c5) == 2

@@ -727,11 +727,12 @@ def test_verify_unknown_shape_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-# reports hunt wrote: a path:4 refutation, a find on K4 and a star:2 hunt
-# that skips two hosts; and a K_4 that does not force 2,2
+# reports hunt wrote: a path:4 refutation, a find on K4, a star:2 hunt
+# that skips two hosts and a path:4 search that its budget stops; and a K_4
+# that does not force 2,2
 RECORDED = json.loads((Path(__file__).parent / "golden" / "expected.json").read_text())
-KNESER, FIND, MYCIELSKI, ARROWING = (json.loads(RECORDED[name]["stdout"]) for name in (
-    "hunt-kneser", "hunt-g6-file", "hunt-mycielski", "ramsey-n4"))
+KNESER, FIND, MYCIELSKI, BUDGET_HIT, ARROWING = (json.loads(RECORDED[name]["stdout"]) for name in (
+    "hunt-kneser", "hunt-g6-file", "hunt-mycielski", "hunt-multipartite-budget", "ramsey-n4"))
 KNESER_HOST = KNESER["candidates"][0]
 
 MALFORMED = {
@@ -800,6 +801,10 @@ MALFORMED = {
         {**MYCIELSKI["candidates"][0], "skipped_reason": "not needed"},
         *MYCIELSKI["candidates"][1:]]}, False),
     "hunt-negative-budget": ({**KNESER, "colorings_budget": -1}, False),
+    # the budget stops a search at colorings_budget + 1, and no sooner
+    "hunt-budget-hit-miscounted": ({**BUDGET_HIT, "colorings_examined": 7, "candidates": [
+        {**BUDGET_HIT["candidates"][0], "colorings_examined": 7}]}, False),
+    "hunt-exhausted-past-budget": ({**KNESER, "colorings_budget": 10}, False),
     "hunt-find-on-another-host": ({**FIND, "candidates": [
         {**FIND["candidates"][0], "graph6": "D~{"}]}, False),
     # an avoiding coloring that is no coloring of K_4 with 2 colors

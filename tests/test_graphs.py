@@ -304,10 +304,15 @@ def test_graph6_against_reference_codec(rng):
     nx = pytest.importorskip("networkx")
     from monocert.hunter import random_graph
 
-    # one draw in six has n of 63 or more, where graph6 takes the long header
+    # one draw in six has n of 63 or more, where graph6 takes the long header;
+    # the explicit draws reach both sides of the header switch at 63 and pad
+    # a last group of ones, from complete hosts, as well as zeros
+    draws = [(n, p) for n in (0, 1, 2, 62, 63, 64) for p in (0.0, 1.0)]
     for i in range(60):
-        n = rng.randint(0, 20) if i % 6 else rng.randint(63, 130)
-        g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+        draws.append((rng.randint(0, 20) if i % 6 else rng.randint(63, 130),
+                      rng.choice([0.2, 0.5, 0.8])))
+    for n, p in draws:
+        g = random_graph(n, p, rng)
         ours = mc.write_graph(g, "g6").strip()
         assert ours.startswith("~") == (n >= 63)
         G = nx.Graph()
