@@ -14,14 +14,16 @@ Containment tests are incremental: along a live branch each class was
 pattern-free before the new edge arrived, so only copies through the new
 edge need to be sought. The kernel memoizes each pattern's answers by the
 class's edge set and asks before it touches the class, so a known answer
-costs one lookup. When every color forbids a star, a degree count at the
-root may settle the search. Work is metered in partial colorings visited
-(one per search node entered, interchangeable colors opened in order), which
-is the deterministic "colorings examined" unit reported everywhere; budgets
-cap that count and exhaustion flags are set honestly: "exhausted" means
-proved, by search or by the degree count. A report stores only what
-``hunt`` measured and derives the rest; ``HuntReport.from_json`` derives it
-the same way and refuses anything ``hunt`` never writes.
+costs one lookup. Two counts at the root may settle the search: degrees
+when every color forbids a star, and edges when every color forbids a star,
+a path or a matching, whose Turan numbers are known. Work is metered in
+partial colorings visited (one per search node entered, interchangeable
+colors opened in order), which is the deterministic "colorings examined"
+unit reported everywhere; budgets cap that count and exhaustion flags are
+set honestly: "exhausted" means proved, by search or by a root count. A
+report stores only what ``hunt`` measured and derives the rest;
+``HuntReport.from_json`` derives it the same way and refuses anything
+``hunt`` never writes.
 """
 
 from __future__ import annotations
@@ -289,18 +291,46 @@ def _bfs_edge_order(g: Graph) -> list[tuple[int, int]]:
 def _degrees_refute(g: Graph, patterns) -> bool:
     """Whether degrees prove that no coloring of g avoids the patterns, all
     stars K_{1,k_c} (m = n - 1 edges, a vertex of degree m), as in Burr and
-    Roberts (1973). Class c meets a vertex at most k_c - 1 times, so a
-    vertex of degree above cap = sum(k_c - 1) refutes (pigeonhole), and so
-    does every vertex at cap with n(k_c - 1) odd for some c, since class c
-    would be (k_c - 1)-regular (handshake)."""
+    Roberts (1973): class c meets a vertex at most k_c - 1 times, so a
+    vertex of degree above sum(k_c - 1) refutes (pigeonhole). A regular g
+    at that sum with some n(k_c - 1) odd is _edges_refute's: the odd terms
+    come in pairs, since they sum to 2|E|, so the sum of the floors of
+    n(k_c - 1)/2 falls below |E|."""
     ks = [p.graph.m for p in patterns]
     if any(p.graph.n != k + 1 or k not in map(int.bit_count, p.graph.adj)
            for p, k in zip(patterns, ks)):
         return False
-    cap = sum(k - 1 for k in ks)
-    deg = [row.bit_count() for row in g.adj]
-    return max(deg, default=0) > cap or (
-        all(d == cap for d in deg) and any(g.n * (k - 1) % 2 for k in ks))
+    return max(map(int.bit_count, g.adj), default=0) > sum(k - 1 for k in ks)
+
+
+def _turan_number(n: int, p: Graph) -> int | None:
+    """ex(n, p), the most edges of an n-vertex graph with no copy of p, when
+    p is a star K_{1,k}, a path on k vertices or k disjoint edges; None for
+    any other forest. A star-free graph has degrees below k. A path-free one
+    is at best disjoint copies of K_{k-1} and a K_r, n = q(k - 1) + r
+    (Faudree and Schelp 1975; Kopylov 1977). A matching-free one is at best
+    K_{2k-1}, or k - 1 vertices joined to all (Erdos and Gallai 1959).
+    P_2 = K_{1,1} and P_3 = K_{1,2} read the same either way."""
+    deg = [row.bit_count() for row in p.adj]
+    if p.m == p.n - 1 and p.m in deg:
+        return min(comb(n, 2), n * (p.m - 1) // 2)
+    if p.m == p.n - 1 and max(deg) <= 2:
+        q, r = divmod(n, p.m)
+        return q * comb(p.m, 2) + comb(r, 2)
+    if all(d == 1 for d in deg):
+        k = p.m
+        return comb(n, 2) if n < 2 * k else max(comb(2 * k - 1, 2),
+                                                 comb(k - 1, 2) + (k - 1) * (n - k + 1))
+    return None
+
+
+def _edges_refute(g: Graph, patterns) -> bool:
+    """Whether edge counts prove that no coloring of g avoids the patterns:
+    class c is free of pattern c, so it has at most ex(n, pattern c) edges,
+    and the classes together fall short of |E(g)|. Only for stars, paths
+    and matchings, whose ex _turan_number knows."""
+    ex = [_turan_number(g.n, p.graph) for p in patterns]
+    return None not in ex and sum(ex) < g.m
 
 
 def _search_avoiding(
@@ -317,11 +347,13 @@ def _search_avoiding(
     interchangeable colors in order: were it not so, swapping two of them
     would give a smaller one.
 
-    When every pattern is a star, _degrees_refute may settle the search as
-    its root node; it fires only when no avoiding coloring exists. No node
-    below needs a capacity prune: on a live branch class c meets v at most
-    k_c - 1 times, so v's uncolored edges outgrow the room its colors have
-    left only when deg(v) > sum(k_c - 1), which the root already tested.
+    Two counts may settle the search as its root node, and fire only when
+    no avoiding coloring exists: _degrees_refute when every pattern is a
+    star, and _edges_refute when every pattern is a star, a path or a
+    matching. No node below needs a capacity prune: on a live branch class
+    c meets v at most k_c - 1 times, so v's uncolored edges outgrow the room
+    its colors have left only when deg(v) > sum(k_c - 1), which the root
+    already tested.
 
     Colors with equal patterns share one _pattern_test and one memo of its
     answers by the class's edge-index mask. The kernel asks the memo before
@@ -331,8 +363,8 @@ def _search_avoiding(
     count is of search nodes entered, each a partial coloring with
     interchangeable colors opened in order: it is budget + 1 when the budget
     stops the search, and 1..budget otherwise. exhausted is True only when
-    no avoiding coloring exists and that was proved, by search or by the
-    degree count.
+    no avoiding coloring exists and that was proved, by search or by a
+    root count.
     """
     n = g.n
     t = len(patterns)
@@ -345,7 +377,7 @@ def _search_avoiding(
         memos.append(memo)
         opener.append(prev)
     limit = float("inf") if budget is None else budget
-    if limit >= 1 and _degrees_refute(g, patterns):
+    if limit >= 1 and (_degrees_refute(g, patterns) or _edges_refute(g, patterns)):
         return None, True, 1
     edges = _bfs_edge_order(g)
     E = len(edges)

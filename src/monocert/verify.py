@@ -4,7 +4,7 @@ Each checker returns a list of problem strings (empty means the certificate
 holds) and avoids the code paths that built the object: tree shape and
 the largest monochromatic component are found with union-find rather than
 BFS, the matching Ramsey number from its formula, matchings by direct endpoint
-bookkeeping, a hunt's star refutations by counting degrees, and every
+bookkeeping, a hunt's refutations by counting degrees and edges, and every
 vertex coloring (a chi witness, a tree's derived classes, a matching miss,
 reduced classes) by ``graphs.check_partition``, the package's one
 proper-partition check. ``hunt_unchecked`` alone decides which claims of a
@@ -120,28 +120,51 @@ def check_ramsey_value(data: dict, key: str, targets: MatchingTargets) -> list[s
     return []
 
 
+def _free_edges(pattern: Graph, n: int) -> int | None:
+    """The most edges an n-vertex graph can have with no copy of pattern,
+    when its degree counts make it k disjoint edges (2k of degree 1), a path
+    on k vertices (two of degree 1, the rest 2) or a star K_{1,k} (k of
+    degree 1, one of degree k); None for any other pattern. These are
+    Erdos and Gallai's 1959 value, Faudree and Schelp's 1975 value, and
+    degrees below k."""
+    k, deg = pattern.n, Counter(row.bit_count() for row in pattern.adj)
+    if deg == {1: k}:
+        k //= 2
+        if n < 2 * k:
+            return n * (n - 1) // 2
+        return max((2 * k - 1) * (k - 1), (k - 1) * (k - 2) // 2 + (k - 1) * (n - k + 1))
+    if deg[1] == 2 and deg[2] == k - 2:
+        q, r = divmod(n, k - 1)
+        return q * (k - 1) * (k - 2) // 2 + r * (r - 1) // 2
+    if deg == {1: k - 1, k - 1: 1}:
+        return min(n * (n - 1) // 2, n * (k - 2) // 2)
+    return None
+
+
 def hunt_unchecked(report) -> list[str]:
     """The claims of a parsed hunt report that verify does not re-derive: the
     chi bounds of each candidate but a counterexample, whose chi is computed
-    again, and each exhausted candidate's refutation unless degrees prove it.
-    They do when the pattern is a star K_{1,k} (a vertex of degree k = n - 1)
-    and a host vertex has degree above t(k - 1), or every host vertex has
-    degree t(k - 1) and their number times k - 1 is odd: each color meets a
-    vertex at most k - 1 times, and each class would be (k - 1)-regular."""
-    k = report.pattern.graph.n - 1
-    star = k in map(int.bit_count, report.pattern.graph.adj)
-    cap = report.t * (k - 1)
+    again, and each exhausted candidate's refutation unless a count proves
+    it. Two counts do. When the pattern is a star K_{1,k} (a vertex of
+    degree k = n - 1), each color meets a vertex at most k - 1 times, so a
+    host vertex of degree above t(k - 1) refutes. When it is a star, a path
+    or a matching, each class has at most _free_edges edges, so a host with
+    more than t times that many refutes."""
+    p, t = report.pattern.graph, report.t
+    k = p.n - 1
+    star = k in map(int.bit_count, p.adj)
 
     def refuted(graph6: str) -> bool:
-        deg = [row.bit_count() for row in parse_graph(graph6, "g6").adj]
-        return max(deg, default=0) > cap or (
-            all(d == cap for d in deg) and len(deg) * (k - 1) % 2 == 1)
+        g = parse_graph(graph6, "g6")
+        free = _free_edges(p, g.n)
+        return (star and max(map(int.bit_count, g.adj), default=0) > t * (k - 1)) or (
+            free is not None and t * free < g.m)
 
     unchecked = []
     for c in report.candidates:
         if not c.counterexample:
             unchecked.append(f"chi of {c.graph6}")
-        if c.exhausted and not (star and refuted(c.graph6)):
+        if c.exhausted and not refuted(c.graph6):
             unchecked.append(f"no avoiding coloring of {c.graph6}")
     return unchecked
 
