@@ -482,9 +482,11 @@ def test_verify_rederives_star_refutations(tmp_path, capsys):
 
 
 def test_hunt_inconclusive_exit_three(capsys):
+    # no root count settles three path:4 colors on K6: 3 * ex(6, P4) = 18
+    # is not below its 15 edges, so one node leaves the search open
     rc, doc = run(capsys, [
-        "hunt", "--pattern", "path:4", "--t", "2", "--ramsey-value", "5",
-        "--candidates", "multipartite:1,1,1,1,1", "--budget", "1",
+        "hunt", "--pattern", "path:4", "--t", "3", "--ramsey-value", "6",
+        "--candidates", "multipartite:1,1,1,1,1,1", "--budget", "1",
     ])
     assert rc == 3
     assert doc["candidates"][0]["exhausted"] is False

@@ -54,6 +54,8 @@ CASES = {
                           "--candidates", "multipartite:1,1,1,1,1"],
     "hunt-multipartite-budget": [*HUNT_P4, "--ramsey-value", "5", "--budget", "1",
                                  "--candidates", "multipartite:1,1,1,1,1"],
+    "hunt-k6-budget": ["hunt", "--pattern", "path:4", "--t", "3", "--ramsey-value", "6",
+                       "--budget", "1", "--candidates", "multipartite:1,1,1,1,1,1"],
     "hunt-mycielski": ["hunt", "--pattern", "star:2", "--t", "2", "--ramsey-value", "4",
                        "--candidates", "mycielski:3"],
     "hunt-random-seeded": ["hunt", "--pattern", "matching:2", "--t", "2",

@@ -245,16 +245,26 @@ def test_exists_matching_matches_oracle(data):
         assert hunter._exists_matching(g.adj, excl, k, n) == (k <= nu)
 
 
+# K8 less a path of two edges: 26 edges, exactly the 2 * ex(8, P6) that two
+# path:6 classes can hold, so no root count settles it and the search does
+K8_LESS_P3 = Graph.from_edges(8, [e for e in combinations(range(8), 2)
+                                  if e not in ((0, 1), (1, 2))])
+
+
 def test_search_avoiding_work_counts():
     # interchangeable colors open in order; visiting every relabelling
     # instead reads 281,458 and 3,334 for the two path anchors. K8's degree
     # 7 exceeds the 3 * 2 edges that three star:3 colors leave each vertex,
-    # so that refutation is settled by the root's degree count
+    # so that refutation is settled by the root's degree count, and K8's 28
+    # edges exceed the 2 * 13 that two path:6 classes can hold, so that one
+    # is settled by the root's edge count (a search read 4,339 nodes)
     k8 = hunter._search_avoiding(mc.complete_graph(8), [star_pattern(3)] * 3)
     assert k8 == (None, True, 1)
     k6 = hunter._search_avoiding(mc.complete_graph(6), [path_pattern(4)] * 3)
     assert k6 == (None, True, 558)
     p6 = hunter._search_avoiding(mc.complete_graph(8), [path_pattern(6)] * 2)
+    assert p6 == (None, True, 1)
+    p6 = hunter._search_avoiding(K8_LESS_P3, [path_pattern(6)] * 2)
     assert p6 == (None, True, 4339)
     # equal patterns are interchangeable whether or not they are one object
     apart = ramsey_bruteforce([matching_pattern(2) for _ in range(3)], 6)
@@ -266,12 +276,14 @@ def test_search_avoiding_work_counts():
 def test_search_avoiding_memo_cap(cap, monkeypatch):
     # the memo only saves work: cleared past any cap, the finds, exhaustion
     # flags and node counts stay those of the default cap
-    cases = [(8, star_pattern(3), 3), (6, path_pattern(4), 3), (8, path_pattern(6), 2),
-             (7, matching_pattern(3), 2), (5, star_pattern(3), 2)]
+    k = mc.complete_graph
+    cases = [(k(8), star_pattern(3), 3), (k(6), path_pattern(4), 3),
+             (K8_LESS_P3, path_pattern(6), 2), (k(7), matching_pattern(3), 2),
+             (k(5), star_pattern(3), 2)]
 
     def runs():
-        for n, p, t in cases:
-            found, exhausted, nodes = hunter._search_avoiding(mc.complete_graph(n), [p] * t)
+        for g, p, t in cases:
+            found, exhausted, nodes = hunter._search_avoiding(g, [p] * t)
             yield found and found.to_json(), exhausted, nodes
 
     default = list(runs())
