@@ -9,10 +9,11 @@ breadth-first forest by a FIFO queue over vertex pairs, whether edges
 connect a vertex set by a breadth-first search over a neighbour dict, forest
 containment by trying every injection, the orbits of a pattern's directed
 edges by trying every vertex permutation, the first avoiding edge coloring by
-listing every coloring in order, and a coloring's problems by looking
+listing every coloring in order, a Turan number by trying every edge subset
+of K_n, and a coloring's problems by looking
 at every vertex pair. The goodness table below is the one
-list of hunts whose verdict a theorem settles; the Ramsey numbers of stars
-and of path pairs come from their closed formulas.
+list of hunts whose verdict a theorem settles; the Ramsey numbers of stars,
+of path pairs and of matchings come from their closed formulas.
 """
 
 from collections import deque
@@ -46,6 +47,26 @@ def gerencser_gyarfas(n: int, m: int) -> int:
     if not n >= m >= 2:
         raise ValueError("need n >= m >= 2")
     return n + m // 2 - 1
+
+
+def cockayne_lorimer(ks) -> int:
+    """R(k_1 K_2, ..., k_t K_2) = max(k_i) + 1 + sum(k_i - 1) (Cockayne and
+    Lorimer, "The Ramsey number for stripes", 1975)."""
+    return max(ks) + 1 + sum(k - 1 for k in ks)
+
+
+def ex_bruteforce(n: int, pattern) -> int:
+    """The most edges of an n-vertex graph with no copy of the pattern: the
+    largest edge subset of K_n that contains_injection finds pattern-free,
+    trying every subset from the largest down; only for n <= 6."""
+    if n > 6:
+        raise ValueError("oracle meant for n <= 6")
+    edges = list(combinations(range(n), 2))
+    for size in range(len(edges), 0, -1):
+        for subset in combinations(edges, size):
+            if not contains_injection(Graph.from_edges(n, subset), pattern.graph):
+                return size
+    return 0
 
 
 def chromatic_number_dp(g: Graph) -> int:

@@ -419,8 +419,8 @@ def test_verify_hunt_report_with_a_huge_pattern_n(tmp_path, capsys):
     rc, vdoc = run(capsys, ["verify", str(path)])
     assert time.perf_counter() - start < 10
     assert rc == 0 and vdoc["ok"] is True
-    # a star report whose n disagrees with its edge count is no star to the
-    # degree count, which compares the two before reading any edge
+    # a star report whose n disagrees with its edge count is no star, path
+    # or matching to either of verify's counts, so its refutation stays listed
     doc = json.loads(json.loads(golden.read_text())["hunt-mycielski"]["stdout"])
     doc["pattern"]["n"] = 2_000_000
     path.write_text(json.dumps(doc))
@@ -457,9 +457,10 @@ def test_hunt_settles_a_star_refutation_at_the_root(tmp_path, capsys):
 
 
 def test_verify_rederives_star_refutations(tmp_path, capsys):
-    # two star:2 colors: K4 has a vertex of degree 3 > 2 (pigeonhole), every
-    # vertex of C5 has degree 2 and 5 is odd (handshake); the triangle beside
-    # a lone vertex is exhausted by search, which verify does not repeat
+    # two star:2 colors: K4 has a vertex of degree 3 > 2 (pigeonhole), and
+    # C5's 5 edges exceed the 2 * floor(5 / 2) = 4 that two star:2 classes
+    # can hold (edge count); the triangle beside a lone vertex, 3 edges
+    # against 2 * 2, is exhausted by search, which verify does not repeat
     hosts = [mc.complete_graph(4), cycle_graph(5),
              mc.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])]
     k4, c5, k3k1 = (mc.write_graph(g, "g6").strip() for g in hosts)
@@ -473,12 +474,47 @@ def test_verify_rederives_star_refutations(tmp_path, capsys):
     assert rc2 == 0 and vdoc["ok"] is True
     assert vdoc["unchecked"] == [f"chi of {k4}", f"chi of {c5}", f"chi of {k3k1}",
                                  f"no avoiding coloring of {k3k1}"]
-    # the count is made for the report's pattern and t, not the hunt's:
-    # with three colors, or a path:4, nothing is refuted by degrees
+    # the counts are made for the report's pattern and t, not the hunt's:
+    # with three colors (6 edges), or a path:4 (2 * 4), nothing is refuted
     for edit in ({"t": 3}, {"pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}):
         out.write_text(json.dumps({**doc, **edit}))
         rc3, vdoc3 = run(capsys, ["verify", str(out)])
         assert rc3 == 0 and f"no avoiding coloring of {c5}" in vdoc3["unchecked"]
+
+
+def test_verify_rederives_path_and_matching_refutations(tmp_path, capsys):
+    # K8's 28 edges exceed the 2 * 13 that two path:6 classes can hold
+    # (disjoint K5 and K3), and the 2 * 13 that two matching:3 classes can
+    # (two vertices joined to all): hunt settles each in one node, and
+    # verify counts again by itself
+    out = tmp_path / "hunt.json"
+    for pattern in ("path:6", "matching:3"):
+        rc, doc = run(capsys, ["hunt", "--pattern", pattern, "--t", "2", "--ramsey-value", "8",
+                               "--candidates", "multipartite:" + ",".join(["1"] * 8),
+                               "--json-out", str(out)])
+        (k8,) = [c["graph6"] for c in doc["candidates"]]
+        assert rc == 0 and doc["candidates"][0]["exhausted"] and doc["colorings_examined"] == 1
+        rc2, vdoc = run(capsys, ["verify", str(out)])
+        assert rc2 == 0 and vdoc["ok"] is True and vdoc["unchecked"] == [f"chi of {k8}"]
+    # the count is made for the report's pattern and t: three path:6 classes
+    # can hold 39 edges and two path:7 classes 32, so the refutation stays
+    rc, doc = run(capsys, ["hunt", "--pattern", "path:6", "--t", "2", "--ramsey-value", "8",
+                           "--candidates", "multipartite:" + ",".join(["1"] * 8)])
+    for edit in ({"t": 3}, {"pattern": {"n": 7, "edges": [[i, i + 1] for i in range(6)]}}):
+        out.write_text(json.dumps({**doc, **edit}))
+        rc3, vdoc3 = run(capsys, ["verify", str(out)])
+        assert rc3 == 0 and vdoc3["unchecked"] == [f"chi of {k8}", f"no avoiding coloring of {k8}"]
+    # K8 less a two-edge path has 26 edges, as many as the classes can hold:
+    # the search settles it, and verify lists what it did not count
+    hosts = tmp_path / "hosts.g6"
+    hosts.write_text(mc.write_graph(mc.Graph.from_edges(8, [
+        (u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) not in ((0, 1), (1, 2))]), "g6"))
+    rc, doc = run(capsys, ["hunt", "--pattern", "path:6", "--t", "2", "--ramsey-value", "6",
+                           "--candidates", f"g6:{hosts}", "--json-out", str(out)])
+    (host,) = [c["graph6"] for c in doc["candidates"]]
+    assert rc == 0 and doc["candidates"][0]["exhausted"] and doc["colorings_examined"] == 4339
+    rc2, vdoc = run(capsys, ["verify", str(out)])
+    assert rc2 == 0 and vdoc["unchecked"] == [f"chi of {host}", f"no avoiding coloring of {host}"]
 
 
 def test_hunt_inconclusive_exit_three(capsys):

@@ -2,12 +2,13 @@ import inspect
 import io
 import sys
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import monocert as mc
-from monocert import hunter
+from monocert import hunter, verify
 from monocert.graphs import Graph, canonical_edge
 from monocert.hunter import (
     AcyclicPattern,
@@ -29,8 +30,10 @@ from helpers import cycle_graph
 from oracles import (
     GOODNESS_REGRESSIONS,
     burr_roberts,
+    cockayne_lorimer,
     contains_injection,
     directed_edge_orbits,
+    ex_bruteforce,
     first_avoiding_coloring,
     gerencser_gyarfas,
     matching_number_recursive,
@@ -154,11 +157,13 @@ def pattern_lists(draw):
 @example(mc.complete_graph(4), [matching_pattern(2), matching_pattern(1)])
 @example(mc.complete_graph(4), [path_pattern(3), star_pattern(2), path_pattern(3)])
 # two star:2 colors leave each vertex room for 2 edges: K4 has a vertex over
-# it, K3 and C5 fill every vertex exactly with an odd vertex count
+# it, K3 and C5 fill every vertex exactly with an odd vertex count, so have
+# more edges than the two classes can hold
 @example(mc.complete_graph(4), [star_pattern(2), star_pattern(2)])
 @example(mc.complete_graph(3), [star_pattern(2), star_pattern(2)])
 @example(cycle_graph(5), [star_pattern(2), star_pattern(2)])
-# a path:4 color has no degree limit, so the count must not settle this
+# a path:4 color has no degree limit, so the degree count must not settle
+# this; the edge count does, since the classes hold at most 2 + 3 < 6 edges
 @example(mc.complete_graph(4), [star_pattern(2), path_pattern(4)])
 @settings(max_examples=200, deadline=None)
 def test_search_avoiding_finds_the_first_avoiding_coloring(g, patterns):
@@ -321,22 +326,97 @@ STAR_TUPLES = [ks for t in (1, 2, 3) for ks in combinations_with_replacement(ran
 PATH_PAIRS = [(n, m) for n in range(2, 8) for m in range(2, n + 1)]
 
 
+# the two path pairs whose classes can hold all of K_R's edges
+PATHS_PAST_THE_COUNT = ((7, 5), (7, 7))
+
+
 @pytest.mark.parametrize("patterns, r, at_root", [
     *(pytest.param([star_pattern(k) for k in ks], burr_roberts(ks), True,
                    id="star:" + ",".join(map(str, ks))) for ks in STAR_TUPLES),
-    *(pytest.param([path_pattern(n), path_pattern(m)], gerencser_gyarfas(n, m), False,
-                   id=f"path:{n},{m}") for n, m in PATH_PAIRS),
+    *(pytest.param([path_pattern(n), path_pattern(m)], gerencser_gyarfas(n, m),
+                   (n, m) not in PATHS_PAST_THE_COUNT, id=f"path:{n},{m}") for n, m in PATH_PAIRS),
 ])
 def test_search_avoiding_meets_known_ramsey_numbers(patterns, r, at_root):
     # K_{R-1} has an avoiding coloring and K_R has none, by theorem. On K_R
-    # the degree count settles every star tuple: the degree R - 1 exceeds
-    # the room sum(k_i - 1) when theta is 2, and equals it with R odd and
-    # some k_i - 1 odd when theta is 1
+    # the degree count settles every star tuple whose theta is 2: the degree
+    # R - 1 exceeds the room sum(k_i - 1). With theta 1 it equals the room,
+    # R is odd and some k_i - 1 odd, so the odd n(k_i - 1) come in pairs and
+    # the edge count settles it. The edge count settles 19 of the 21 path
+    # pairs too; the search settles the other two
     below, _, _ = hunter._search_avoiding(mc.complete_graph(r - 1), patterns, 2_000_000)
     assert below is not None
     assert all(contains_forest(cls, p) is None for cls, p in zip(below.classes, patterns))
     found, exhausted, nodes = hunter._search_avoiding(mc.complete_graph(r), patterns, 2_000_000)
-    assert found is None and exhausted and (nodes == 1 or not at_root)
+    assert found is None and exhausted and (nodes == 1) == at_root
+
+
+@pytest.mark.parametrize("n, m", [pytest.param(n, m, id=f"path:{n},{m}") for n, m in PATH_PAIRS
+                                  if (n, m) not in PATHS_PAST_THE_COUNT])
+def test_search_agrees_with_the_edge_count_on_path_pairs(n, m, monkeypatch):
+    # with the root counts off, the search still exhausts each K_R that the
+    # edge count settles, and finds the same coloring of K_{R-1}
+    patterns, r = [path_pattern(n), path_pattern(m)], gerencser_gyarfas(n, m)
+    with_counts = hunter._search_avoiding(mc.complete_graph(r - 1), patterns)[0].to_json()
+    for count in ("_degrees_refute", "_edges_refute"):
+        monkeypatch.setattr(hunter, count, lambda g, patterns: False)
+    found, exhausted, _ = hunter._search_avoiding(mc.complete_graph(r), patterns)
+    assert found is None and exhausted
+    assert hunter._search_avoiding(mc.complete_graph(r - 1), patterns)[0].to_json() == with_counts
+
+
+MATCHING_VECTORS = [ks for t in (1, 2, 3) for ks in combinations_with_replacement(range(1, 6), t)]
+
+
+def test_edge_count_meets_cockayne_lorimer():
+    # K_{R-1} has an avoiding coloring, by theorem, so the edge count never
+    # fires there. On K_R it settles 37 of the 55 vectors with t <= 3 and
+    # k_i <= 5 in one node, and verify's own count settles the same ones
+    settled = []
+    for ks in MATCHING_VECTORS:
+        r = cockayne_lorimer(ks)
+        patterns = [matching_pattern(k) for k in ks]
+        assert not hunter._edges_refute(mc.complete_graph(r - 1), patterns)
+        at_r = hunter._search_avoiding(mc.complete_graph(r), patterns, 1)
+        assert (at_r == (None, True, 1)) == (
+            sum(verify._free_edges(p.graph, r) for p in patterns) < comb(r, 2))
+        if at_r[1]:
+            settled.append(ks)
+    assert len(MATCHING_VECTORS) == 55 and len(settled) == 37
+
+
+@given(small_hosts(), st.lists(st.sampled_from(["matching:1", "matching:2", "path:3", "path:4",
+                                                "star:2", "star:3"]), min_size=1, max_size=3))
+@example(mc.complete_graph(4), ["path:3", "path:3"])
+@example(mc.complete_graph(4), ["matching:2", "star:3"])
+@example(cycle_graph(5), ["star:2", "star:2"])
+@settings(max_examples=200, deadline=None)
+def test_root_counts_fire_only_without_an_avoiding_coloring(g, names):
+    makers = {**PATTERN_MAKERS, "path:4": lambda: path_pattern(4),
+              "star:3": lambda: star_pattern(3)}
+    patterns = [makers[name]() for name in names]
+    if hunter._degrees_refute(g, patterns) or hunter._edges_refute(g, patterns):
+        assert first_avoiding_coloring(g, patterns, hunter._bfs_edge_order(g)) is None
+
+
+@pytest.mark.parametrize("pattern", [
+    *(pytest.param(path_pattern(k), id=f"path:{k}") for k in range(2, 7)),
+    *(pytest.param(matching_pattern(k), id=f"matching:{k}") for k in range(1, 4)),
+    *(pytest.param(star_pattern(k), id=f"star:{k}") for k in range(1, 6)),
+])
+def test_turan_numbers_match_brute_force(pattern):
+    # the kernel's formula and verify's, each with its own reading of the
+    # pattern's shape, against every edge subset of K_n
+    for n in range(7):
+        want = ex_bruteforce(n, pattern)
+        assert hunter._turan_number(n, pattern.graph) == verify._free_edges(pattern.graph, n) == want
+
+
+def test_turan_numbers_only_for_stars_paths_and_matchings():
+    # a path beside an edge, a spider, and a path with a lone vertex
+    for n, edges in ((5, [(0, 1), (1, 2), (3, 4)]), (5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
+                     (4, [(0, 1), (1, 2)])):
+        p = Graph.from_edges(n, edges)
+        assert hunter._turan_number(6, p) is verify._free_edges(p, 6) is None
 
 
 # ---------------------------------------------------------------------------
